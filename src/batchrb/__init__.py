@@ -9,11 +9,14 @@ rb
 estimator
     Residual-based a posteriori error estimation (offline/online split).
 greedy
-    Weak batch greedy and strong greedy drivers with tracing.
+    One greedy loop with estimator (weak) and true-error (strong) drivers,
+    traces, trace CSV export.
 theory
     Convergence-theory checkers: projection widths, decay fits, bounds.
 bench
     Experiment harness, break-even analysis, CSV/JSON reporting.
+pool
+    Deterministic worker pool for the concurrent full-order solves.
 """
 
 from .errors import (

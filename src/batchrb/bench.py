@@ -396,10 +396,8 @@ def run_experiment(config: ExperimentConfig):
 
         # Densify the estimator-max sequence after timing: batch runs only
         # sweep at batch boundaries, the decay files want every n.
-        trace.sigma_proxy = greedy.sigma_proxy(model, training_weights)
-        rows = _error_decay_rows(
-            basis, model, system, test_set, trace.sigma_proxy, fom_cache,
-        )
+        proxy = greedy.sigma_proxy(model, training_weights)
+        rows = _error_decay_rows(basis, model, system, test_set, proxy, fom_cache)
         err_final = rows[-1][2]
         summary = RunSummary(
             batch_size=b,
@@ -450,7 +448,6 @@ def run_experiment(config: ExperimentConfig):
             batch_size=1,
             tolerance=config.tolerance,
             max_basis_size=config.max_basis_size,
-            mode="strong",
         )
         strong_basis, strong_trace = greedy.run_strong_greedy(
             system, strong_config, snapshots

@@ -35,8 +35,6 @@ __all__ = [
     "EstimatorData",
     "RieszSolver",
     "RieszDiagnostic",
-    "coercivity_lower_bound",
-    "continuity_upper_bound",
     "build_estimator",
     "estimate",
     "estimate_sweep",
@@ -89,16 +87,6 @@ class EffectivityBounds:
         if block_count == 1:
             return 1.0
         return self.mu_min / self.mu_max
-
-
-def coercivity_lower_bound(mu: ParameterPoint) -> float:
-    """min-theta coercivity lower bound: smallest diffusion weight."""
-    return min(mu.weights)
-
-
-def continuity_upper_bound(mu: ParameterPoint) -> float:
-    """Continuity upper bound: largest diffusion weight."""
-    return max(mu.weights)
 
 
 @dataclass

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
@@ -35,10 +33,7 @@ __all__ = [
     "solve_fom",
     "x_inner",
     "x_norm",
-    "to_full",
-    "point_values",
-    "prolong",
-    "export_matrices",
+    "x_norms",
 ]
 
 #: Default admissible range for the diffusion weights.
@@ -129,10 +124,6 @@ class Mesh:
     @property
     def dof_count(self) -> int:
         return (self.nx - 1) * (self.ny - 1)
-
-    @property
-    def interior_vertices(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary)
 
 
 @dataclass
@@ -420,71 +411,7 @@ def x_norm(u: np.ndarray, system: AffineSystem) -> float:
     return float(np.sqrt(max(x_inner(u, u, system), 0.0)))
 
 
-def to_full(mesh: Mesh, u_interior: np.ndarray) -> np.ndarray:
-    """Embed an interior-DOF vector into the full vertex set (zeros on the boundary)."""
-    u_interior = np.asarray(u_interior)
-    if u_interior.shape != (mesh.dof_count,):
-        raise DimensionError(
-            f"expected {mesh.dof_count} interior values, got shape {u_interior.shape}"
-        )
-    full = np.zeros(mesh.vertices.shape[0])
-    full[~mesh.boundary] = u_interior
-    return full
-
-
-def point_values(mesh: Mesh, vertex_values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate a P1 function (given by vertex values) at arbitrary points.
-
-    Points must lie in the closed unit square.  Used for transferring
-    solutions between refinement levels in convergence studies.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.any(pts < -1e-12) or np.any(pts > 1 + 1e-12):
-        raise DomainError("evaluation points must lie in the unit square")
-    nx, ny = mesh.nx, mesh.ny
-    fx = np.clip(pts[:, 0] * nx, 0, nx * (1 - 1e-16))
-    fy = np.clip(pts[:, 1] * ny, 0, ny * (1 - 1e-16))
-    ci = np.minimum(fx.astype(np.int64), nx - 1)
-    cj = np.minimum(fy.astype(np.int64), ny - 1)
-    s = fx - ci
-    t = fy - cj
-
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    v_ll = vertex_values[vid(ci, cj)]
-    v_lr = vertex_values[vid(ci + 1, cj)]
-    v_ul = vertex_values[vid(ci, cj + 1)]
-    v_ur = vertex_values[vid(ci + 1, cj + 1)]
-    lower = t <= s  # triangle (ll, lr, ur); else (ll, ur, ul)
-    out = np.where(
-        lower,
-        v_ll * (1 - s) + v_lr * (s - t) + v_ur * t,
-        v_ll * (1 - t) + v_ur * s + v_ul * (t - s),
-    )
-    return out
-
-
-def prolong(coarse_mesh: Mesh, u_coarse: np.ndarray, fine_mesh: Mesh) -> np.ndarray:
-    """Interpolate a coarse interior solution onto the fine mesh's interior DOFs."""
-    full = to_full(coarse_mesh, u_coarse)
-    targets = fine_mesh.vertices[~fine_mesh.boundary]
-    return point_values(coarse_mesh, full, targets)
-
-
-def export_matrices(system: AffineSystem, directory) -> list[Path]:
-    """Write M_X and every A_p in MatrixMarket coordinate format.
-
-    Returns the list of files written: gram.mtx, component_1.mtx, ...
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    path = directory / "gram.mtx"
-    scipy.io.mmwrite(str(path), system.gram.tocoo())
-    written.append(path)
-    for p, comp in enumerate(system.components, start=1):
-        path = directory / f"component_{p}.mtx"
-        scipy.io.mmwrite(str(path), comp.tocoo())
-        written.append(path)
-    return written
+def x_norms(columns: np.ndarray, system: AffineSystem) -> np.ndarray:
+    """X-norm of every column of a (dof_count, k) matrix; negatives clamp to zero."""
+    squares = np.einsum("ij,ij->j", columns, system.gram @ columns)
+    return np.sqrt(np.clip(squares, 0.0, None))

@@ -1,21 +1,23 @@
 """Weak batch greedy and strong greedy basis construction.
 
-One iteration of the batch variant with batch size b:
+Both drivers run one loop; one iteration with batch size b is:
 
-1. (Evaluate) sweep the error estimator over the training set with the
-   current reduced model;
-2. (Select) take the argmax as in the classical weak greedy, then the b - 1
+1. (Evaluate) sweep the error source over the training set;
+2. (Select) take the argmax as in the classical greedy, then the b - 1
    next-largest values of the *same* sweep — no re-evaluation between batch
    members;
-3. (Solve) compute the b full-order snapshots, farming them out to the
-   worker pool;
+3. (Solve) get the b full-order snapshots: the weak driver farms the solves
+   out to the worker pool, the strong driver looks them up;
 4. (Extend) orthonormalize the batch into the basis, discarding members that
    have become linearly dependent;
-5. (Reduce) update the reduced operators and the estimator's offline data.
+5. (Reduce) update the error source to the extended basis.
 
-With b = 1 this is exactly the classical weak greedy.  Selection happens
-before any parallel work and estimator sweeps run on a fixed single-threaded
-path, so traces are independent of the worker count.
+The weak driver's error source is the residual estimator (reduced model plus
+offline estimator data); the strong driver's is the table of true projection
+residuals of precomputed snapshots.  With b = 1 the weak driver is exactly
+the classical weak greedy.  Selection happens before any parallel work and
+estimator sweeps run on a fixed single-threaded path, so traces are
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from . import estimator as est_mod
 from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
-from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom
+from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom, x_norms
 from .pool import WorkerPool
 
 __all__ = [
@@ -41,14 +43,12 @@ __all__ = [
     "IterationRecord",
     "SelectionRecord",
     "PhaseTimings",
-    "batch_indices",
     "select_batch",
     "run_batch_greedy",
     "run_strong_greedy",
     "true_sigma",
     "sigma_proxy",
     "export_trace",
-    "export_amatrix",
 ]
 
 logger = logging.getLogger(__name__)
@@ -67,8 +67,6 @@ class GreedyConfig:
     tolerance: float = 1e-5
     max_basis_size: int = 150
     worker_count: int = 1
-    drop_tol: float = rb.DROP_TOL_DEFAULT
-    mode: str = "weak"
 
     def __post_init__(self):
         if int(self.batch_size) != self.batch_size or self.batch_size < 1:
@@ -83,8 +81,6 @@ class GreedyConfig:
             raise ConfigurationError(
                 f"worker_count must be >= 1, got {self.worker_count}"
             )
-        if self.mode not in ("weak", "strong"):
-            raise ConfigurationError(f"mode must be 'weak' or 'strong', got {self.mode}")
         if not self.training_set:
             raise ConfigurationError("training_set must not be empty")
         sizes = {mu.size for mu in self.training_set}
@@ -135,20 +131,6 @@ class GreedyTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
     amatrix_rows: list[np.ndarray] = field(default_factory=list)
     stop_reason: str = ""
-    # Estimator max over the training set for every basis size 0..n, filled
-    # in after the run (see sigma_proxy); the live loop only records the max
-    # at batch boundaries.
-    sigma_proxy: Optional[np.ndarray] = None
-
-    @property
-    def proxy_sizes(self) -> list[int]:
-        """Basis sizes at which the estimator max was recorded."""
-        return [rec.basis_size for rec in self.iterations]
-
-    @property
-    def proxy_values(self) -> list[float]:
-        """Estimator max over the training set per recorded basis size."""
-        return [rec.max_estimate for rec in self.iterations]
 
     @property
     def extension_count(self) -> int:
@@ -180,17 +162,6 @@ class GreedyTrace:
         return out
 
 
-def batch_indices(iteration: int, batch_size: int) -> tuple[int, int]:
-    """Index range [n_low, n_high] of basis vectors added at one iteration.
-
-    Without discards, iteration ell adds vectors number b*ell through
-    b*(ell+1) - 1 (0-based).
-    """
-    if iteration < 0 or batch_size < 1:
-        raise IndexError(f"need iteration >= 0 and batch_size >= 1")
-    return batch_size * iteration, batch_size * (iteration + 1) - 1
-
-
 def select_batch(
     estimates: np.ndarray, batch_size: int, excluded: Iterable[int] = ()
 ) -> list[int]:
@@ -210,190 +181,79 @@ def select_batch(
     return picks[:batch_size]
 
 
-def _record_extension(trace, iter_rec, records):
-    for sel, ext in zip(iter_rec.selections, records):
-        sel.accepted = ext.accepted
-        if ext.accepted:
-            trace.amatrix_rows.append(np.asarray(ext.coefficients))
+class _EstimatorSweep:
+    """Weak-greedy error source: the residual estimator over the training set."""
 
-
-def run_batch_greedy(
-    system: AffineSystem,
-    config: GreedyConfig,
-    bounds: Optional[est_mod.EffectivityBounds] = None,
-    solver: Optional[Callable[[AffineSystem, ParameterPoint], Snapshot]] = None,
-) -> tuple[rb.ReducedBasis, rb.ReducedModel, GreedyTrace]:
-    """Run the weak batch greedy until tolerance, basis cap, or exhaustion.
-
-    Stopping uses the relative criterion
-    max_mu Delta_n(mu) <= tolerance * max_mu Delta_0(mu), checked during the
-    Evaluate phase before selection.  Raises :class:`GreedyError` carrying
-    the offending parameter and the partial trace if a full-order solve
-    fails.
-    """
-    if bounds is None:
-        bounds = est_mod.EffectivityBounds()
-    if solver is None:
-        solver = solve_fom
-    p_size = config.training_set[0].size
-    if p_size != system.block_count:
-        raise DimensionError(
-            f"training parameters have {p_size} weights, "
-            f"system has {system.block_count} blocks"
+    def __init__(self, system: AffineSystem, training_set: list[ParameterPoint]):
+        self.system = system
+        self.weights = np.array([mu.weights for mu in training_set])
+        self.solver = est_mod.RieszSolver(system)
+        basis = rb.ReducedBasis.empty(system.dof_count)
+        self.model = rb.reduce(basis, system)
+        self.data = est_mod.build_estimator(
+            self.model, basis, system, solver=self.solver
         )
 
-    weights_matrix = np.array([mu.weights for mu in config.training_set])
-    basis = rb.ReducedBasis.empty(system.dof_count)
-    model = rb.reduce(basis, system)
-    riesz_solver = est_mod.RieszSolver(system)
-    data = est_mod.build_estimator(model, basis, system, bounds=bounds, solver=riesz_solver)
-    trace = GreedyTrace(
-        batch_size=config.batch_size,
-        gamma_weak=bounds.gamma_greedy(system.block_count),
-    )
+    def sweep(self) -> np.ndarray:
+        return est_mod.estimate_sweep(self.data, self.model, self.weights)
 
-    def solve_one(mu: ParameterPoint) -> Snapshot:
-        return solver(system, mu)
-
-    excluded: set[int] = set()
-    delta0_max: Optional[float] = None
-    iteration = 0
-    with WorkerPool(config.worker_count) as pool:
-        while True:
-            iter_start = perf_counter()
-            estimates = est_mod.estimate_sweep(data, model, weights_matrix)
-            t_evaluate = perf_counter() - iter_start
-            max_est = float(estimates.max())
-            if delta0_max is None:
-                delta0_max = max_est
-            rel = max_est / delta0_max if delta0_max > 0 else 0.0
-
-            stop = None
-            if rel <= config.tolerance:
-                stop = STOP_TOLERANCE
-            elif basis.size >= config.max_basis_size:
-                stop = STOP_MAX_BASIS
-            else:
-                chosen = select_batch(estimates, config.batch_size, excluded)
-                if not chosen:
-                    stop = STOP_EXHAUSTED
-            if stop is not None:
-                trace.iterations.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        basis_size=basis.size,
-                        max_estimate=max_est,
-                        rel_estimate=rel,
-                        selections=[],
-                        timings=PhaseTimings(evaluate=t_evaluate),
-                    )
-                )
-                trace.stop_reason = stop
-                break
-
-            excluded.update(chosen)
-            selections = [
-                SelectionRecord(i, config.training_set[i], float(estimates[i]))
-                for i in chosen
-            ]
-
-            t0 = perf_counter()
-            try:
-                snapshots = pool.map(solve_one, [sel.parameter for sel in selections])
-            except Exception as exc:
-                trace.stop_reason = "error"
-                failed = getattr(exc, "parameter", None)
-                raise GreedyError(
-                    f"full-order solve failed during iteration {iteration}: {exc}",
-                    parameter=failed,
-                    trace=trace,
-                ) from exc
-            t_solve = perf_counter() - t0
-
-            size_before = basis.size
-            t0 = perf_counter()
-            basis, ext_records = rb.extend(
-                basis,
-                snapshots,
-                system,
-                drop_tol=config.drop_tol,
-                iteration=iteration,
-            )
-            t_extend = perf_counter() - t0
-
-            t0 = perf_counter()
-            model = rb.extend_model(model, basis, system)
-            data = est_mod.build_estimator(
-                model, basis, system, bounds=bounds, previous=data, solver=riesz_solver
-            )
-            t_reduce = perf_counter() - t0
-
-            iter_rec = IterationRecord(
-                iteration=iteration,
-                basis_size=size_before,
-                max_estimate=max_est,
-                rel_estimate=rel,
-                selections=selections,
-                timings=PhaseTimings(
-                    solve=t_solve,
-                    evaluate=t_evaluate,
-                    extend=t_extend,
-                    reduce=t_reduce,
-                    other=max(
-                        perf_counter()
-                        - iter_start
-                        - (t_solve + t_evaluate + t_extend + t_reduce),
-                        0.0,
-                    ),
-                ),
-            )
-            _record_extension(trace, iter_rec, ext_records)
-            trace.iterations.append(iter_rec)
-            logger.info(
-                "iter %d: n=%d, max estimate %.3e (rel %.3e), batch %s",
-                iteration,
-                basis.size,
-                max_est,
-                rel,
-                [sel.param_index for sel in selections],
-            )
-            iteration += 1
-
-    return basis, model, trace
+    def update(self, basis: rb.ReducedBasis) -> None:
+        self.model = rb.extend_model(self.model, basis, self.system)
+        self.data = est_mod.build_estimator(
+            self.model, basis, self.system, previous=self.data, solver=self.solver
+        )
 
 
-def run_strong_greedy(
+class _ResidualTable:
+    """Strong-greedy error source: projection residuals of known snapshots.
+
+    Basis vectors are peeled off the residual columns explicitly, one at a
+    time, so the X-norms stay true projection errors down to round-off (no
+    Parseval shortcut).
+    """
+
+    def __init__(self, system: AffineSystem, snapshots: Sequence[Snapshot]):
+        self.system = system
+        self.residual = np.column_stack(
+            [np.asarray(s.coefficients, dtype=float) for s in snapshots]
+        )
+        self.size = 0  # basis vectors peeled so far
+
+    def sweep(self) -> np.ndarray:
+        return x_norms(self.residual, self.system)
+
+    def update(self, basis: rb.ReducedBasis) -> None:
+        gram = self.system.gram
+        for j in range(self.size, basis.size):
+            v = basis.vectors[:, j]
+            coeffs = v @ (gram @ self.residual)
+            self.residual -= np.outer(v, coeffs)
+        self.size = basis.size
+
+
+def _run_greedy(
     system: AffineSystem,
     config: GreedyConfig,
-    snapshots: Mapping[ParameterPoint, Snapshot],
+    source,
+    fetch: Callable[[list[ParameterPoint]], Sequence[Snapshot]],
+    gamma_weak: float,
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
-    """Batch greedy steered by true projection errors over precomputed snapshots.
+    """Evaluate, stop check, select, fetch snapshots, extend, update; repeat.
 
-    The residual table is downdated explicitly after each extension, so the
-    reported errors stay accurate down to round-off (no Parseval shortcut).
-    Phase timings: solve is zero (snapshots are given), evaluate covers the
-    error sweep, reduce covers the residual-table downdate.
+    `source` is an error source (`sweep()` over the training set,
+    `update(basis)` after an extension); `fetch` returns the snapshots of the
+    selected parameters.  Stopping uses the relative criterion
+    max_mu err_n(mu) <= tolerance * max_mu err_0(mu), checked before
+    selection.
     """
-    missing = [mu for mu in config.training_set if mu not in snapshots]
-    if missing:
-        raise ConfigurationError(
-            f"{len(missing)} training points without snapshots, first: {missing[0].weights}"
-        )
-    gram = system.gram
-    columns = np.column_stack(
-        [np.asarray(snapshots[mu].coefficients, dtype=float) for mu in config.training_set]
-    )
-    residual = columns.copy()
+    trace = GreedyTrace(batch_size=config.batch_size, gamma_weak=gamma_weak)
     basis = rb.ReducedBasis.empty(system.dof_count)
-    trace = GreedyTrace(batch_size=config.batch_size, gamma_weak=1.0)
-
     excluded: set[int] = set()
     err0_max: Optional[float] = None
     iteration = 0
     while True:
         iter_start = perf_counter()
-        m_res = gram @ residual
-        errors = np.sqrt(np.clip(np.einsum("ij,ij->j", residual, m_res), 0.0, None))
+        errors = source.sweep()
         t_evaluate = perf_counter() - iter_start
         max_err = float(errors.max())
         if err0_max is None:
@@ -410,80 +270,123 @@ def run_strong_greedy(
             if not chosen:
                 stop = STOP_EXHAUSTED
         if stop is not None:
+            timings = PhaseTimings(evaluate=t_evaluate)
             trace.iterations.append(
-                IterationRecord(
-                    iteration=iteration,
-                    basis_size=basis.size,
-                    max_estimate=max_err,
-                    rel_estimate=rel,
-                    selections=[],
-                    timings=PhaseTimings(evaluate=t_evaluate),
-                )
+                IterationRecord(iteration, basis.size, max_err, rel, [], timings)
             )
             trace.stop_reason = stop
-            break
+            return basis, trace
 
         excluded.update(chosen)
         selections = [
-            SelectionRecord(i, config.training_set[i], float(errors[i]))
-            for i in chosen
+            SelectionRecord(i, config.training_set[i], float(errors[i])) for i in chosen
         ]
+
+        t0 = perf_counter()
+        try:
+            snapshots = fetch([sel.parameter for sel in selections])
+        except Exception as exc:
+            trace.stop_reason = "error"
+            raise GreedyError(
+                f"full-order solve failed during iteration {iteration}: {exc}",
+                parameter=getattr(exc, "parameter", None),
+                trace=trace,
+            ) from exc
+        t_solve = perf_counter() - t0
 
         size_before = basis.size
         t0 = perf_counter()
-        basis, ext_records = rb.extend(
-            basis,
-            [snapshots[sel.parameter] for sel in selections],
-            system,
-            drop_tol=config.drop_tol,
-            iteration=iteration,
-        )
+        basis, ext_records = rb.extend(basis, snapshots, system, iteration=iteration)
         t_extend = perf_counter() - t0
 
         t0 = perf_counter()
-        for j in range(size_before, basis.size):
-            v = basis.vectors[:, j]
-            coeffs = v @ (gram @ residual)
-            residual -= np.outer(v, coeffs)
+        source.update(basis)
         t_reduce = perf_counter() - t0
 
-        iter_rec = IterationRecord(
-            iteration=iteration,
-            basis_size=size_before,
-            max_estimate=max_err,
-            rel_estimate=rel,
-            selections=selections,
-            timings=PhaseTimings(
-                evaluate=t_evaluate,
-                extend=t_extend,
-                reduce=t_reduce,
-                other=max(
-                    perf_counter() - iter_start - (t_evaluate + t_extend + t_reduce),
-                    0.0,
-                ),
-            ),
+        for sel, ext in zip(selections, ext_records):
+            sel.accepted = ext.accepted
+            if ext.accepted:
+                trace.amatrix_rows.append(np.asarray(ext.coefficients))
+        phases = t_solve + t_evaluate + t_extend + t_reduce
+        other = max(perf_counter() - iter_start - phases, 0.0)
+        timings = PhaseTimings(t_solve, t_evaluate, t_extend, t_reduce, other)
+        trace.iterations.append(
+            IterationRecord(iteration, size_before, max_err, rel, selections, timings)
         )
-        _record_extension(trace, iter_rec, ext_records)
-        trace.iterations.append(iter_rec)
+        logger.info(
+            "iter %d: n=%d, max estimate %.3e (rel %.3e), batch %s",
+            iteration,
+            basis.size,
+            max_err,
+            rel,
+            [sel.param_index for sel in selections],
+        )
         iteration += 1
 
-    return basis, trace
 
-
-def true_sigma(
-    basis: rb.ReducedBasis,
-    snapshots,
+def run_batch_greedy(
     system: AffineSystem,
-    sizes: Optional[Sequence[int]] = None,
-) -> np.ndarray:
+    config: GreedyConfig,
+    solver: Optional[Callable[[AffineSystem, ParameterPoint], Snapshot]] = None,
+) -> tuple[rb.ReducedBasis, rb.ReducedModel, GreedyTrace]:
+    """Run the weak batch greedy until tolerance, basis cap, or exhaustion.
+
+    The error source is the residual estimator; the b full-order snapshots of
+    a batch are solved on the worker pool.  Raises :class:`GreedyError`
+    carrying the offending parameter and the partial trace if a full-order
+    solve fails.
+    """
+    if solver is None:
+        solver = solve_fom
+    p_size = config.training_set[0].size
+    if p_size != system.block_count:
+        raise DimensionError(
+            f"training parameters have {p_size} weights, "
+            f"system has {system.block_count} blocks"
+        )
+    source = _EstimatorSweep(system, config.training_set)
+    gamma_weak = source.data.bounds.gamma_greedy(system.block_count)
+
+    def solve_one(mu: ParameterPoint) -> Snapshot:
+        return solver(system, mu)
+
+    with WorkerPool(config.worker_count) as pool:
+        basis, trace = _run_greedy(
+            system, config, source, lambda mus: pool.map(solve_one, mus), gamma_weak
+        )
+    return basis, source.model, trace
+
+
+def run_strong_greedy(
+    system: AffineSystem,
+    config: GreedyConfig,
+    snapshots: Mapping[ParameterPoint, Snapshot],
+) -> tuple[rb.ReducedBasis, GreedyTrace]:
+    """Batch greedy steered by true projection errors over precomputed snapshots.
+
+    The error source is the residual table of the training snapshots.  Phase
+    timings: solve covers the snapshot lookups, evaluate the error sweep,
+    reduce the residual-table downdate.
+    """
+    missing = [mu for mu in config.training_set if mu not in snapshots]
+    if missing:
+        raise ConfigurationError(
+            f"{len(missing)} training points without snapshots, first: {missing[0].weights}"
+        )
+    table = _ResidualTable(system, [snapshots[mu] for mu in config.training_set])
+    return _run_greedy(
+        system, config, table, lambda mus: [snapshots[mu] for mu in mus], 1.0
+    )
+
+
+def true_sigma(basis: rb.ReducedBasis, snapshots, system: AffineSystem) -> np.ndarray:
     """Worst X-norm projection error onto each basis prefix.
 
     sigma[n] = max over snapshots of || f - P_{V_n} f ||_X for the nested
-    prefixes V_n, computed by explicitly peeling one basis vector at a time
-    from the residual table (certified against cancellation).
+    prefixes V_n, n = 0..basis.size, computed by peeling one basis vector at
+    a time from the residual table (certified against cancellation).
 
-    `snapshots` is a mapping parameter -> Snapshot or a sequence of
-    Snapshots; `sizes` defaults to 0..basis.size.
+    `snapshots` is a mapping parameter -> Snapshot or a sequence of Snapshots.
     """
     if isinstance(snapshots, Mapping):
         snapshot_list = list(snapshots.values())
@@ -491,63 +394,36 @@ def true_sigma(
         snapshot_list = list(snapshots)
     if not snapshot_list:
         raise ConfigurationError("need at least one snapshot")
-    if sizes is None:
-        sizes = range(basis.size + 1)
-    sizes = list(sizes)
-    if any(n < 0 or n > basis.size for n in sizes):
-        raise IndexError(f"requested sizes outside [0, {basis.size}]")
-
-    gram = system.gram
-    residual = np.column_stack(
-        [np.asarray(s.coefficients, dtype=float) for s in snapshot_list]
-    )
-    wanted = set(sizes)
-    values: dict[int, float] = {}
-    for n in range(basis.size + 1):
-        if n in wanted:
-            m_res = gram @ residual
-            norms = np.sqrt(np.clip(np.einsum("ij,ij->j", residual, m_res), 0.0, None))
-            values[n] = float(norms.max())
-        if n == basis.size:
-            break
-        v = basis.vectors[:, n]
-        coeffs = v @ (gram @ residual)
-        residual -= np.outer(v, coeffs)
-    return np.array([values[n] for n in sizes])
+    table = _ResidualTable(system, snapshot_list)
+    sigma = [float(table.sweep().max())]
+    for n in range(1, basis.size + 1):
+        table.update(basis.prefix(n))
+        sigma.append(float(table.sweep().max()))
+    return np.array(sigma)
 
 
-def sigma_proxy(
-    model: rb.ReducedModel,
-    weights: np.ndarray,
-    sizes: Optional[Sequence[int]] = None,
-) -> np.ndarray:
+def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray) -> np.ndarray:
     """Estimator max over a training set for each nested basis prefix.
 
-    proxy[k] = max_mu Delta_n(mu) with n = sizes[k], evaluated by slicing
-    the reduced model and the offline estimator tables down to the first n
-    basis vectors.  At the sizes where the greedy loop swept (multiples of
-    the batch size), this reproduces the recorded per-iteration maxima
-    exactly; the sizes in between are what a batch run never evaluates live.
+    proxy[n] = max_mu Delta_n(mu) for n = 0..model.basis_size, evaluated by
+    slicing the reduced model and the offline estimator tables down to the
+    first n basis vectors.  At the sizes where the greedy loop swept
+    (multiples of the batch size), this reproduces the recorded
+    per-iteration maxima exactly; the sizes in between are what a batch run
+    never evaluates live.
 
     `model` must carry estimator data (as left behind by the greedy loop);
-    `weights` is a (T, P) array of training weights; `sizes` defaults to
-    0..model.basis_size.
+    `weights` is a (T, P) array of training weights.
     """
     data = model.estimator_data
     if data is None:
         raise ConfigurationError("model carries no estimator data")
-    if sizes is None:
-        sizes = range(model.basis_size + 1)
-    sizes = list(sizes)
-    if any(n < 0 or n > model.basis_size for n in sizes):
-        raise IndexError(f"requested sizes outside [0, {model.basis_size}]")
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    out = np.empty(len(sizes))
-    for k, n in enumerate(sizes):
-        sub_data = est_mod.prefix_data(data, n)
-        sub_model = rb.prefix_model(model, n)
-        out[k] = float(est_mod.estimate_sweep(sub_data, sub_model, weights).max())
-    return out
+    proxy = []
+    for n in range(model.basis_size + 1):
+        sub_data, sub_model = est_mod.prefix_data(data, n), rb.prefix_model(model, n)
+        proxy.append(float(est_mod.estimate_sweep(sub_data, sub_model, weights).max()))
+    return np.array(proxy)
 
 
 def export_trace(trace: GreedyTrace, path) -> Path:
@@ -597,16 +473,4 @@ def export_trace(trace: GreedyTrace, path) -> Path:
                     ]
                     + timing_cells
                 )
-    return path
-
-
-def export_amatrix(trace: GreedyTrace, path) -> Path:
-    """Write the lower-triangular expansion matrix as (i, j, a_ij) rows."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["i", "j", "a_ij"])
-        for i, row in enumerate(trace.amatrix_rows):
-            for j, value in enumerate(row):
-                writer.writerow([i, j, repr(float(value))])
     return path

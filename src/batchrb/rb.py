@@ -159,7 +159,6 @@ def extend(
     system: AffineSystem,
     drop_tol: float = DROP_TOL_DEFAULT,
     iteration: int = 0,
-    ranks: Optional[Sequence[int]] = None,
 ) -> tuple[ReducedBasis, list[ExtensionRecord]]:
     """Orthonormally extend the basis by a batch of snapshots.
 
@@ -177,24 +176,22 @@ def extend(
         Supplies the X-inner-product Gram matrix.
     drop_tol : float
         Relative linear-dependence threshold.
-    iteration, ranks :
-        Provenance bookkeeping: greedy iteration index and within-batch
-        positions (defaults to 0, 1, 2, ...).
+    iteration : int
+        Provenance bookkeeping: greedy iteration index.  The batch rank of a
+        snapshot is its position in `snapshots`.
 
     Returns
     -------
     (ReducedBasis, list[ExtensionRecord])
         The extended basis and one record per incoming snapshot.
     """
-    if ranks is None:
-        ranks = range(len(snapshots))
     gram = system.gram
     cols = [basis.vectors[:, j] for j in range(basis.size)]
     gram_cols = [gram @ v for v in cols]
     provenance = list(basis.provenance)
     records: list[ExtensionRecord] = []
 
-    for rank, snap in zip(ranks, snapshots):
+    for rank, snap in enumerate(snapshots):
         u = np.asarray(snap.coefficients, dtype=float)
         if u.shape != (system.dof_count,):
             raise DimensionError(
@@ -216,7 +213,7 @@ def extend(
             continue
         cols.append(unit)
         gram_cols.append(gram @ unit)
-        provenance.append(BasisVectorOrigin(snap.parameter, iteration, int(rank)))
+        provenance.append(BasisVectorOrigin(snap.parameter, iteration, rank))
         row = np.append(coeffs, rnorm)
         records.append(ExtensionRecord(snap.parameter, True, row, incoming, rnorm))
 

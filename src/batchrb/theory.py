@@ -19,16 +19,14 @@ counterexample.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DimensionError, DomainError, InsufficientDataError
+from .fem import x_norms
 
 #: Additive slack for the coefficient-matrix properties, applied after
 #: normalizing by sigma_0 so the tolerance is scale-free.
@@ -126,11 +124,6 @@ def _snapshot_columns(all_snapshots) -> np.ndarray:
     return np.column_stack([snap.coefficients for snap in snaps])
 
 
-def _column_norms(columns: np.ndarray, gram) -> np.ndarray:
-    squares = np.einsum("ij,ij->j", columns, gram @ columns)
-    return np.sqrt(np.clip(squares, 0.0, None))
-
-
 def pod_width_upper_bound(all_snapshots, system, n_max=None) -> WidthSurrogate:
     """Certified width upper bounds from POD of the snapshot set.
 
@@ -176,10 +169,10 @@ def pod_width_upper_bound(all_snapshots, system, n_max=None) -> WidthSurrogate:
 
     d_up = np.empty(n_max + 1)
     residual = columns.copy()
-    d_up[0] = float(np.max(_column_norms(residual, gram)))
+    d_up[0] = float(np.max(x_norms(residual, system)))
     for n, (w, mw) in enumerate(zip(modes, weighted_modes), start=1):
         residual = residual - np.outer(w, mw @ residual)
-        d_up[n] = float(np.max(_column_norms(residual, gram)))
+        d_up[n] = float(np.max(x_norms(residual, system)))
     # Beyond the available modes the projection space stops growing.
     d_up[len(modes) + 1 :] = d_up[len(modes)]
     return WidthSurrogate(d_up=d_up, pod_eigs=eigvals)
@@ -429,6 +422,8 @@ def fit_exponential(values, alpha=None, ns=None) -> DecayFit:
         log_c, rate, rms = _log_linear_fit(log_values, points**alpha)
         exponent = float(alpha)
     else:
+        from scipy.optimize import minimize_scalar
+
         result = minimize_scalar(
             lambda a: _log_linear_fit(log_values, points**a)[2],
             bounds=ALPHA_RANGE,
@@ -587,15 +582,3 @@ def run_theory_checks(trace, sigma, d_up, gamma=None, max_K=6) -> list[CheckRepo
 
     reports.append(check_rate_bounds(sigma, d_up, b, gamma))
     return reports
-
-
-def export_report(reports: Sequence[CheckReport], path) -> Path:
-    """Write the check reports to ``path`` as a JSON document."""
-    path = Path(path)
-    payload = {
-        "format": "batchrb-theory-report",
-        "version": 1,
-        "checks": [report.as_dict() for report in reports],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path

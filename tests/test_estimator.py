@@ -30,8 +30,9 @@ def setup():
 class TestBounds:
     def test_coercivity_is_min_weight(self):
         mu = fem.ParameterPoint((0.3, 0.9, 0.15, 0.7))
-        assert estimator.coercivity_lower_bound(mu) == 0.15
-        assert estimator.continuity_upper_bound(mu) == 0.9
+        bounds = estimator.EffectivityBounds()
+        assert bounds.alpha_lb(mu) == 0.15
+        assert bounds.gamma_ub(mu) == 0.9
 
     def test_gamma_greedy_default_box(self):
         bounds = estimator.EffectivityBounds()

@@ -231,51 +231,19 @@ class TestInnerProduct:
 
 class TestRefinement:
     def test_h_convergence_ratio(self):
-        """Successive X-norm errors against an nx=64 reference shrink by ~2."""
-        ref_mesh = fem.build_mesh(64, 64, 2, 2)
-        ref_sys = fem.assemble(ref_mesh)
+        """Successive energy-norm errors against an nx=64 reference shrink by ~2.
+
+        The P1 spaces at nx=16 and nx=32 nest into the nx=64 space, so by
+        Galerkin orthogonality ||u_ref - u_h||_a^2 = f(u_ref) - f(u_h).
+        """
+        ref_sys = fem.assemble(fem.build_mesh(64, 64, 2, 2))
         for weights in [(1.0, 1.0, 1.0, 1.0), (0.3, 0.7, 1.0, 0.45)]:
             mu = fem.ParameterPoint(weights)
             u_ref = fem.solve_fom(ref_sys, mu).coefficients
             errors = []
             for nx in (16, 32):
-                mesh = fem.build_mesh(nx, nx, 2, 2)
-                system = fem.assemble(mesh)
+                system = fem.assemble(fem.build_mesh(nx, nx, 2, 2))
                 u = fem.solve_fom(system, mu).coefficients
-                errors.append(fem.x_norm(u_ref - fem.prolong(mesh, u, ref_mesh), ref_sys))
+                errors.append(np.sqrt(ref_sys.load @ u_ref - system.load @ u))
             ratio = errors[0] / errors[1]
             assert 1.5 <= ratio <= 3.0, f"ratio {ratio} for mu={weights}"
-
-    def test_point_values_reproduce_vertices(self):
-        mesh = fem.build_mesh(4, 4, 2, 2)
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal(mesh.vertices.shape[0])
-        sampled = fem.point_values(mesh, values, mesh.vertices)
-        assert np.allclose(sampled, values, rtol=0, atol=1e-13)
-
-    def test_point_values_linear_exact(self):
-        mesh = fem.build_mesh(5, 5, 1, 1)
-        values = 2.0 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1] + 0.3
-        pts = np.random.default_rng(4).uniform(0, 1, (50, 2))
-        exact = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.3
-        assert np.allclose(fem.point_values(mesh, values, pts), exact, atol=1e-13)
-
-
-class TestExport:
-    def test_matrixmarket_roundtrip(self, small_system, tmp_path):
-        import scipy.io
-
-        files = fem.export_matrices(small_system, tmp_path)
-        assert [f.name for f in files] == [
-            "gram.mtx",
-            "component_1.mtx",
-            "component_2.mtx",
-            "component_3.mtx",
-            "component_4.mtx",
-        ]
-        gram_back = scipy.io.mmread(files[0])
-        assert np.allclose(gram_back.toarray(), small_system.gram.toarray(), atol=0)
-        comp_back = scipy.io.mmread(files[2])
-        assert np.allclose(
-            comp_back.toarray(), small_system.components[1].toarray(), atol=0
-        )

@@ -1,7 +1,6 @@
 """Tests for width surrogates, rate constants, and the empirical bound checks."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -45,9 +44,7 @@ def width(snapshots, system):
 
 @pytest.fixture(scope="module")
 def strong_b1(system, training, snapshots):
-    config = greedy.GreedyConfig(
-        training_set=training, batch_size=1, tolerance=1e-6, mode="strong"
-    )
+    config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=1e-6)
     basis, trace = greedy.run_strong_greedy(system, config, snapshots)
     sigma = greedy.true_sigma(basis, snapshots, system)
     return basis, trace, sigma
@@ -455,16 +452,3 @@ class TestDriverAndExport:
         names = [report.name for report in reports]
         assert names == ["P1", "P2", "product-bound", "sqrt-width-bound", "rate-bounds"]
         assert all(report.passed for report in reports)
-
-    def test_export_report(self, weak_b4, width, tmp_path):
-        _, trace, sigma = weak_b4
-        reports = theory.run_theory_checks(trace, sigma, width.d_up)
-        path = theory.export_report(reports, tmp_path / "theory_report.json")
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "batchrb-theory-report"
-        checks = payload["checks"]
-        assert [c["name"] for c in checks] == [r.name for r in reports]
-        for entry, report in zip(checks, reports):
-            assert entry["status"] == report.status
-            assert entry["worst_margin"] == pytest.approx(report.worst_margin)
-            assert "b" in entry["context"]
