@@ -327,10 +327,10 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _solve_training_snapshots(system, training, worker_count):
-    with WorkerPool(worker_count) as pool:
-        solutions = pool.map(lambda mu: fem.solve_fom(system, mu), training)
-    return dict(zip(training, solutions))
+def _solve_on_pool(pool, system, points):
+    """Full-order snapshots of `points` solved on `pool`, keyed by parameter."""
+    solutions = pool.map(lambda mu: fem.solve_fom(system, mu), points)
+    return dict(zip(points, solutions))
 
 
 def run_experiment(config: ExperimentConfig):
@@ -354,7 +354,8 @@ def run_experiment(config: ExperimentConfig):
     training_weights = np.array([mu.weights for mu in training])
     test_set = build_test_set(config.px, config.py, config.test_count, config.seed)
 
-    # Full-order reference timing, reusing the solutions for error evaluation.
+    # Full-order reference timing (serial), reusing the solutions for error
+    # evaluation; the other test points are solved on the pool.
     fom_cache = {}
     timing_set = test_set[: min(FULL_SOLVE_SAMPLES, len(test_set))]
     start = time.perf_counter()
@@ -366,9 +367,12 @@ def run_experiment(config: ExperimentConfig):
     snapshots = None
     width = None
     report_runs = []
+    with WorkerPool(config.worker_count) as pool:
+        fom_cache.update(_solve_on_pool(pool, system, test_set[len(timing_set) :]))
+        if config.oracle:
+            logger.info("oracle mode: solving all %d training snapshots", len(training))
+            snapshots = _solve_on_pool(pool, system, training)
     if config.oracle:
-        logger.info("oracle mode: solving all %d training snapshots", len(training))
-        snapshots = _solve_training_snapshots(system, training, config.worker_count)
         width = theory.pod_width_upper_bound(snapshots, system)
 
     summaries = []

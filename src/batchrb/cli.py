@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, dest="worker_count",
-        help="worker count for parallel snapshot solves",
+        help="worker count for parallel snapshot solves (at most one per available CPU)",
     )
     parser.add_argument("--seed", type=int, help="seed for the random test set")
     parser.add_argument(

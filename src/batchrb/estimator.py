@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DimensionError, DomainError
 from .fem import AffineSystem, ParameterPoint
@@ -119,17 +118,18 @@ class EstimatorData:
 
 
 class RieszSolver:
-    """Riesz representer solves z = M_X^{-1} rhs behind one cached factorization."""
+    """Riesz representer solves z = M_X^{-1} rhs behind one cached factorization.
+
+    M_X is factored in the system's shared nested-dissection ordering, like
+    every full-order matrix.
+    """
 
     def __init__(self, system: AffineSystem):
         self.system = system
-        self._lu = splu(system.gram)
+        self._lu = system.factorize(system.gram.data)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M_X z = rhs; accepts a vector or a matrix of columns."""
-        rhs = np.asarray(rhs)
-        if rhs.ndim == 2 and not rhs.flags.c_contiguous:
-            rhs = np.ascontiguousarray(rhs)
         return self._lu.solve(rhs)
 
 

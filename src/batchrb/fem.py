@@ -10,6 +10,15 @@ triangulation (each grid cell split along its bottom-left/top-right
 diagonal) and homogeneous Dirichlet conditions on the whole boundary.  The
 reference inner product is the H^1_0 seminorm, whose Gram matrix is the
 unit-coefficient stiffness matrix M_X = sum_p A_p.
+
+Every full-order matrix — A(mu) for any mu, and M_X — lives on one shared
+sparsity pattern.  `assemble` orders the interior DOF grid once by nested
+dissection (George 1973): the grid is cut along a full grid line, the two
+halves are numbered recursively and the cut line last.  A grid line is a
+separator because P1 couplings only join adjacent grid lines.  Every LU
+factorization (`AffineSystem.factorize`, used by `solve_fom` and the
+estimator's Riesz solves) runs on that fixed ordering, so no solve computes
+an ordering of its own.
 """
 
 from __future__ import annotations
@@ -42,6 +51,9 @@ MU_MAX_DEFAULT = 1.0
 
 #: Relative residual each full-order solve must achieve.
 FOM_RESIDUAL_TOL = 1e-10
+
+#: Nested dissection keeps the natural order of grid blocks this small.
+_DISSECTION_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,9 @@ class AffineSystem:
 
     All component matrices share one sparsity pattern (stored zeros allowed),
     so A(mu) is formed by a single dense combination of the stacked data
-    arrays — cheap and bitwise deterministic.
+    arrays — cheap and bitwise deterministic.  The same pattern, permuted
+    once into the nested-dissection order, is what every LU factorization
+    runs on.
     """
 
     components: list[sparse.csc_matrix]
@@ -142,6 +156,10 @@ class AffineSystem:
     mesh: Mesh
     rhs_value: float
     _stacked: np.ndarray = field(repr=False)  # (P, nnz) data on the shared pattern
+    _order: np.ndarray = field(repr=False)  # DOF at each position of the ordering
+    _ordered_indices: np.ndarray = field(repr=False)  # permuted CSC pattern
+    _ordered_indptr: np.ndarray = field(repr=False)
+    _ordered_pos: np.ndarray = field(repr=False)  # shared -> permuted data positions
     _fingerprint: str = field(default="", repr=False)
 
     @property
@@ -163,10 +181,37 @@ class AffineSystem:
             (data, pattern.indices, pattern.indptr), shape=pattern.shape
         )
 
+    def factorize(self, data: np.ndarray) -> "OrderedLU":
+        """LU factors of the matrix with `data` on the shared pattern.
+
+        `data` is the ``.data`` of ``matrix(mu)`` or of ``gram``.  The matrix
+        is factored in the nested-dissection order computed by `assemble`.
+        """
+        permuted = sparse.csc_matrix(
+            (data[self._ordered_pos], self._ordered_indices, self._ordered_indptr),
+            shape=self.gram.shape,
+        )
+        return OrderedLU(splu(permuted, permc_spec="NATURAL"), self._order)
+
     @property
     def fingerprint(self) -> str:
         """Content hash identifying this assembled system."""
         return self._fingerprint
+
+
+class OrderedLU:
+    """Sparse LU factors of a permuted matrix, solving in the original order."""
+
+    def __init__(self, lu, order: np.ndarray):
+        self.lu = lu
+        self.order = order
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for a vector or a (dof_count, k) matrix of right-hand sides."""
+        rhs = np.asarray(rhs, dtype=float)
+        out = np.empty(rhs.shape)
+        out[self.order] = self.lu.solve(rhs[self.order])
+        return out
 
 
 @dataclass(frozen=True)
@@ -276,6 +321,31 @@ def _element_quantities(mesh: Mesh):
     return k_local, area
 
 
+def _nested_dissection(columns: int, rows: int) -> np.ndarray:
+    """Nested-dissection order of a rows-by-columns DOF grid numbered x-fastest.
+
+    Returns the DOF at each position of the ordering.  A block is cut along
+    the middle grid line across its longer side; both halves come first,
+    each ordered the same way, then the cut line.  Blocks of at most
+    `_DISSECTION_LEAF` DOFs keep their natural order.
+    """
+    pieces = []
+
+    def visit(block):
+        if block.size <= _DISSECTION_LEAF:
+            pieces.append(np.sort(block, axis=None))
+            return
+        if block.shape[0] > block.shape[1]:
+            block = block.T
+        mid = block.shape[1] // 2
+        visit(block[:, :mid])
+        visit(block[:, mid + 1 :])
+        pieces.append(block[:, mid])
+
+    visit(np.arange(rows * columns).reshape(rows, columns))
+    return np.concatenate(pieces)
+
+
 def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
     """Assemble the affine component matrices, load vector, and Gram matrix.
 
@@ -338,6 +408,17 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         for p in range(mesh.block_count)
     ]
 
+    # The shared pattern in nested-dissection order, with the position of
+    # every stored entry of the shared pattern in the permuted one.
+    order = _nested_dissection(mesh.nx - 1, mesh.ny - 1)
+    rank = np.empty(n_dof, dtype=pat.indices.dtype)
+    rank[order] = np.arange(n_dof)
+    ordered_rows = rank[pat.indices]
+    ordered_cols = rank[col_of_pos]
+    ordered_pos = np.lexsort((ordered_rows, ordered_cols))
+    ordered_indptr = np.zeros(n_dof + 1, dtype=pat.indptr.dtype)
+    np.cumsum(np.bincount(ordered_cols, minlength=n_dof), out=ordered_indptr[1:])
+
     # Load: integral of each interior hat function is area/3 per triangle.
     load_full = np.zeros(n_vert)
     np.add.at(load_full, tris.ravel(), np.repeat(area / 3.0, 3))
@@ -363,12 +444,20 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         mesh=mesh,
         rhs_value=float(rhs_value),
         _stacked=stacked,
+        _order=order,
+        _ordered_indices=ordered_rows[ordered_pos],
+        _ordered_indptr=ordered_indptr,
+        _ordered_pos=ordered_pos,
         _fingerprint=digest.hexdigest(),
     )
 
 
 def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
-    """Solve the full-order problem A(mu) u = f by sparse LU.
+    """Solve the full-order problem A(mu) u = f by sparse LU in the shared
+    nested-dissection ordering.
+
+    `assemble` computed that ordering once, on the sparsity pattern that all
+    full-order matrices share; no solve orders the matrix again.
 
     Raises
     ------
@@ -382,8 +471,7 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
             f"parameter has {mu.size} weights, system has {system.block_count} blocks"
         )
     matrix = system.matrix(mu)
-    lu = splu(matrix)
-    u = lu.solve(system.load)
+    u = system.factorize(matrix.data).solve(system.load)
     load_norm = np.linalg.norm(system.load)
     residual = np.linalg.norm(matrix @ u - system.load) / (load_norm or 1.0)
     if not residual <= FOM_RESIDUAL_TOL:

@@ -34,7 +34,7 @@ import numpy as np
 from . import estimator as est_mod
 from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
-from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom, x_norms
+from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom
 from .pool import WorkerPool
 
 __all__ = [
@@ -209,7 +209,9 @@ class _ResidualTable:
 
     Basis vectors are peeled off the residual columns explicitly, one at a
     time, so the X-norms stay true projection errors down to round-off (no
-    Parseval shortcut).
+    Parseval shortcut).  A sweep keeps its product M_X R of the unchanged
+    residual R for the first peel after it, so each sweep-and-peel costs one
+    sparse product.
     """
 
     def __init__(self, system: AffineSystem, snapshots: Sequence[Snapshot]):
@@ -218,15 +220,22 @@ class _ResidualTable:
             [np.asarray(s.coefficients, dtype=float) for s in snapshots]
         )
         self.size = 0  # basis vectors peeled so far
+        self._gram_residual = None  # M_X @ residual, while residual is unchanged
 
     def sweep(self) -> np.ndarray:
-        return x_norms(self.residual, self.system)
+        self._gram_residual = self.system.gram @ self.residual
+        squares = np.einsum("ij,ij->j", self.residual, self._gram_residual)
+        return np.sqrt(np.clip(squares, 0.0, None))
 
     def update(self, basis: rb.ReducedBasis) -> None:
         gram = self.system.gram
         for j in range(self.size, basis.size):
             v = basis.vectors[:, j]
-            coeffs = v @ (gram @ self.residual)
+            if self._gram_residual is None:
+                coeffs = v @ (gram @ self.residual)
+            else:
+                coeffs = v @ self._gram_residual
+                self._gram_residual = None  # freed before np.outer allocates
             self.residual -= np.outer(v, coeffs)
         self.size = basis.size
 

@@ -2,23 +2,34 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigurationError
 
 
+def _available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 class WorkerPool:
     """Fan independent tasks out to workers; collect results in submission order.
 
-    With ``workers=1`` tasks run inline.  Results never depend on the worker
-    count: tasks are independent, and the ordered collection makes the merge
-    order fixed.  Use as a context manager to release threads promptly.
+    The pool runs at most one thread per CPU the process may use, because
+    more concurrent solves only contend for the CPUs; with one thread tasks
+    run inline.  Results never depend on the worker count: tasks are
+    independent, and the ordered collection makes the merge order fixed.
+    Use as a context manager to release threads promptly.
     """
 
     def __init__(self, workers: int = 1):
         if int(workers) != workers or workers < 1:
             raise ConfigurationError(f"workers must be a positive integer, got {workers}")
-        self.workers = int(workers)
+        self.workers = min(int(workers), _available_cpus())
         self._executor = (
             ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )

@@ -397,6 +397,27 @@ class TestRunExperiment:
                 assert check["worst_margin"] >= 0.0
 
 
+class TestReferenceSolves:
+    def test_test_set_solved_before_error_evaluation(self, tmp_path, monkeypatch):
+        # t_full times the first FULL_SOLVE_SAMPLES test points serially; the
+        # pool solves the rest up front, so error evaluation solves nothing.
+        misses = []
+        evaluate = bench.evaluate_test_error
+
+        def checked(basis, model, system, test_set, fom_cache=None):
+            misses.extend(mu for mu in test_set if mu not in fom_cache)
+            return evaluate(basis, model, system, test_set, fom_cache)
+
+        monkeypatch.setattr(bench, "evaluate_test_error", checked)
+        config = bench.ExperimentConfig(
+            px=2, py=2, nx=8, train_per_dim=3,
+            test_count=bench.FULL_SOLVE_SAMPLES + 5, seed=3,
+            batch_sizes=(2,), tolerance=1e-2, worker_count=2, out=str(tmp_path),
+        )
+        bench.run_experiment(config)
+        assert misses == []
+
+
 class TestDeterminism:
     def test_nontiming_summary_fields_identical(self, twin_runs):
         (_, first), (_, second) = twin_runs

@@ -218,6 +218,26 @@ class TestRieszCheck:
             estimator.build_estimator(model, basis, system, previous=online)
 
 
+class TestRieszSolver:
+    def test_column_matrix_matches_column_solves(self, setup):
+        system = setup[0]
+        solver = estimator.RieszSolver(system)
+        rng = np.random.default_rng(5)
+        columns = rng.standard_normal((system.dof_count, 6))
+        for rhs in (columns, np.asfortranarray(columns)):
+            together = solver.solve(rhs)
+            one_by_one = np.column_stack(
+                [solver.solve(rhs[:, j]) for j in range(rhs.shape[1])]
+            )
+            np.testing.assert_allclose(together, one_by_one, rtol=1e-14, atol=0.0)
+
+    def test_solves_the_gram_system(self, setup):
+        system = setup[0]
+        z = estimator.RieszSolver(system).solve(system.load)
+        residual = system.gram @ z - system.load
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.load)
+
+
 class TestArtifactWithEstimator:
     def test_roundtrip_preserves_estimates(self, setup, tmp_path):
         system, basis, model, data = setup

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from batchrb import fem
 from batchrb.errors import ConfigurationError, DimensionError, DomainError
@@ -206,6 +207,53 @@ class TestSolve:
 
 # module-level system for the hypothesis test (fixtures don't mix with @given)
 _SCALING_SYSTEM = fem.assemble(fem.build_mesh(4, 4, 2, 2))
+
+
+class TestOrderedFactorization:
+    """Every factorization runs on the nested-dissection ordering from assemble."""
+
+    MESHES = [(2, 2, 1, 1), (3, 5, 1, 1), (12, 8, 3, 2), (6, 30, 2, 3), (16, 16, 4, 4)]
+
+    @pytest.mark.parametrize("shape", MESHES)
+    def test_solves_match_plain_splu(self, shape):
+        system = fem.assemble(fem.build_mesh(*shape))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            weights = rng.uniform(0.1, 1.0, size=system.block_count)
+            matrix = system.matrix(weights)
+            expected = splu(matrix).solve(system.load)
+            got = system.factorize(matrix.data).solve(system.load)
+            err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+            assert err <= 1e-12
+        u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
+        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("shape", MESHES)
+    def test_ordering_is_a_permutation(self, shape):
+        system = fem.assemble(fem.build_mesh(*shape))
+        assert np.array_equal(np.sort(system._order), np.arange(system.dof_count))
+
+    def test_cut_lines_separate_the_halves(self):
+        # Removing the last-numbered grid line leaves two blocks that the
+        # matrix does not couple; the top-level cut of a 9 x 7 grid is
+        # column 4 (x-fastest numbering, 9 DOFs per row).
+        order = fem._nested_dissection(9, 7)
+        assert np.array_equal(order[-7:], np.arange(7) * 9 + 4)
+        system = fem.assemble(fem.build_mesh(10, 8, 1, 1))
+        matrix = system.gram.toarray()
+        left = order[: (63 - 7) // 2]
+        right = order[(63 - 7) // 2 : -7]
+        assert set(left % 9) == set(range(4))
+        assert not matrix[np.ix_(left, right)].any()
+
+    def test_fill_below_colamd(self):
+        # nnz(L) + nnz(U) is deterministic, unlike the factorization time.
+        system = fem.assemble(fem.build_mesh(64, 64, 2, 2))
+        matrix = system.matrix((0.2, 0.7, 0.4, 0.9))
+        colamd = splu(matrix)
+        ordered = system.factorize(matrix.data).lu
+        fill = ordered.L.nnz + ordered.U.nnz
+        assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
 class TestInnerProduct:

@@ -360,6 +360,42 @@ class TestStrongGreedy:
             assert sigma[n] == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
+def naive_peel_norms(basis, snapshot_list, system):
+    """Residual X-norms of every snapshot after each peel, n = 0..basis.size;
+    every peel forms its own product M_X R."""
+    residual = np.column_stack([s.coefficients for s in snapshot_list])
+    norms = [fem.x_norms(residual, system)]
+    for j in range(basis.size):
+        v = basis.vectors[:, j]
+        residual = residual - np.outer(v, v @ (system.gram @ residual))
+        norms.append(fem.x_norms(residual, system))
+    return norms
+
+
+class TestResidualTableReference:
+    """The residual table reuses a sweep's M_X R for the next peel; results
+    stay bitwise equal to peeling with a fresh product every time."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_strong_trace_bitwise(self, system, training, snapshots, batch_size):
+        config = greedy.GreedyConfig(
+            training_set=training, batch_size=batch_size, tolerance=1e-6
+        )
+        basis, trace = greedy.run_strong_greedy(system, config, snapshots)
+        norms = naive_peel_norms(basis, [snapshots[mu] for mu in training], system)
+        for rec in trace.iterations:
+            assert rec.max_estimate == norms[rec.basis_size].max()
+            for sel in rec.selections:
+                assert sel.estimate == norms[rec.basis_size][sel.param_index]
+
+    def test_true_sigma_bitwise(self, system, training, snapshots):
+        config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
+        basis, _, _ = greedy.run_batch_greedy(system, config)
+        sigma = greedy.true_sigma(basis, snapshots, system)
+        norms = naive_peel_norms(basis, list(snapshots.values()), system)
+        assert np.array_equal(sigma, [n.max() for n in norms])
+
+
 class TestCallTimeLookups:
     """The loop looks these names up when it calls them, so a wrapper bound
     onto the module (a tracer, a profiler) sees every call."""
