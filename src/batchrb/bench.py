@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,24 +48,6 @@ SUMMARY_COLUMNS = [
     "t_offline_n",
     "k_star",
 ]
-
-_LOCK_KEYS = (
-    "px",
-    "py",
-    "nx",
-    "ny",
-    "train_per_dim",
-    "test_count",
-    "seed",
-    "batch_sizes",
-    "tolerance",
-    "worker_count",
-    "oracle",
-    "out",
-    "max_basis_size",
-    "training_cap",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -174,18 +156,18 @@ def evaluate_test_error(basis, model, system, test_set, fom_cache=None):
 
     Returns ``(errors, max_error)`` with one entry per test parameter.  An
     empty basis yields the exact value 1 for every parameter (the reduced
-    solution is zero).  Pass ``fom_cache`` (a dict keyed by parameter) to
-    reuse full-order solutions across basis prefixes.
+    solution is zero).  Pass ``fom_cache`` (a dict mapping a parameter to its
+    full-order snapshot and that snapshot's X-norm) to reuse both across
+    basis prefixes; missing entries are solved and added.
     """
     if fom_cache is None:
         fom_cache = {}
     errors = []
     for mu in test_set:
-        snapshot = fom_cache.get(mu)
-        if snapshot is None:
+        if mu not in fom_cache:
             snapshot = fem.solve_fom(system, mu)
-            fom_cache[mu] = snapshot
-        full_norm = fem.x_norm(snapshot.coefficients, system)
+            fom_cache[mu] = (snapshot, fem.x_norm(snapshot.coefficients, system))
+        snapshot, full_norm = fom_cache[mu]
         if full_norm <= 0.0:
             raise NumericError(f"full-order solution at {mu} has zero norm")
         if model.basis_size == 0:
@@ -265,25 +247,43 @@ def write_summary(summaries: Sequence[RunSummary], path) -> Path:
     return _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
+def batch_size_list(text: str) -> tuple:
+    """Parse comma-separated batch sizes such as ``1,2,4,8``."""
+    return tuple(int(part) for part in text.split(","))
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+#: Parser of a config.lock value, by the annotated type of its field.
+_LOCK_PARSERS = {
+    "int": int,
+    "Optional[int]": int,
+    "float": float,
+    "tuple": batch_size_list,
+    "bool": _parse_bool,
+    "str": str,
+}
+
+
+def _lock_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(b) for b in value)
+    return str(value)
+
+
 def write_lock(config: ExperimentConfig, path) -> Path:
-    """Write the resolved configuration as flat key=value lines."""
-    resolved = {
-        "px": config.px,
-        "py": config.py,
-        "nx": config.nx,
-        "ny": config.resolved_ny,
-        "train_per_dim": config.train_per_dim,
-        "test_count": config.test_count,
-        "seed": config.seed,
-        "batch_sizes": ",".join(str(b) for b in config.batch_sizes),
-        "tolerance": repr(config.tolerance),
-        "worker_count": config.worker_count,
-        "oracle": "true" if config.oracle else "false",
-        "out": config.out,
-        "max_basis_size": config.max_basis_size,
-        "training_cap": config.training_cap,
-    }
-    lines = [f"{key}={resolved[key]}" for key in _LOCK_KEYS]
+    """Write the resolved configuration as one key=value line per field."""
+    resolved = replace(config, ny=config.resolved_ny)
+    lines = [
+        f"{f.name}={_lock_value(getattr(resolved, f.name))}"
+        for f in fields(ExperimentConfig)
+    ]
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -300,30 +300,16 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
-    unknown = set(values) - set(_LOCK_KEYS)
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(values) - set(types)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    int_keys = {
-        "px", "py", "nx", "ny", "train_per_dim", "test_count", "seed",
-        "worker_count", "max_basis_size", "training_cap",
-    }
-    try:
-        for key, value in values.items():
-            if key in int_keys:
-                kwargs[key] = int(value)
-            elif key == "tolerance":
-                kwargs[key] = float(value)
-            elif key == "batch_sizes":
-                kwargs[key] = tuple(int(b) for b in value.split(","))
-            elif key == "oracle":
-                if value not in ("true", "false"):
-                    raise ValueError(f"oracle must be true or false, got {value!r}")
-                kwargs[key] = value == "true"
-            else:
-                kwargs[key] = value
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    for key, value in values.items():
+        try:
+            kwargs[key] = _LOCK_PARSERS[types[key]](value)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: {key}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 
@@ -331,6 +317,31 @@ def _solve_on_pool(pool, system, points):
     """Full-order snapshots of `points` solved on `pool`, keyed by parameter."""
     solutions = pool.map(lambda mu: fem.solve_fom(system, mu), points)
     return dict(zip(points, solutions))
+
+
+def _strong_sigma(trace) -> np.ndarray:
+    """True projection errors sigma_0..sigma_N of a strong run at b = 1.
+
+    Each sweep of the strong greedy's residual table is the true projection
+    error of the basis so far, so the first maximum recorded at each basis
+    size equals `greedy.true_sigma` of the final basis to the last bit.
+    """
+    first = {}
+    for rec in trace.iterations:
+        first.setdefault(rec.basis_size, rec.max_estimate)
+    return np.array(list(first.values()))
+
+
+def _oracle_run(mode, trace, sigma, d_up) -> dict:
+    """One theory_report.json entry: a run's weakness constant and bound checks."""
+    gamma = theory.empirical_gamma(trace, sigma)
+    checks = theory.run_theory_checks(trace, sigma, d_up, gamma=gamma)
+    return {
+        "batch_size": trace.batch_size,
+        "mode": mode,
+        "gamma": gamma,
+        "checks": [report.as_dict() for report in checks],
+    }
 
 
 def run_experiment(config: ExperimentConfig):
@@ -356,11 +367,9 @@ def run_experiment(config: ExperimentConfig):
 
     # Full-order reference timing (serial), reusing the solutions for error
     # evaluation; the other test points are solved on the pool.
-    fom_cache = {}
     timing_set = test_set[: min(FULL_SOLVE_SAMPLES, len(test_set))]
     start = time.perf_counter()
-    for mu in timing_set:
-        fom_cache[mu] = fem.solve_fom(system, mu)
+    references = {mu: fem.solve_fom(system, mu) for mu in timing_set}
     t_full = (time.perf_counter() - start) / len(timing_set)
     logger.info("t_full = %.4g s (mean over %d solves)", t_full, len(timing_set))
 
@@ -368,12 +377,16 @@ def run_experiment(config: ExperimentConfig):
     width = None
     report_runs = []
     with WorkerPool(config.worker_count) as pool:
-        fom_cache.update(_solve_on_pool(pool, system, test_set[len(timing_set) :]))
+        references.update(_solve_on_pool(pool, system, test_set[len(timing_set) :]))
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
             snapshots = _solve_on_pool(pool, system, training)
     if config.oracle:
         width = theory.pod_width_upper_bound(snapshots, system)
+    fom_cache = {
+        mu: (snapshot, fem.x_norm(snapshot.coefficients, system))
+        for mu, snapshot in references.items()
+    }
 
     summaries = []
     for b in config.batch_sizes:
@@ -435,16 +448,7 @@ def run_experiment(config: ExperimentConfig):
 
         if config.oracle:
             sigma = greedy.true_sigma(basis, snapshots, system)
-            gamma = theory.empirical_gamma(trace, sigma)
-            checks = theory.run_theory_checks(trace, sigma, width.d_up, gamma=gamma)
-            report_runs.append(
-                {
-                    "batch_size": b,
-                    "mode": "weak",
-                    "gamma": gamma,
-                    "checks": [report.as_dict() for report in checks],
-                }
-            )
+            report_runs.append(_oracle_run("weak", trace, sigma, width.d_up))
 
     if config.oracle:
         strong_config = greedy.GreedyConfig(
@@ -453,21 +457,9 @@ def run_experiment(config: ExperimentConfig):
             tolerance=config.tolerance,
             max_basis_size=config.max_basis_size,
         )
-        strong_basis, strong_trace = greedy.run_strong_greedy(
-            system, strong_config, snapshots
-        )
-        strong_sigma = greedy.true_sigma(strong_basis, snapshots, system)
-        strong_gamma = theory.empirical_gamma(strong_trace, strong_sigma)
-        strong_checks = theory.run_theory_checks(
-            strong_trace, strong_sigma, width.d_up, gamma=strong_gamma
-        )
+        _, strong_trace = greedy.run_strong_greedy(system, strong_config, snapshots)
         report_runs.append(
-            {
-                "batch_size": 1,
-                "mode": "strong",
-                "gamma": strong_gamma,
-                "checks": [report.as_dict() for report in strong_checks],
-            }
+            _oracle_run("strong", strong_trace, _strong_sigma(strong_trace), width.d_up)
         )
         payload = {
             "format": "batchrb-theory-report",

@@ -8,20 +8,8 @@ import logging
 import sys
 from typing import Optional, Sequence
 
-from .bench import ExperimentConfig, load_config, run_experiment
+from .bench import ExperimentConfig, batch_size_list, load_config, run_experiment
 from .errors import ConfigurationError
-
-
-def _parse_batch_sizes(text: str) -> tuple:
-    try:
-        sizes = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from exc
-    if not sizes:
-        raise argparse.ArgumentTypeError("batch size list must not be empty")
-    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of random test parameters",
     )
     parser.add_argument(
-        "--batch-sizes", type=_parse_batch_sizes, dest="batch_sizes",
+        "--batch-sizes", type=batch_size_list, dest="batch_sizes",
         help="comma-separated batch sizes, e.g. 1,2,4,8",
     )
     parser.add_argument(
@@ -84,17 +72,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
+        flags = vars(args)
         overrides = {
-            name: getattr(args, name)
-            for name in (
-                "px", "py", "nx", "ny", "train_per_dim", "test_count",
-                "batch_sizes", "tolerance", "worker_count", "seed",
-                "oracle", "out",
-            )
-            if getattr(args, name) is not None
+            f.name: flags[f.name]
+            for f in dataclasses.fields(ExperimentConfig)
+            if flags.get(f.name) is not None
         }
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        config = dataclasses.replace(config, **overrides)
         summaries = run_experiment(config)
     except ConfigurationError as exc:
         parser.exit(2, f"batchrb: {exc}\n")

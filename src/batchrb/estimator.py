@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError
-from .fem import AffineSystem, ParameterPoint
+from .fem import MU_MAX_DEFAULT, MU_MIN_DEFAULT, AffineSystem, ParameterPoint
 from .rb import ReducedBasis, ReducedModel, solve_rom
 
 __all__ = [
@@ -55,8 +55,8 @@ class EffectivityBounds:
     max_p mu_p, both exact for this problem class.
     """
 
-    mu_min: float = 0.1
-    mu_max: float = 1.0
+    mu_min: float = MU_MIN_DEFAULT
+    mu_max: float = MU_MAX_DEFAULT
 
     def __post_init__(self):
         if not 0 < self.mu_min <= self.mu_max:
@@ -229,6 +229,18 @@ def _rom_coefficients_batch(model: ReducedModel, weights: np.ndarray) -> np.ndar
     return np.linalg.solve(np.transpose(lower, (0, 2, 1)), halfway)[:, :, 0]
 
 
+def _dual_norms(data: EstimatorData, y: np.ndarray) -> np.ndarray:
+    """Residual dual norms from the Gram tables, one per row of y = (mu_p c_j).
+
+    Evaluates sqrt(g_ff - 2 y.g_fc + y G y), clamping round-off negatives.
+    """
+    g_cc_flat = data.g_cc.reshape(y.shape[1], y.shape[1])
+    r_sq = data.g_ff - 2.0 * (y @ data.g_fc.reshape(-1)) + np.einsum(
+        "ta,ab,tb->t", y, g_cc_flat, y
+    )
+    return np.sqrt(np.clip(r_sq, 0.0, None))
+
+
 def estimate_sweep(
     data: EstimatorData, model: ReducedModel, weights: np.ndarray
 ) -> np.ndarray:
@@ -256,12 +268,7 @@ def estimate_sweep(
         return np.full(t_count, np.sqrt(max(data.g_ff, 0.0))) / alpha
     coeffs = _rom_coefficients_batch(model, weights)
     y = (weights[:, :, None] * coeffs[:, None, :]).reshape(t_count, -1)
-    g_fc_flat = data.g_fc.reshape(-1)
-    g_cc_flat = data.g_cc.reshape(y.shape[1], y.shape[1])
-    r_sq = data.g_ff - 2.0 * (y @ g_fc_flat) + np.einsum(
-        "ta,ab,tb->t", y, g_cc_flat, y
-    )
-    return np.sqrt(np.clip(r_sq, 0.0, None)) / alpha
+    return _dual_norms(data, y) / alpha
 
 
 def estimate(data: EstimatorData, model: ReducedModel, mu: ParameterPoint) -> float:
@@ -318,11 +325,8 @@ def check_riesz(
     z = RieszSolver(system).solve(residual)
     direct = float(np.sqrt(max(z @ (system.gram @ z), 0.0)))
 
-    weights = mu.as_array()
-    y = (weights[:, None] * coeffs[None, :]).reshape(-1)
-    g_cc_flat = data.g_cc.reshape(y.size, y.size)
-    r_sq = data.g_ff - 2.0 * (y @ data.g_fc.reshape(-1)) + y @ g_cc_flat @ y
-    offline = float(np.sqrt(max(r_sq, 0.0)))
+    y = (mu.as_array()[:, None] * coeffs[None, :]).reshape(1, -1)
+    offline = float(_dual_norms(data, y)[0])
 
     load_dual = np.sqrt(max(data.g_ff, 0.0))
     cancellation = offline < CANCELLATION_RATIO * load_dual

@@ -461,8 +461,9 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
 
     Raises
     ------
-    DomainError
-        If any weight is non-positive or the parameter size mismatches.
+    DimensionError
+        If the parameter size does not match the system's block count
+        (non-positive weights are already rejected by `ParameterPoint`).
     NumericError
         If the relative residual exceeds 1e-10.
     """

@@ -357,7 +357,12 @@ def run_batch_greedy(
     gamma_weak = source.data.bounds.gamma_greedy(system.block_count)
 
     def solve_one(mu: ParameterPoint) -> Snapshot:
-        return solver(system, mu)
+        try:
+            return solver(system, mu)
+        except Exception as exc:
+            # The pool re-raises the first failure in batch order, so the
+            # parameter reported does not depend on the worker count.
+            raise GreedyError(f"at mu={mu.weights}: {exc}", parameter=mu) from exc
 
     with WorkerPool(config.worker_count) as pool:
         basis, trace = _run_greedy(

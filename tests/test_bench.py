@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,20 +229,22 @@ class TestConfig:
 
     def test_lock_round_trip(self, tmp_path):
         config = bench.ExperimentConfig(
-            px=3, py=1, nx=12, train_per_dim=4, test_count=17, seed=9,
+            px=3, py=1, nx=12, ny=20, train_per_dim=4, test_count=17, seed=9,
             batch_sizes=(2, 5), tolerance=3.5e-4, worker_count=2,
-            oracle=True, out="elsewhere", max_basis_size=40,
+            oracle=True, out="elsewhere", max_basis_size=40, training_cap=5000,
         )
+        default = bench.ExperimentConfig()
+        for f in dataclasses.fields(bench.ExperimentConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
         path = bench.write_lock(config, tmp_path / "config.lock")
-        loaded = bench.load_config(path)
-        assert loaded == dataclasses.replace(config, ny=config.resolved_ny)
+        assert bench.load_config(path) == config
 
     def test_lock_is_flat_key_value(self, tmp_path):
         path = bench.write_lock(bench.ExperimentConfig(), tmp_path / "config.lock")
         lines = path.read_text().splitlines()
         assert all(line.count("=") >= 1 for line in lines)
         keys = [line.split("=", 1)[0] for line in lines]
-        assert keys == list(bench._LOCK_KEYS)
+        assert keys == [f.name for f in dataclasses.fields(bench.ExperimentConfig)]
         assert "ny=32" in lines  # resolved, not blank
 
     def test_load_skips_comments_and_blanks(self, tmp_path):
@@ -418,6 +423,49 @@ class TestReferenceSolves:
         assert misses == []
 
 
+class TestReferenceQuantities:
+    def test_reference_norms_computed_once(self, tmp_path, monkeypatch):
+        # One X-norm per test point for its reference solution, plus one per
+        # test point and nonempty basis prefix for the error itself.
+        calls = []
+        x_norm = fem.x_norm
+
+        def counting(u, system):
+            calls.append(None)
+            return x_norm(u, system)
+
+        monkeypatch.setattr(fem, "x_norm", counting)
+        config = bench.ExperimentConfig(
+            px=2, py=2, nx=8, train_per_dim=3, test_count=4, seed=3,
+            batch_sizes=(1, 2), tolerance=1e-2, out=str(tmp_path),
+        )
+        summaries = bench.run_experiment(config)
+        expected = config.test_count + sum(
+            config.test_count * s.num_ext for s in summaries
+        )
+        assert len(calls) == expected
+
+    def test_strong_sigma_read_off_the_trace(self, system):
+        # At b = 1 the strong run's sweeps are true_sigma's sweeps, bit for bit.
+        training = bench.build_training_set(2, 2, 3)
+        snapshots = {mu: fem.solve_fom(system, mu) for mu in training}
+        cases = [
+            ("tolerance", training, {"tolerance": 1e-6}),
+            ("max_basis", training, {"tolerance": 1e-30, "max_basis_size": 5}),
+            ("exhausted", training[:4], {"tolerance": 1e-30}),
+        ]
+        for stop, points, options in cases:
+            config = greedy.GreedyConfig(training_set=points, batch_size=1, **options)
+            basis, trace = greedy.run_strong_greedy(system, config, snapshots)
+            assert trace.stop_reason == stop
+            expected = greedy.true_sigma(
+                basis, [snapshots[mu] for mu in points], system
+            )
+            sigma = bench._strong_sigma(trace)
+            assert sigma.shape == expected.shape == (basis.size + 1,), stop
+            assert sigma.tobytes() == expected.tobytes(), stop
+
+
 class TestDeterminism:
     def test_nontiming_summary_fields_identical(self, twin_runs):
         (_, first), (_, second) = twin_runs
@@ -478,6 +526,23 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--batch-sizes", "1,x"])
         assert excinfo.value.code == 2
+
+    def test_import_leaves_optional_scipy_modules_unloaded(self):
+        # scipy.optimize (needed only by a free-rate fit) and scipy.io
+        # (unused) add start-up time; importing the CLI must load neither.
+        src = str(Path(bench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        probe = (
+            "import sys, batchrb.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.io') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_rejects_invalid_config_value(self, tmp_path):
         lock = tmp_path / "bad.lock"

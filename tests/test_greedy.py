@@ -281,20 +281,26 @@ class TestDegenerateTrainingSets:
 
 class TestErrors:
     def test_solver_failure_carries_parameter_and_partial_trace(self, system, training):
-        calls = []
+        for workers in (1, 2):
+            config = greedy.GreedyConfig(
+                training_set=training, batch_size=2, worker_count=workers
+            )
+            _, _, reference = greedy.run_batch_greedy(system, config)
+            batch = [sel.parameter for sel in reference.iterations[1].selections]
+            assert len(batch) == 2
 
-        def flaky(sys_, mu):
-            calls.append(mu)
-            if len(calls) > 3:
-                raise RuntimeError("synthetic solver breakdown")
-            return fem.solve_fom(sys_, mu)
+            def flaky(sys_, mu, batch=batch):
+                # Both members of the second batch fail; the first is reported.
+                if mu in batch:
+                    raise RuntimeError("synthetic solver breakdown")
+                return fem.solve_fom(sys_, mu)
 
-        config = greedy.GreedyConfig(training_set=training, batch_size=2)
-        with pytest.raises(GreedyError) as info:
-            greedy.run_batch_greedy(system, config, solver=flaky)
-        assert info.value.trace is not None
-        assert info.value.trace.iterations  # at least one completed iteration
-        assert info.value.trace.stop_reason == "error"
+            with pytest.raises(GreedyError) as info:
+                greedy.run_batch_greedy(system, config, solver=flaky)
+            assert info.value.parameter == batch[0], workers
+            assert info.value.trace is not None
+            assert len(info.value.trace.iterations) == 1  # the completed first batch
+            assert info.value.trace.stop_reason == "error"
 
     def test_config_validation(self, training):
         with pytest.raises(ConfigurationError):
