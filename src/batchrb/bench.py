@@ -47,6 +47,7 @@ SUMMARY_COLUMNS = [
     "t_online_n",
     "t_offline_n",
     "k_star",
+    "stop_reason",
 ]
 
 @dataclass(frozen=True)
@@ -118,6 +119,7 @@ class RunSummary:
     t_full: float
     k_star: Optional[int]
     err_final: float
+    stop_reason: str
 
 
 def build_training_set(px, py, train_per_dim, cap=TRAINING_CAP_DEFAULT):
@@ -242,6 +244,7 @@ def write_summary(summaries: Sequence[RunSummary], path) -> Path:
                 repr(s.t_online / reference.t_online),
                 repr(s.t_offline / reference.t_offline),
                 _format_value(s.k_star),
+                s.stop_reason,
             ]
         )
     return _write_csv(path, SUMMARY_COLUMNS, rows)
@@ -430,6 +433,7 @@ def run_experiment(config: ExperimentConfig):
             t_full=t_full,
             k_star=break_even(t_offline, t_full, t_online),
             err_final=err_final,
+            stop_reason=trace.stop_reason,
         )
         summaries.append(summary)
         logger.info(

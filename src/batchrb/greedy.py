@@ -56,6 +56,7 @@ logger = logging.getLogger(__name__)
 STOP_TOLERANCE = "tolerance"
 STOP_MAX_BASIS = "max_basis"
 STOP_EXHAUSTED = "exhausted"
+STOP_STAGNATED = "stagnated"
 
 
 @dataclass
@@ -176,9 +177,13 @@ def select_batch(
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     estimates = np.asarray(estimates, dtype=float)
     excluded = set(excluded)
-    order = np.lexsort((np.arange(len(estimates)), -estimates))
-    picks = [int(i) for i in order if int(i) not in excluded]
-    return picks[:batch_size]
+    picks = []
+    for i in np.lexsort((np.arange(len(estimates)), -estimates)).tolist():
+        if i not in excluded:
+            picks.append(i)
+            if len(picks) == batch_size:
+                break
+    return picks
 
 
 class _EstimatorSweep:
@@ -253,7 +258,9 @@ def _run_greedy(
     `update(basis)` after an extension); `fetch` returns the snapshots of the
     selected parameters.  Stopping uses the relative criterion
     max_mu err_n(mu) <= tolerance * max_mu err_0(mu), checked before
-    selection.
+    selection; the run also stops when the basis reaches its cap, when no
+    candidate is left, or when every member of a batch is rejected
+    ("stagnated").
     """
     trace = GreedyTrace(batch_size=config.batch_size, gamma_weak=gamma_weak)
     basis = rb.ReducedBasis.empty(system.dof_count)
@@ -330,6 +337,12 @@ def _run_greedy(
             rel,
             [sel.param_index for sel in selections],
         )
+        if basis.size == size_before:
+            # The largest errors belong to snapshots the basis already spans:
+            # the error source is at its floor and more candidates would
+            # only be solved and rejected the same way.
+            trace.stop_reason = STOP_STAGNATED
+            return basis, trace
         iteration += 1
 
 
@@ -338,7 +351,8 @@ def run_batch_greedy(
     config: GreedyConfig,
     solver: Optional[Callable[[AffineSystem, ParameterPoint], Snapshot]] = None,
 ) -> tuple[rb.ReducedBasis, rb.ReducedModel, GreedyTrace]:
-    """Run the weak batch greedy until tolerance, basis cap, or exhaustion.
+    """Run the weak batch greedy until tolerance, basis cap, exhaustion or
+    stagnation.
 
     The error source is the residual estimator; the b full-order snapshots of
     a batch are solved on the worker pool.  Raises :class:`GreedyError`

@@ -41,7 +41,7 @@ __all__ = [
 DROP_TOL_DEFAULT = 1e-10
 
 ARTIFACT_FORMAT = "batchrb-rom"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -330,11 +330,11 @@ def _decode_array(obj: dict) -> np.ndarray:
 
 
 def save_artifact(model: ReducedModel, basis: ReducedBasis, path) -> Path:
-    """Write the online artifact: reduced operators, provenance, estimator tables.
+    """Write the online artifact: reduced operators, provenance, estimator factor.
 
     The artifact carries everything needed for online solves and error
-    estimates (reduced matrices, load, estimator gramian tables) plus the
-    system content hash; full-order vectors are not stored.
+    estimates (reduced matrices, load, the estimator's triangular factor R)
+    plus the system content hash; full-order vectors are not stored.
     """
     payload = {
         "format": ARTIFACT_FORMAT,
@@ -357,9 +357,7 @@ def save_artifact(model: ReducedModel, basis: ReducedBasis, path) -> Path:
     data = model.estimator_data
     if data is not None:
         payload["estimator"] = {
-            "g_ff": data.g_ff,
-            "g_fc": _encode_array(data.g_fc),
-            "g_cc": _encode_array(data.g_cc),
+            "R": _encode_array(data.R),
             "mu_min": data.bounds.mu_min,
             "mu_max": data.bounds.mu_max,
         }
@@ -383,7 +381,7 @@ def load_artifact(
     if payload.get("version") != ARTIFACT_VERSION:
         raise ConfigurationError(
             f"artifact version {payload.get('version')} unsupported "
-            f"(expected {ARTIFACT_VERSION})"
+            f"(expected {ARTIFACT_VERSION}); rebuild it with save_artifact"
         )
     if system is not None and system.fingerprint != payload["system_fingerprint"]:
         raise ConfigurationError(
@@ -402,11 +400,9 @@ def load_artifact(
 
         bounds = EffectivityBounds(mu_min=est["mu_min"], mu_max=est["mu_max"])
         model.estimator_data = EstimatorData(
-            riesz_load=None,
-            riesz_components=None,
-            g_ff=float(est["g_ff"]),
-            g_fc=_decode_array(est["g_fc"]),
-            g_cc=_decode_array(est["g_cc"]),
+            Q=None,
+            R=_decode_array(est["R"]),
+            block_count=int(payload["block_count"]),
             bounds=bounds,
         )
     provenance = [

@@ -303,6 +303,13 @@ class TestRunExperiment:
             assert int(row[2]) == summary.num_iter
             assert float(row[9]) == summary.t_online
 
+    def test_summary_carries_stop_reason(self, experiment):
+        config, summaries = experiment
+        header, rows = read_csv(Path(config.out) / "summary.csv")
+        assert header[-1] == "stop_reason"
+        for row, summary in zip(rows, summaries):
+            assert row[-1] == summary.stop_reason == "tolerance"
+
     def test_summary_uses_lf_and_dot_decimal(self, experiment):
         config, _ = experiment
         raw = (Path(config.out) / "summary.csv").read_bytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from batchrb import estimator, fem, rb
+from batchrb import bench, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, DimensionError, DomainError
 
 TRAIN = [
@@ -52,31 +52,56 @@ class TestBounds:
         assert bounds.kappa(mu) == pytest.approx(4.0, rel=1e-15)
 
 
+def representers(system, basis):
+    """[z_f, z_(0,0), ..., z_(P-1,0), z_(0,1), ...] by direct Riesz solves."""
+    solver = estimator.RieszSolver(system)
+    columns = [solver.solve(system.load)]
+    for j in range(basis.size):
+        for a_p in system.components:
+            columns.append(solver.solve(a_p @ basis.vectors[:, j]))
+    return np.column_stack(columns)
+
+
+def kept_columns(data):
+    """Indicator of the representers kept in Q (nonzero diagonal of R)."""
+    return (np.diag(data.R) != 0).astype(float)
+
+
 class TestBuild:
     def test_riesz_representers_solve_gram_system(self, setup):
+        """Q R reproduces z_f = M_X^{-1} f and z_(p,j) = M_X^{-1} A_p v_j."""
         system, basis, model, data = setup
         gram = system.gram
-        assert np.allclose(gram @ data.riesz_load, system.load, atol=1e-12)
-        for p, a_p in enumerate(system.components):
-            for j in range(basis.size):
+        product = data.Q @ data.R
+        assert np.allclose(gram @ product[:, 0], system.load, atol=1e-12)
+        for j in range(basis.size):
+            for p, a_p in enumerate(system.components):
                 rhs = a_p @ basis.vectors[:, j]
-                assert np.allclose(gram @ data.riesz_components[p, j], rhs, atol=1e-12)
+                column = product[:, 1 + j * system.block_count + p]
+                assert np.allclose(gram @ column, rhs, atol=1e-12)
 
     def test_tables_match_representers(self, setup):
+        """R^T R is the Gram matrix of the representers in the X inner product."""
         system, basis, model, data = setup
-        gram = system.gram
-        z_f = data.riesz_load
-        assert data.g_ff == pytest.approx(z_f @ (gram @ z_f), rel=1e-13)
-        p, j, q, i = 1, 2, 3, 0
-        expected = data.riesz_components[p, j] @ (gram @ data.riesz_components[q, i])
-        assert data.g_cc[p, j, q, i] == pytest.approx(expected, rel=1e-10)
+        z = representers(system, basis)
+        gram_table = z.T @ (system.gram @ z)
+        z_f = z[:, 0]
+        assert data.load_dual_norm == pytest.approx(
+            np.sqrt(z_f @ (system.gram @ z_f)), rel=1e-13
+        )
+        scale = np.abs(gram_table).max()
+        assert np.allclose(data.R.T @ data.R, gram_table, rtol=0, atol=1e-13 * scale)
 
     def test_gramian_symmetry_exact(self, setup):
-        _, _, _, data = setup
-        flat = data.g_cc.reshape(
-            data.block_count * data.basis_size, data.block_count * data.basis_size
-        )
-        assert np.array_equal(flat, flat.T)
+        """Q is X-orthonormal and R upper triangular; dropped columns are zero."""
+        system, _, _, data = setup
+        kept = kept_columns(data)
+        assert 0 < kept.sum() < len(kept)  # each snapshot makes one column drop
+        orthonormality = data.Q.T @ (system.gram @ data.Q) - np.diag(kept)
+        assert np.abs(orthonormality).max() <= 1e-13
+        assert np.array_equal(data.R, np.triu(data.R))
+        assert np.all(data.R[kept == 0] == 0.0)
+        assert np.all(data.Q[:, kept == 0] == 0.0)
 
     def test_incremental_matches_scratch(self, setup):
         system, basis, model, data = setup
@@ -87,10 +112,11 @@ class TestBuild:
         grown = estimator.build_estimator(
             scratch_model, basis, system, previous=partial
         )
-        scale = np.abs(data.g_cc).max()
-        assert np.allclose(grown.g_cc, data.g_cc, rtol=0, atol=1e-10 * scale)
-        assert np.allclose(grown.g_fc, data.g_fc, rtol=1e-10)
-        assert grown.g_ff == pytest.approx(data.g_ff, rel=1e-13)
+        scale = np.abs(data.R).max()
+        assert np.array_equal(kept_columns(grown), kept_columns(data))
+        assert np.allclose(grown.R, data.R, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(grown.Q, data.Q, rtol=0, atol=1e-10 * np.abs(data.Q).max())
+        assert grown.load_dual_norm == pytest.approx(data.load_dual_norm, rel=1e-13)
 
     def test_prefix_matches_fresh_build(self, setup):
         system, basis, model, data = setup
@@ -98,8 +124,9 @@ class TestBuild:
         sub_model = rb.reduce(sub, system)
         fresh = estimator.build_estimator(sub_model, sub, system)
         sliced = estimator.prefix_data(data, 2)
-        assert np.allclose(sliced.g_cc, fresh.g_cc, rtol=1e-10)
-        assert np.allclose(sliced.g_fc, fresh.g_fc, rtol=1e-10)
+        assert sliced.R.shape == (1 + 2 * system.block_count,) * 2
+        assert np.allclose(sliced.R, fresh.R, rtol=0, atol=1e-12 * np.abs(data.R).max())
+        assert np.allclose(sliced.Q, fresh.Q, rtol=0, atol=1e-10 * np.abs(data.Q).max())
 
     def test_attached_to_model(self, setup):
         system, basis, *_ = setup
@@ -144,8 +171,9 @@ class TestEstimate:
         model = rb.reduce(empty, system)
         data = estimator.build_estimator(model, empty, system)
         mu = fem.ParameterPoint((0.25, 0.5, 1.0, 0.4))
-        z_f = data.riesz_load
+        z_f = estimator.RieszSolver(system).solve(system.load)
         expected = np.sqrt(z_f @ (system.gram @ z_f)) / 0.25
+        assert data.load_dual_norm == pytest.approx(expected * 0.25, rel=1e-12)
         assert estimator.estimate(data, model, mu) == pytest.approx(expected, rel=1e-12)
 
     def test_sweep_matches_single_evaluations(self, setup):
@@ -158,20 +186,25 @@ class TestEstimate:
             assert single == pytest.approx(value, rel=1e-12)
 
     def test_negative_expansion_clamped_to_zero(self):
-        """Crafted tables driving r^2 slightly negative give 0.0, not NaN."""
+        """A residual that cancels exactly gives the exact norm 0.0, not NaN.
+
+        The representers z_f = z_(0,0) of this crafted factor have Gram
+        entries g_ff = g_fc = g_cc = 1, where a squared expansion rounds to
+        either sign; the Euclidean form computes |1 - y| exactly.
+        """
         model = rb.ReducedModel(
             components=np.ones((1, 1, 1)), load=np.array([1.0])
         )
-        # c = 1/mu, y = mu*c = 1: r^2 = g_ff - 2 g_fc + g_cc = -1e-18
         data = estimator.EstimatorData(
-            riesz_load=None,
-            riesz_components=None,
-            g_ff=1.0 - 1e-18,
-            g_fc=np.array([[1.0]]),
-            g_cc=np.array([[[[1.0]]]]),
+            Q=None, R=np.array([[1.0, 1.0], [0.0, 0.0]]), block_count=1
         )
-        value = estimator.estimate(data, model, fem.ParameterPoint((1.0,)))
-        assert value == 0.0
+        # c = 1/mu, y = mu*c = 1
+        for mu in (0.1, 0.3, 0.7, 1.0):
+            value = estimator.estimate(data, model, fem.ParameterPoint((mu,)))
+            assert value == 0.0
+        half = rb.ReducedModel(components=2.0 * np.ones((1, 1, 1)), load=np.array([1.0]))
+        value = estimator.estimate(data, half, fem.ParameterPoint((0.5,)))
+        assert value == 0.5 / 0.5  # y = 1/2: ||R [1, -1/2]|| = 1/2
 
     def test_domain_and_dimension_errors(self, setup):
         system, basis, model, data = setup
@@ -200,18 +233,15 @@ class TestRieszCheck:
         system, basis, model, data = setup
         diag = estimator.check_riesz(data, model, basis, system, TRAIN[0])
         assert diag.cancellation
-        assert diag.dual_norm_offline <= 1e-7 * np.sqrt(data.g_ff)
+        assert diag.dual_norm_offline <= estimator.CANCELLATION_RATIO * data.load_dual_norm
+        assert diag.dual_norm_direct <= estimator.CANCELLATION_RATIO * data.load_dual_norm
 
     def test_online_only_data_rejected(self, setup):
         system, basis, model, data = setup
         online = estimator.EstimatorData(
-            riesz_load=None,
-            riesz_components=None,
-            g_ff=data.g_ff,
-            g_fc=data.g_fc,
-            g_cc=data.g_cc,
-            bounds=data.bounds,
+            Q=None, R=data.R, block_count=data.block_count, bounds=data.bounds
         )
+        assert online.online_only
         with pytest.raises(ConfigurationError):
             estimator.check_riesz(online, model, basis, system, TRAIN[0])
         with pytest.raises(ConfigurationError):
@@ -251,3 +281,77 @@ class TestArtifactWithEstimator:
             a = estimator.estimate(data, model, mu)
             b = estimator.estimate(loaded.estimator_data, loaded, mu)
             assert a == b
+
+
+@pytest.fixture(scope="module")
+def tight_run():
+    """b = 1 on nx=32 over the 5^4 grid, run to a relative tolerance of 1e-9."""
+    system = fem.assemble(fem.build_mesh(32, 32, 2, 2))
+    config = greedy.GreedyConfig(
+        training_set=bench.build_training_set(2, 2, 5), batch_size=1, tolerance=1e-9
+    )
+    basis, model, trace = greedy.run_batch_greedy(system, config)
+    rng = np.random.default_rng(17)
+    points = [fem.ParameterPoint(tuple(w)) for w in rng.uniform(0.1, 1.0, (4, 4))]
+    solutions = [fem.solve_fom(system, mu).coefficients for mu in points]
+    return system, basis, model, trace, points, solutions
+
+
+class TestStableForm:
+    """The X-orthonormal form stays accurate far below the squared expansion's
+    floor of about 1e-8 relative to ||f||_{X'}."""
+
+    def test_tight_tolerance_stops_by_tolerance(self, tight_run):
+        _, _, _, trace, *_ = tight_run
+        assert trace.stop_reason == "tolerance"
+        assert trace.iteration_count <= 30
+        assert trace.iterations[-1].rel_estimate <= 1e-9
+
+    def test_riesz_check_at_round_off_for_every_size(self, tight_run):
+        """Offline and direct norms agree to round-off of ||f||_{X'} at every n.
+
+        Both paths carry an absolute error of a few machine epsilons of
+        ||f||_{X'}, so the relative deviation is at most 1e-6 while the
+        residual is above 1e-8 of ||f||_{X'}, and stays a round-off effect
+        down to the 1e-12 the run reaches.
+        """
+        system, basis, model, _, points, _ = tight_run
+        data = model.estimator_data
+        load = data.load_dual_norm
+        smallest = np.inf
+        for n in range(1, basis.size + 1):
+            sub_data = estimator.prefix_data(data, n)
+            sub_model, sub = rb.prefix_model(model, n), basis.prefix(n)
+            for mu in points:
+                diag = estimator.check_riesz(sub_data, sub_model, sub, system, mu)
+                gap = abs(diag.dual_norm_offline - diag.dual_norm_direct)
+                assert gap <= 1e-14 * load, (n, mu)
+                if diag.dual_norm_direct >= 1e-8 * load:
+                    assert diag.relative_deviation <= 1e-6, (n, mu)
+                smallest = min(smallest, diag.dual_norm_direct / load)
+        assert smallest <= 1e-11
+
+    def test_estimate_bounds_true_error_for_every_size(self, tight_run):
+        system, basis, model, _, points, solutions = tight_run
+        data = model.estimator_data
+        for n in range(basis.size + 1):
+            sub_data = estimator.prefix_data(data, n)
+            sub_model, sub = rb.prefix_model(model, n), basis.prefix(n)
+            for mu, u in zip(points, solutions):
+                error = fem.x_norm(u - rb.reconstruct(sub, rb.solve_rom(sub_model, mu)), system)
+                assert estimator.estimate(sub_data, sub_model, mu) >= error, (n, mu)
+
+    def test_more_representers_than_dofs(self):
+        """With 1 + P n > dof, Q stays X-orthonormal on its kept columns."""
+        system = fem.assemble(fem.build_mesh(4, 4, 2, 2))  # 9 DOFs
+        config = greedy.GreedyConfig(
+            training_set=bench.build_training_set(2, 2, 5), batch_size=1, tolerance=1e-12
+        )
+        basis, model, _ = greedy.run_batch_greedy(system, config)
+        data = model.estimator_data
+        assert basis.size == system.dof_count
+        assert data.R.shape[0] == 1 + system.block_count * basis.size
+        kept = kept_columns(data)
+        assert kept.sum() <= system.dof_count
+        gram = data.Q.T @ (system.gram @ data.Q)
+        assert np.abs(gram - np.diag(kept)).max() <= 1e-12

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchrb import estimator, fem, greedy, rb
+from batchrb import bench, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, DimensionError, GreedyError
 
 from oracles import classical_weak_greedy, projection_error_dense
@@ -162,7 +162,7 @@ class TestBatchGreedy:
         data = model.estimator_data
         first = basis.provenance[0].parameter
         delta = estimator.estimate(data, model, first)
-        delta0 = np.sqrt(data.g_ff) / estimator.EffectivityBounds().alpha_lb(first)
+        delta0 = data.load_dual_norm / estimator.EffectivityBounds().alpha_lb(first)
         assert delta <= 1e-6 * delta0
 
     def test_dependent_batch_members_discarded_but_stay_excluded(
@@ -204,7 +204,7 @@ class TestSigmaProxy:
         weights = np.array([mu.weights for mu in training])
         dense = greedy.sigma_proxy(model, weights)
         data = model.estimator_data
-        expected = np.max(np.sqrt(data.g_ff) / weights.min(axis=1))
+        expected = np.max(data.load_dual_norm / weights.min(axis=1))
         assert dense[0] == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_bad_input(self, run_b3, training):
@@ -277,6 +277,35 @@ class TestDegenerateTrainingSets:
             basis, trace = run_driver(driver, system, config)
             assert trace.stop_reason == "max_basis", driver
             assert basis.size == 2
+
+
+class TestStagnation:
+    def test_rejected_batch_stops_both_drivers(self, system):
+        """Collinear snapshots: after the first, every pick is rejected."""
+        diagonal = [fem.ParameterPoint.uniform(4, c) for c in np.linspace(0.1, 1, 9)]
+        config = greedy.GreedyConfig(
+            training_set=diagonal, batch_size=2, tolerance=1e-30
+        )
+        for driver in DRIVERS:
+            basis, trace = run_driver(driver, system, config)
+            assert trace.stop_reason == "stagnated", driver
+            assert basis.size == 1
+            assert trace.iteration_count == 2
+            assert not any(sel.accepted for sel in trace.iterations[-1].selections)
+
+    def test_estimator_floor_stops_stagnated(self):
+        """Below the estimator's accuracy floor the run stops in a few dozen
+        iterations instead of solving and rejecting the whole training set."""
+        system = fem.assemble(fem.build_mesh(32, 32, 2, 2))
+        config = greedy.GreedyConfig(
+            training_set=bench.build_training_set(2, 2, 5),
+            batch_size=1,
+            tolerance=1e-12,
+        )
+        basis, _, trace = greedy.run_batch_greedy(system, config)
+        assert trace.stop_reason == "stagnated"
+        assert trace.iteration_count <= 30
+        assert basis.size == trace.extension_count == trace.iteration_count - 1
 
 
 class TestErrors:

@@ -1,5 +1,7 @@
 """Tests for basis extension, Galerkin reduction, and artifact round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,22 @@ class TestArtifact:
         bogus.write_text('{"format": "something-else"}')
         with pytest.raises(ConfigurationError, match="artifact"):
             rb.load_artifact(bogus)
+
+    def test_version_1_rejected(self, system, basis_and_records, tmp_path):
+        """A file with the squared-expansion Gram tables of version 1."""
+        basis, _ = basis_and_records
+        model = rb.reduce(basis, system)
+        path = rb.save_artifact(model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        n, p = model.basis_size, model.block_count
+        payload["version"] = 1
+        payload["estimator"] = {
+            "g_ff": 1.0,
+            "g_fc": rb._encode_array(np.zeros((p, n))),
+            "g_cc": rb._encode_array(np.zeros((p, n, p, n))),
+            "mu_min": 0.1,
+            "mu_max": 1.0,
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="version 1 unsupported .expected 2"):
+            rb.load_artifact(path, system=system)
