@@ -351,7 +351,9 @@ def run_experiment(config: ExperimentConfig):
     """Run the configured experiment and write all result files.
 
     Returns the list of RunSummary objects, one per batch size, in the
-    configured order.
+    configured order.  One worker pool serves the reference solves and, in
+    oracle mode, the training solves and the column-block peels of the POD
+    width and true sigma, whose results never depend on the worker count.
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -379,89 +381,87 @@ def run_experiment(config: ExperimentConfig):
     snapshots = None
     width = None
     report_runs = []
+    summaries = []
     with WorkerPool(config.worker_count) as pool:
         references.update(_solve_on_pool(pool, system, test_set[len(timing_set) :]))
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
             snapshots = _solve_on_pool(pool, system, training)
+            # The strong run's full residual table goes before the block peels
+            # leave freed memory in the workers' heaps, to keep the peak low.
+            strong_config = greedy.GreedyConfig(
+                training_set=training, batch_size=1, tolerance=config.tolerance,
+                max_basis_size=config.max_basis_size,
+            )
+            _, strong_trace = greedy.run_strong_greedy(system, strong_config, snapshots)
+            width = theory.pod_width_upper_bound(snapshots, system, pool=pool)
+        fom_cache = {
+            mu: (snapshot, fem.x_norm(snapshot.coefficients, system))
+            for mu, snapshot in references.items()
+        }
+        for b in config.batch_sizes:
+            greedy_config = greedy.GreedyConfig(
+                training_set=training,
+                batch_size=b,
+                tolerance=config.tolerance,
+                max_basis_size=config.max_basis_size,
+                worker_count=config.worker_count,
+            )
+            start = time.perf_counter()
+            basis, model, trace = greedy.run_batch_greedy(system, greedy_config)
+            t_offline = time.perf_counter() - start
+            t_solve = sum(rec.timings.solve for rec in trace.iterations)
+            t_evaluate = sum(rec.timings.evaluate for rec in trace.iterations)
+            t_extend = sum(rec.timings.extend for rec in trace.iterations)
+            t_reduce = sum(rec.timings.reduce for rec in trace.iterations)
+            t_other = max(t_offline - (t_solve + t_evaluate + t_extend + t_reduce), 0.0)
+
+            start = time.perf_counter()
+            for mu in test_set:
+                rb.solve_rom(model, mu)
+            t_online = (time.perf_counter() - start) / len(test_set)
+
+            # Densify the estimator-max sequence after timing: batch runs only
+            # sweep at batch boundaries, the decay files want every n.
+            proxy = greedy.sigma_proxy(model, training_weights, trace)
+            rows = _error_decay_rows(basis, model, system, test_set, proxy, fom_cache)
+            err_final = rows[-1][2]
+            summary = RunSummary(
+                batch_size=b,
+                num_ext=trace.extension_count,
+                num_iter=trace.iteration_count,
+                t_solve=t_solve,
+                t_evaluate=t_evaluate,
+                t_extend=t_extend,
+                t_reduce=t_reduce,
+                t_other=t_other,
+                t_offline=t_offline,
+                t_online=t_online,
+                t_full=t_full,
+                k_star=break_even(t_offline, t_full, t_online),
+                err_final=err_final,
+                stop_reason=trace.stop_reason,
+            )
+            summaries.append(summary)
+            logger.info(
+                "b=%d: n=%d after %d iterations, stop=%s, err_final=%.3g, "
+                "t_offline=%.3g s",
+                b, trace.extension_count, trace.iteration_count, trace.stop_reason,
+                err_final, t_offline,
+            )
+
+            _write_csv(
+                out / f"errdecay_b{b}.csv",
+                ["n", "est", "err"],
+                [(n, repr(est), repr(err)) for n, est, err in rows],
+            )
+            greedy.export_trace(trace, out / f"trace_b{b}.csv")
+
+            if config.oracle:
+                sigma = greedy.true_sigma(basis, snapshots, system, pool)
+                report_runs.append(_oracle_run("weak", trace, sigma, width.d_up))
+
     if config.oracle:
-        width = theory.pod_width_upper_bound(snapshots, system)
-    fom_cache = {
-        mu: (snapshot, fem.x_norm(snapshot.coefficients, system))
-        for mu, snapshot in references.items()
-    }
-
-    summaries = []
-    for b in config.batch_sizes:
-        greedy_config = greedy.GreedyConfig(
-            training_set=training,
-            batch_size=b,
-            tolerance=config.tolerance,
-            max_basis_size=config.max_basis_size,
-            worker_count=config.worker_count,
-        )
-        start = time.perf_counter()
-        basis, model, trace = greedy.run_batch_greedy(system, greedy_config)
-        t_offline = time.perf_counter() - start
-        t_solve = sum(rec.timings.solve for rec in trace.iterations)
-        t_evaluate = sum(rec.timings.evaluate for rec in trace.iterations)
-        t_extend = sum(rec.timings.extend for rec in trace.iterations)
-        t_reduce = sum(rec.timings.reduce for rec in trace.iterations)
-        t_other = max(t_offline - (t_solve + t_evaluate + t_extend + t_reduce), 0.0)
-
-        start = time.perf_counter()
-        for mu in test_set:
-            rb.solve_rom(model, mu)
-        t_online = (time.perf_counter() - start) / len(test_set)
-
-        # Densify the estimator-max sequence after timing: batch runs only
-        # sweep at batch boundaries, the decay files want every n.
-        proxy = greedy.sigma_proxy(model, training_weights)
-        rows = _error_decay_rows(basis, model, system, test_set, proxy, fom_cache)
-        err_final = rows[-1][2]
-        summary = RunSummary(
-            batch_size=b,
-            num_ext=trace.extension_count,
-            num_iter=trace.iteration_count,
-            t_solve=t_solve,
-            t_evaluate=t_evaluate,
-            t_extend=t_extend,
-            t_reduce=t_reduce,
-            t_other=t_other,
-            t_offline=t_offline,
-            t_online=t_online,
-            t_full=t_full,
-            k_star=break_even(t_offline, t_full, t_online),
-            err_final=err_final,
-            stop_reason=trace.stop_reason,
-        )
-        summaries.append(summary)
-        logger.info(
-            "b=%d: n=%d after %d iterations, stop=%s, err_final=%.3g, "
-            "t_offline=%.3g s",
-            b, trace.extension_count, trace.iteration_count, trace.stop_reason,
-            err_final, t_offline,
-        )
-
-        _write_csv(
-            out / f"errdecay_b{b}.csv",
-            ["n", "est", "err"],
-            [(n, repr(est), repr(err)) for n, est, err in rows],
-        )
-        greedy.export_trace(trace, out / f"trace_b{b}.csv")
-
-        if config.oracle:
-            sigma = greedy.true_sigma(basis, snapshots, system)
-            report_runs.append(_oracle_run("weak", trace, sigma, width.d_up))
-
-    if config.oracle:
-        strong_config = greedy.GreedyConfig(
-            training_set=training,
-            batch_size=1,
-            tolerance=config.tolerance,
-            max_basis_size=config.max_basis_size,
-        )
-        _, strong_trace = greedy.run_strong_greedy(system, strong_config, snapshots)
         report_runs.append(
             _oracle_run("strong", strong_trace, _strong_sigma(strong_trace), width.d_up)
         )

@@ -306,22 +306,24 @@ def check_riesz(
     basis: ReducedBasis,
     system: AffineSystem,
     mu: ParameterPoint,
+    solver: Optional[RieszSolver] = None,
 ) -> RieszDiagnostic:
     """Verify the online residual norm ||R [1, -y]||_2 against a direct one.
 
     The direct path assembles r = f - A(mu) V c in the full-order space and
-    measures its dual norm through a fresh Riesz solve.  Both carry absolute
-    round-off of a few machine epsilons times ||f||_{X'}, so their relative
-    deviation grows as the residual shrinks.  `cancellation` is set when the
-    online norm is below `CANCELLATION_RATIO` times ||f||_{X'}, where
-    relative deviations of 1e-3 and more are expected.
+    measures its dual norm through a Riesz solve with `solver` (a fresh
+    factorization of M_X when None).  Both carry absolute round-off of a few
+    machine epsilons times ||f||_{X'}, so their relative deviation grows as
+    the residual shrinks.  `cancellation` is set when the online norm is
+    below `CANCELLATION_RATIO` times ||f||_{X'}, where relative deviations of
+    1e-3 and more are expected.
     """
     if data.online_only:
         raise ConfigurationError("direct residual check needs full-order Riesz data")
     coeffs = solve_rom(model, mu)
     u_rb = basis.vectors @ coeffs
     residual = system.load - system.matrix(mu) @ u_rb
-    z = RieszSolver(system).solve(residual)
+    z = (solver or RieszSolver(system)).solve(residual)
     direct = float(np.sqrt(max(z @ (system.gram @ z), 0.0)))
 
     y = _residual_weights(mu.as_array()[None, :], coeffs[None, :])

@@ -35,7 +35,7 @@ from . import estimator as est_mod
 from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
 from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom
-from .pool import WorkerPool
+from .pool import WorkerPool, map_column_blocks
 
 __all__ = [
     "GreedyConfig",
@@ -407,38 +407,46 @@ def run_strong_greedy(
     )
 
 
-def true_sigma(basis: rb.ReducedBasis, snapshots, system: AffineSystem) -> np.ndarray:
+def true_sigma(
+    basis: rb.ReducedBasis, snapshots, system: AffineSystem, pool=None
+) -> np.ndarray:
     """Worst X-norm projection error onto each basis prefix.
 
     sigma[n] = max over snapshots of || f - P_{V_n} f ||_X for the nested
     prefixes V_n, n = 0..basis.size, computed by peeling one basis vector at
-    a time from the residual table (certified against cancellation).
+    a time from the residual table (certified against cancellation).  Each
+    fixed-width column block of snapshots is one `pool` task (inline without
+    a pool) and sees the arithmetic of the unsplit table, so the maxima
+    merged across blocks are bitwise independent of the worker count.
 
     `snapshots` is a mapping parameter -> Snapshot or a sequence of Snapshots.
     """
-    if isinstance(snapshots, Mapping):
-        snapshot_list = list(snapshots.values())
-    else:
-        snapshot_list = list(snapshots)
+    mapping = isinstance(snapshots, Mapping)
+    snapshot_list = list(snapshots.values() if mapping else snapshots)
     if not snapshot_list:
         raise ConfigurationError("need at least one snapshot")
-    table = _ResidualTable(system, snapshot_list)
-    sigma = [float(table.sweep().max())]
-    for n in range(1, basis.size + 1):
-        table.update(basis.prefix(n))
-        sigma.append(float(table.sweep().max()))
-    return np.array(sigma)
+
+    def block_sigma(block: slice) -> list[float]:
+        table = _ResidualTable(system, snapshot_list[block])
+        sigma = [table.sweep().max()]
+        for n in range(1, basis.size + 1):
+            table.update(basis.prefix(n))
+            sigma.append(table.sweep().max())
+        return sigma
+
+    return np.max(map_column_blocks(pool, block_sigma, len(snapshot_list)), axis=0)
 
 
-def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray) -> np.ndarray:
+def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.ndarray:
     """Estimator max over a training set for each nested basis prefix.
 
     proxy[n] = max_mu Delta_n(mu) for n = 0..model.basis_size, evaluated by
     slicing the reduced model and the offline estimator tables down to the
     first n basis vectors.  At the sizes where the greedy loop swept
     (multiples of the batch size), this reproduces the recorded
-    per-iteration maxima exactly; the sizes in between are what a batch run
-    never evaluates live.
+    per-iteration maxima exactly, so with the run's `trace` those maxima are
+    taken as they are and only the sizes in between, which a batch run never
+    evaluates live, are swept.
 
     `model` must carry estimator data (as left behind by the greedy loop);
     `weights` is a (T, P) array of training weights.
@@ -447,11 +455,12 @@ def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray) -> np.ndarray:
     if data is None:
         raise ConfigurationError("model carries no estimator data")
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    proxy = []
+    recorded = {r.basis_size: r.max_estimate for r in (trace.iterations if trace else [])}
     for n in range(model.basis_size + 1):
-        sub_data, sub_model = est_mod.prefix_data(data, n), rb.prefix_model(model, n)
-        proxy.append(float(est_mod.estimate_sweep(sub_data, sub_model, weights).max()))
-    return np.array(proxy)
+        if n not in recorded:
+            sub_data, sub_model = est_mod.prefix_data(data, n), rb.prefix_model(model, n)
+            recorded[n] = float(est_mod.estimate_sweep(sub_data, sub_model, weights).max())
+    return np.array([recorded[n] for n in range(model.basis_size + 1)])
 
 
 def export_trace(trace: GreedyTrace, path) -> Path:

@@ -1,4 +1,5 @@
-"""Deterministic worker pool for independent full-order solves."""
+"""Deterministic worker pool for independent tasks: full-order solves, and the
+oracle peel loops over fixed-width column blocks."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigurationError
+
+#: Columns per task of a column-independent computation.  Fixed, so the split
+#: and with it every result never depends on the worker count.
+COLUMN_BLOCK = 64
 
 
 def _available_cpus() -> int:
@@ -49,3 +54,10 @@ class WorkerPool:
     def __exit__(self, *exc_info):
         self.shutdown()
         return False
+
+
+def map_column_blocks(pool, fn, count: int) -> list:
+    """``fn(block)`` for the ``COLUMN_BLOCK``-wide slices of ``count`` columns,
+    in order, on ``pool`` (inline when it is None)."""
+    starts = range(0, count, COLUMN_BLOCK)
+    return (pool or WorkerPool()).map(fn, [slice(s, s + COLUMN_BLOCK) for s in starts])

@@ -497,6 +497,23 @@ class TestDeterminism:
         assert [r[:5] for r in rows_a] == [r[:5] for r in rows_b]
 
 
+class TestOracleWorkerInvariance:
+    def test_reports_identical_at_one_and_two_workers(self, tmp_path):
+        # The oracle peels split the 81 training columns into a full and a
+        # tail block; the pool's worker count must not change a bit.
+        names = ["theory_report.json", "errdecay_b1.csv", "errdecay_b2.csv"]
+        outputs = []
+        for workers in (1, 2):
+            config = bench.ExperimentConfig(
+                px=2, py=2, nx=8, train_per_dim=3, test_count=5, seed=7,
+                batch_sizes=(1, 2), tolerance=1e-3, worker_count=workers,
+                oracle=True, out=str(tmp_path / f"workers{workers}"),
+            )
+            bench.run_experiment(config)
+            outputs.append({name: (Path(config.out) / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+
+
 class TestCli:
     def test_full_run_writes_outputs(self, tmp_path):
         out = tmp_path / "cli_out"

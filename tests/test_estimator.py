@@ -229,6 +229,22 @@ class TestRieszCheck:
             assert not diag.cancellation
             assert diag.relative_deviation <= 1e-6
 
+    def test_passed_solver_gives_identical_diagnostic(self, monkeypatch, setup):
+        system, basis, model, data = setup
+        sub = basis.prefix(2)
+        sub_model = rb.prefix_model(model, 2)
+        sub_data = estimator.prefix_data(data, 2)
+        points = [TRAIN[0], fem.ParameterPoint((0.3, 0.9, 0.5, 0.7))]
+        fresh = [estimator.check_riesz(sub_data, sub_model, sub, system, mu) for mu in points]
+        solver = estimator.RieszSolver(system)
+        # A passed solver is used as it is: no new factorization of M_X.
+        monkeypatch.setattr(estimator, "RieszSolver", None)
+        reused = [
+            estimator.check_riesz(sub_data, sub_model, sub, system, mu, solver=solver)
+            for mu in points
+        ]
+        assert reused == fresh
+
     def test_cancellation_flagged_when_converged(self, setup):
         system, basis, model, data = setup
         diag = estimator.check_riesz(data, model, basis, system, TRAIN[0])

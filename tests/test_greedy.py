@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchrb import bench, estimator, fem, greedy, rb
+from batchrb import pool as pool_mod
 from batchrb.errors import ConfigurationError, DimensionError, GreedyError
 
 from oracles import classical_weak_greedy, projection_error_dense
@@ -212,6 +213,25 @@ class TestSigmaProxy:
         weights = np.array([mu.weights for mu in training])
         with pytest.raises(ConfigurationError):
             greedy.sigma_proxy(rb.prefix_model(model, 2), weights)
+
+    def test_trace_maxima_reused_bitwise(self, monkeypatch, run_b3, training):
+        basis, model, trace = run_b3
+        weights = np.array([mu.weights for mu in training])
+        dense = greedy.sigma_proxy(model, weights)
+        counts = count_calls(monkeypatch, ["estimator.estimate_sweep"])
+        reused = greedy.sigma_proxy(model, weights, trace)
+        assert reused.tobytes() == dense.tobytes()
+        swept = {rec.basis_size for rec in trace.iterations}
+        assert counts["estimator.estimate_sweep"] == basis.size + 1 - len(swept)
+
+    def test_single_batch_run_needs_no_sweep(self, monkeypatch, system, training):
+        config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=2e-3)
+        basis, model, trace = greedy.run_batch_greedy(system, config)
+        weights = np.array([mu.weights for mu in training])
+        dense = greedy.sigma_proxy(model, weights)
+        counts = count_calls(monkeypatch, ["estimator.estimate_sweep"])
+        assert greedy.sigma_proxy(model, weights, trace).tobytes() == dense.tobytes()
+        assert counts["estimator.estimate_sweep"] == 0
 
 
 class TestClassicalEquivalence:
@@ -429,6 +449,32 @@ class TestResidualTableReference:
         sigma = greedy.true_sigma(basis, snapshots, system)
         norms = naive_peel_norms(basis, list(snapshots.values()), system)
         assert np.array_equal(sigma, [n.max() for n in norms])
+
+
+class TestTrueSigmaColumnBlocks:
+    """true_sigma peels fixed-width column blocks, one pool task each; the
+    result is bitwise that of the unsplit table at every worker count."""
+
+    @pytest.fixture(scope="class")
+    def basis(self, system, training):
+        config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
+        return greedy.run_batch_greedy(system, config)[0]
+
+    @pytest.mark.parametrize("count", [1, 17, pool_mod.COLUMN_BLOCK, 81])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bitwise_at_every_block_split(
+        self, monkeypatch, system, training, snapshots, basis, count, workers
+    ):
+        snapshot_list = [snapshots[mu] for mu in training[:count]]
+        naive = [n.max() for n in naive_peel_norms(basis, snapshot_list, system)]
+        with pool_mod.WorkerPool(workers) as pool:
+            blocked = greedy.true_sigma(basis, snapshot_list, system, pool)
+        with monkeypatch.context() as patch:
+            patch.setattr(pool_mod, "COLUMN_BLOCK", len(training))
+            unblocked = greedy.true_sigma(basis, snapshot_list, system)
+        assert blocked.shape == (basis.size + 1,)
+        assert blocked.tobytes() == np.array(naive).tobytes()
+        assert blocked.tobytes() == unblocked.tobytes()
 
 
 class TestCallTimeLookups:

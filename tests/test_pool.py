@@ -1,11 +1,11 @@
-"""Tests for the worker pool of the concurrent full-order solves."""
+"""Tests for the worker pool and its fixed-width column blocks."""
 
 import os
 
 import pytest
 
 from batchrb.errors import ConfigurationError
-from batchrb.pool import WorkerPool
+from batchrb.pool import COLUMN_BLOCK, WorkerPool, map_column_blocks
 
 
 class TestWorkerPool:
@@ -27,3 +27,17 @@ class TestWorkerPool:
     def test_rejects_bad_worker_counts(self, workers):
         with pytest.raises(ConfigurationError):
             WorkerPool(workers)
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("count", [1, 17, COLUMN_BLOCK, 81, 2 * COLUMN_BLOCK])
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_fixed_width_blocks_cover_columns_in_order(self, count, workers):
+        columns = list(range(count))
+        pool = None if workers is None else WorkerPool(workers)
+        blocks = map_column_blocks(pool, lambda block: columns[block], count)
+        assert [len(block) for block in blocks[:-1]] == [COLUMN_BLOCK] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= COLUMN_BLOCK
+        assert sum(blocks, []) == columns
+        if pool is not None:
+            pool.shutdown()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batchrb import fem, greedy, theory
+from batchrb import pool as pool_mod
 from batchrb.errors import DimensionError, DomainError, InsufficientDataError
 
 from oracles import pod_errors_dense, projection_error_dense
@@ -148,6 +149,26 @@ class TestWidthSurrogate:
         rank = surrogate.rank
         tail = surrogate.d_up[rank:]
         assert np.all(tail <= 1e-8 * surrogate.d_up[0])
+
+
+class TestWidthColumnBlocks:
+    """The d_up peel runs over fixed-width column blocks, one pool task each;
+    the surrogate is bitwise that of the unsplit table at every worker count."""
+
+    @pytest.mark.parametrize("count", [1, 17, pool_mod.COLUMN_BLOCK, 81])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bitwise_at_every_block_split(
+        self, monkeypatch, system, training, snapshots, count, workers
+    ):
+        snapshot_list = [snapshots[mu] for mu in training[:count]]
+        with pool_mod.WorkerPool(workers) as pool:
+            blocked = theory.pod_width_upper_bound(snapshot_list, system, pool=pool)
+        with monkeypatch.context() as patch:
+            patch.setattr(pool_mod, "COLUMN_BLOCK", len(training))
+            unblocked = theory.pod_width_upper_bound(snapshot_list, system)
+        assert blocked.d_up.shape == (count + 1,)
+        assert blocked.d_up.tobytes() == unblocked.d_up.tobytes()
+        assert blocked.pod_eigs.tobytes() == unblocked.pod_eigs.tobytes()
 
 
 class TestEmpiricalGamma:
