@@ -421,8 +421,10 @@ def true_sigma(
 
     `snapshots` is a mapping parameter -> Snapshot or a sequence of Snapshots.
     """
-    mapping = isinstance(snapshots, Mapping)
-    snapshot_list = list(snapshots.values() if mapping else snapshots)
+    if isinstance(snapshots, Mapping):
+        snapshot_list = list(snapshots.values())
+    else:
+        snapshot_list = list(snapshots)
     if not snapshot_list:
         raise ConfigurationError("need at least one snapshot")
 

@@ -1,5 +1,4 @@
-"""Deterministic worker pool for independent tasks: full-order solves, and the
-oracle peel loops over fixed-width column blocks."""
+"""Deterministic worker pool for independent tasks: solves and column-block peels."""
 
 from __future__ import annotations
 
@@ -57,7 +56,6 @@ class WorkerPool:
 
 
 def map_column_blocks(pool, fn, count: int) -> list:
-    """``fn(block)`` for the ``COLUMN_BLOCK``-wide slices of ``count`` columns,
-    in order, on ``pool`` (inline when it is None)."""
+    """fn of each COLUMN_BLOCK-wide column slice, in order; inline without a pool."""
     starts = range(0, count, COLUMN_BLOCK)
     return (pool or WorkerPool()).map(fn, [slice(s, s + COLUMN_BLOCK) for s in starts])
