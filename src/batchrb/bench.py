@@ -175,11 +175,8 @@ def evaluate_test_error(basis, model, system, test_set, fom_cache=None):
         if model.basis_size == 0:
             errors.append(1.0)
             continue
-        coefficients = rb.solve_rom(model, mu)
-        approx = rb.reconstruct(basis, coefficients)
-        errors.append(
-            fem.x_norm(snapshot.coefficients - approx, system) / full_norm
-        )
+        approx = rb.reconstruct(basis, rb.solve_rom(model, mu))
+        errors.append(fem.x_norm(snapshot.coefficients - approx, system) / full_norm)
     return errors, max(errors)
 
 

@@ -35,7 +35,7 @@ from . import estimator as est_mod
 from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
 from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom
-from .pool import WorkerPool, map_column_blocks
+from .pool import WorkerPool, column_blocks, map_column_blocks
 
 __all__ = [
     "GreedyConfig",
@@ -241,7 +241,8 @@ class _ResidualTable:
             else:
                 coeffs = v @ self._gram_residual
                 self._gram_residual = None  # freed before np.outer allocates
-            self.residual -= np.outer(v, coeffs)
+            for cols in column_blocks(coeffs.size):  # bounds the outer product
+                self.residual[:, cols] -= np.outer(v, coeffs[cols])
         self.size = basis.size
 
 

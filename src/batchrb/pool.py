@@ -55,7 +55,11 @@ class WorkerPool:
         return False
 
 
+def column_blocks(count: int) -> list:
+    """The COLUMN_BLOCK-wide slices covering `count` columns, in order."""
+    return [slice(s, s + COLUMN_BLOCK) for s in range(0, count, COLUMN_BLOCK)]
+
+
 def map_column_blocks(pool, fn, count: int) -> list:
-    """fn of each COLUMN_BLOCK-wide column slice, in order; inline without a pool."""
-    starts = range(0, count, COLUMN_BLOCK)
-    return (pool or WorkerPool()).map(fn, [slice(s, s + COLUMN_BLOCK) for s in starts])
+    """fn of each column block, in order; inline without a pool."""
+    return (pool or WorkerPool()).map(fn, column_blocks(count))

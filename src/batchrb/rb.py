@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, DimensionError, NumericError
 from .fem import AffineSystem, ParameterPoint, Snapshot
@@ -107,8 +108,6 @@ class ReducedModel:
 
     def matrix(self, weights) -> np.ndarray:
         """Dense reduced operator A_r(mu) = sum_p mu_p (V^T A_p V)."""
-        if isinstance(weights, ParameterPoint):
-            weights = weights.as_array()
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.block_count,):
             raise DimensionError(
@@ -288,21 +287,23 @@ def prefix_model(model: ReducedModel, n: int) -> ReducedModel:
 
 
 def solve_rom(model: ReducedModel, mu: ParameterPoint) -> np.ndarray:
-    """Solve the reduced Galerkin system by dense symmetric factorization."""
+    """Solve the reduced Galerkin system by dense Cholesky factorization: LAPACK's
+    potrf/potrs, called as ``scipy.linalg.cho_factor``/``cho_solve`` call them
+    (bitwise equal), without the wrappers' validation overhead."""
     if mu.size != model.block_count:
         raise DimensionError(
             f"parameter has {mu.size} weights, model has {model.block_count} blocks"
         )
     if model.basis_size == 0:
         return np.zeros(0)
-    matrix = model.matrix(mu)
-    try:
-        factor = scipy.linalg.cho_factor(matrix)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"reduced operator not positive definite at mu={mu.weights}: {exc}"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, model.load)
+    factor, info = dpotrf(model.matrix(mu.as_array()), lower=0, clean=0)
+    if info > 0:
+        raise NumericError(f"reduced operator not positive definite at mu={mu.weights}")
+    x, _ = dpotrs(factor, model.load, lower=0)
+    # potrf passes a +inf diagonal entry, so its factor diagonal is checked too
+    if not math.isfinite(x.dot(factor.diagonal())):
+        raise NumericError(f"non-finite reduced operator or solution at mu={mu.weights}")
+    return x
 
 
 def reconstruct(basis: ReducedBasis, coefficients: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batchrb import bench, estimator, fem, greedy, rb
-from batchrb.errors import ConfigurationError, DimensionError, DomainError
+from batchrb.errors import ConfigurationError, DimensionError, DomainError, NumericError
 
 TRAIN = [
     fem.ParameterPoint(w)
@@ -214,6 +214,66 @@ class TestEstimate:
             estimator.estimate_sweep(data, model, np.ones((2, 3)))
         with pytest.raises(DimensionError):
             estimator.estimate(data, rb.prefix_model(model, 2), TRAIN[0])
+
+
+class TestSinglePointPath:
+    """estimate runs the sweep's kernels on one row, bitwise equal to the sweep."""
+
+    def points(self):
+        rng = np.random.default_rng(23)
+        return TRAIN + [fem.ParameterPoint(tuple(w)) for w in rng.uniform(0.1, 1.0, (8, 4))]
+
+    def test_bitwise_equal_to_sweep_row_at_every_prefix(self, setup):
+        system, basis, model, data = setup
+        for n in range(basis.size + 1):
+            sub_model, sub_data = rb.prefix_model(model, n), estimator.prefix_data(data, n)
+            for mu in self.points():
+                value = estimator.estimate(sub_data, sub_model, mu)
+                row = estimator.estimate_sweep(sub_data, sub_model, mu.as_array()[None, :])
+                assert type(value) is float
+                assert np.float64(value).tobytes() == row[0].tobytes(), (n, mu)
+
+    def test_empty_basis(self, setup):
+        system, basis, model, data = setup
+        empty_model, empty_data = rb.prefix_model(model, 0), estimator.prefix_data(data, 0)
+        mu = fem.ParameterPoint((0.25, 0.5, 1.0, 0.4))
+        value = estimator.estimate(empty_data, empty_model, mu)
+        assert value == data.load_dual_norm / 0.25
+        assert value == estimator.estimate_sweep(empty_data, empty_model, mu.as_array())[0]
+        with pytest.raises(DimensionError):
+            estimator.estimate(empty_data, empty_model, fem.ParameterPoint((1.0, 1.0)))
+
+    def test_parameter_size_mismatch(self, setup):
+        system, basis, model, data = setup
+        with pytest.raises(DimensionError, match="estimator has 4 blocks"):
+            estimator.estimate(data, model, fem.ParameterPoint((0.5, 0.5)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
+    @pytest.mark.parametrize(
+        "part, value", [("components", np.nan), ("load", np.nan), ("load", np.inf)]
+    )
+    def test_non_finite_model_raises_numeric_error(self, setup, part, value):
+        """An infinite matrix entry can leave the LU solve finite, as in the
+        sweep (rb.solve_rom rejects it); NaN and an infinite load cannot."""
+        system, basis, model, data = setup
+        broken = rb.prefix_model(model, model.basis_size)
+        if part == "load":
+            broken.load[1] = value
+        else:
+            broken.components[:, 1, 2] = broken.components[:, 2, 1] = value
+        with pytest.raises(NumericError, match=r"non-finite error estimate at mu=\(0\.3"):
+            estimator.estimate(data, broken, TRAIN[3])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_estimator_data_raises_numeric_error(self, setup, value):
+        """Also at n = 0, where the estimate is ||f||_{X'} / alpha."""
+        system, basis, model, data = setup
+        for n in (0, model.basis_size):
+            broken = estimator.prefix_data(data, n)
+            broken.R[0, -1] = value
+            with pytest.raises(NumericError, match="non-finite error estimate"):
+                estimator.estimate(broken, rb.prefix_model(model, n), TRAIN[3])
 
 
 class TestRieszCheck:

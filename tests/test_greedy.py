@@ -477,6 +477,27 @@ class TestTrueSigmaColumnBlocks:
         assert blocked.tobytes() == unblocked.tobytes()
 
 
+class TestStrongPeelColumnBlocks:
+    """The strong greedy subtracts each peel's outer product one column block
+    at a time; its run is bitwise that of the unblocked update."""
+
+    def test_trace_bitwise_equal_to_unblocked_update(self, monkeypatch, system, training, snapshots):
+        assert len(training) == 81 and len(training) % pool_mod.COLUMN_BLOCK != 0
+        config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
+        blocked_basis, blocked = greedy.run_strong_greedy(system, config, snapshots)
+        with monkeypatch.context() as patch:
+            patch.setattr(pool_mod, "COLUMN_BLOCK", len(training))
+            basis, unblocked = greedy.run_strong_greedy(system, config, snapshots)
+        assert blocked_basis.vectors.tobytes() == basis.vectors.tobytes()
+        assert len(blocked.iterations) == len(unblocked.iterations) > 2
+        for a, b in zip(blocked.iterations, unblocked.iterations):
+            assert np.float64(a.max_estimate).tobytes() == np.float64(b.max_estimate).tobytes()
+            assert [(s.param_index, s.estimate) for s in a.selections] == [
+                (s.param_index, s.estimate) for s in b.selections
+            ]
+        assert blocked.amatrix.tobytes() == unblocked.amatrix.tobytes()
+
+
 class TestCallTimeLookups:
     """The loop looks these names up when it calls them, so a wrapper bound
     onto the module (a tracer, a profiler) sees every call."""

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from batchrb import fem, rb
-from batchrb.errors import ConfigurationError, DimensionError
+from batchrb import bench, fem, greedy, rb
+from batchrb.errors import ConfigurationError, DimensionError, NumericError
 
 MUS = [
     fem.ParameterPoint(w)
@@ -205,6 +206,82 @@ def test_dimension_errors(system, basis_and_records):
         basis.prefix(basis.size + 1)
     with pytest.raises(IndexError):
         rb.prefix_model(model, -1)
+
+
+def cho_reference(model, mu):
+    """The reduced solve through scipy's validating Cholesky wrappers."""
+    factor = scipy.linalg.cho_factor(model.matrix(mu.as_array()))
+    return scipy.linalg.cho_solve(factor, model.load)
+
+
+@pytest.fixture(scope="module")
+def greedy_model(system):
+    config = greedy.GreedyConfig(
+        training_set=bench.build_training_set(2, 2, 3), batch_size=2, tolerance=1e-6
+    )
+    return greedy.run_batch_greedy(system, config)[1]
+
+
+class TestLeanSolve:
+    """solve_rom calls potrf/potrs directly, bitwise equal to cho_factor/cho_solve."""
+
+    def test_bitwise_at_every_prefix_of_a_greedy_model(self, greedy_model):
+        rng = np.random.default_rng(7)
+        points = MUS + [fem.ParameterPoint(tuple(w)) for w in rng.uniform(0.1, 1.0, (5, 4))]
+        assert greedy_model.basis_size >= 5
+        for n in range(1, greedy_model.basis_size + 1):
+            sub = rb.prefix_model(greedy_model, n)
+            for mu in points:
+                x = rb.solve_rom(sub, mu)
+                assert x.shape == (n,)
+                assert x.tobytes() == cho_reference(sub, mu).tobytes(), (n, mu)
+
+    def test_bitwise_on_a_loaded_read_only_model(self, system, greedy_model, tmp_path):
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, greedy_model.basis_size)),
+            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(greedy_model.basis_size)],
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
+        loaded, _ = rb.load_artifact(path, system=system)
+        loaded.components.flags.writeable = False
+        loaded.load.flags.writeable = False
+        for mu in MUS:
+            x = rb.solve_rom(loaded, mu)
+            assert x.tobytes() == cho_reference(greedy_model, mu).tobytes()
+        assert np.array_equal(loaded.components, greedy_model.components)
+
+    def test_empty_model(self, greedy_model):
+        empty = rb.prefix_model(greedy_model, 0)
+        x = rb.solve_rom(empty, MUS[0])
+        assert x.shape == (0,) and x.dtype == float
+        with pytest.raises(DimensionError):
+            rb.solve_rom(empty, fem.ParameterPoint((1.0, 1.0)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 0, 0), np.nan), ((1, 0, 2), np.nan), ((0, 0, 0), np.inf), ((2, 1, 0), -np.inf)],
+    )
+    def test_non_finite_components_raise_numeric_error(self, greedy_model, entry, value):
+        broken = rb.prefix_model(greedy_model, greedy_model.basis_size)
+        p, i, j = entry
+        broken.components[p, i, j] = broken.components[p, j, i] = value
+        with pytest.raises(NumericError, match=r"mu=\(0\.3, 0\.9"):
+            rb.solve_rom(broken, MUS[3])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_load_raises_numeric_error(self, greedy_model, value):
+        broken = rb.prefix_model(greedy_model, greedy_model.basis_size)
+        broken.load[-1] = value
+        with pytest.raises(NumericError, match="non-finite reduced operator or solution"):
+            rb.solve_rom(broken, MUS[3])
+
+    def test_indefinite_operator_raises_numeric_error(self, greedy_model):
+        indefinite = rb.prefix_model(greedy_model, 3)
+        indefinite.components[:, 1, 1] *= -1.0
+        with pytest.raises(NumericError, match="not positive definite at mu="):
+            rb.solve_rom(indefinite, MUS[2])
 
 
 class TestArtifact:
