@@ -14,10 +14,10 @@ Ohlberger & Rave 2014; Casenave, Ern & Lelievre 2014), so online
     ||r||_{X'} = || R [1, -mu_p c_j] ||_2,
 
 a Euclidean norm of a vector of size 1 + P n.  A sweep over a training set
-costs one batched reduced solve and one matrix product, O(T (P n)^2)
-independent of the full-order dimension, and its accuracy floor is machine
-epsilon relative to ||f||_{X'}, not the square root of it that a squared
-Gram expansion reaches.
+runs in row blocks within `SWEEP_BLOCK_BYTES`, in O(T (n^3 + (P n)^2)) time
+and O(SWEEP_BLOCK_BYTES + T) memory independent of the full-order dimension,
+and its accuracy floor is machine epsilon relative to ||f||_{X'}, not the
+square root of it that a squared Gram expansion reaches.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ __all__ = [
 #: epsilons times ||f||_{X'} (at most 1e-15 times it on the nx=16 and nx=32
 #: thermal blocks, against a residual formed in extended precision).
 CANCELLATION_RATIO = 1e-12
+
+#: Bytes of per-row temporaries that one row block of `estimate_sweep` holds.
+SWEEP_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,20 @@ def build_estimator(
 
 
 def _rom_coefficients_batch(model: ReducedModel, weights: np.ndarray) -> np.ndarray:
-    """Reduced Galerkin coefficients for a (T, P) batch of parameter weights."""
-    p, n = model.block_count, model.basis_size
-    matrices = weights @ model.components.reshape(p, n * n)
-    return np.linalg.solve(matrices.reshape(-1, n, n), model.load)
+    """Reduced Galerkin coefficients of (T, P) weights; row t depends on row t only."""
+    return np.linalg.solve(model.matrix(weights), model.load)
+
+
+def _row_bytes(n: int, p: int) -> int:
+    """Sweep temporaries per row: A_n(mu), c, and three vectors of 1 + P n."""
+    return 8 * (n * n + n + 3 * (1 + p * n))
+
+
+def _row_blocks(t_count: int, n: int, p: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest near-equal row blocks within SWEEP_BLOCK_BYTES."""
+    count = max(1, -(-t_count // max(1, SWEEP_BLOCK_BYTES // _row_bytes(n, p))))
+    bounds = [t_count * k // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _dual_norms(data: EstimatorData, y: np.ndarray) -> np.ndarray:
@@ -261,8 +274,10 @@ def estimate_sweep(
 ) -> np.ndarray:
     """Vectorized error estimates for a (T, P) array of parameter weights.
 
-    One fixed numpy code path regardless of any worker configuration, so
-    sweep results never depend on parallelism settings.
+    Rows run in the fewest near-equal blocks within `SWEEP_BLOCK_BYTES` (set by
+    T, n, P and the budget only).  A block of r rows forms its matrices
+    (``ReducedModel.matrix``, bitwise as in rb.solve_rom), LU-solves them, O(r n^3),
+    and takes a residual product, O(r (P n)^2), whose bits may depend on r.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     t_count, p_count = weights.shape
@@ -272,15 +287,18 @@ def estimate_sweep(
     alpha = weights.min(axis=1)
     if model.basis_size == 0:
         return np.full(t_count, data.load_dual_norm) / alpha
-    coeffs = _rom_coefficients_batch(model, weights)
-    return _dual_norms(data, _residual_weights(weights, coeffs)) / alpha
+    norms = np.empty(t_count)
+    for start, stop in _row_blocks(t_count, model.basis_size, p_count):
+        block = weights[start:stop]
+        coeffs = _rom_coefficients_batch(model, block)
+        norms[start:stop] = _dual_norms(data, _residual_weights(block, coeffs))
+    return norms / alpha
 
 
 def estimate(data: EstimatorData, model: ReducedModel, mu: ParameterPoint) -> float:
-    """Error estimate Delta_n(mu) at one point: the sweep's kernels on one row,
-    bitwise equal to ``estimate_sweep(data, model, mu.as_array()[None, :])[0]``.
-    LU, as in the sweep: rb.solve_rom's Cholesky moves estimates near the
-    accuracy floor by up to 1e-5 relative."""
+    """Error estimate Delta_n(mu): the sweep's kernels (LU: rb.solve_rom's Cholesky
+    moves estimates near the floor by up to 1e-5 relative) on one row, bitwise
+    ``estimate_sweep(data, model, mu.as_array()[None, :])[0]``."""
     _check_sizes(data, model, mu.size)
     norm = data.load_dual_norm
     if model.basis_size > 0:

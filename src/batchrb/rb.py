@@ -107,13 +107,14 @@ class ReducedModel:
         return self.components.shape[0]
 
     def matrix(self, weights) -> np.ndarray:
-        """Dense reduced operator A_r(mu) = sum_p mu_p (V^T A_p V)."""
+        """A_r(mu) = sum_p mu_p (V^T A_p V), or its (T, n, n) stack for (T, P) weights:
+        solve_rom's and the sweeps' one formation (row t bitwise matrix(weights[t]))."""
         w = np.asarray(weights, dtype=float)
-        if w.shape != (self.block_count,):
+        if w.ndim not in (1, 2) or w.shape[-1] != self.block_count:
             raise DimensionError(
-                f"expected {self.block_count} weights, got shape {w.shape}"
+                f"expected {self.block_count} weights per row, got shape {w.shape}"
             )
-        return np.einsum("p,pij->ij", w, self.components)
+        return np.einsum("...p,pij->...ij", w, self.components)
 
 
 @dataclass(frozen=True)
@@ -390,19 +391,25 @@ def load_artifact(
             f"(hash {payload['system_fingerprint'][:12]}... vs "
             f"{system.fingerprint[:12]}...)"
         )
+    est = payload.get("estimator") or {}
+    arrays = {k: _decode_array(payload[k]) for k in ("reduced_components", "reduced_load")}
+    if est:
+        arrays["R"] = _decode_array(est["R"])
+    for key, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise ConfigurationError(f"artifact {path} holds non-finite entries in {key}")
     model = ReducedModel(
-        components=_decode_array(payload["reduced_components"]),
-        load=_decode_array(payload["reduced_load"]),
+        components=arrays["reduced_components"],
+        load=arrays["reduced_load"],
         system_fingerprint=payload["system_fingerprint"],
     )
-    est = payload.get("estimator")
-    if est is not None:
+    if est:
         from .estimator import EffectivityBounds, EstimatorData
 
         bounds = EffectivityBounds(mu_min=est["mu_min"], mu_max=est["mu_max"])
         model.estimator_data = EstimatorData(
             Q=None,
-            R=_decode_array(est["R"]),
+            R=arrays["R"],
             block_count=int(payload["block_count"]),
             bounds=bounds,
         )

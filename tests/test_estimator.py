@@ -1,5 +1,7 @@
 """Tests for the residual-based error estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,120 @@ class TestSinglePointPath:
             broken.R[0, -1] = value
             with pytest.raises(NumericError, match="non-finite error estimate"):
                 estimator.estimate(broken, rb.prefix_model(model, n), TRAIN[3])
+
+
+@pytest.fixture(scope="module")
+def sweep_run():
+    """b = 4 on nx=16 over the 4^4 grid to 1e-6, a model with n of about 20."""
+    system = fem.assemble(fem.build_mesh(16, 16, 2, 2))
+    config = greedy.GreedyConfig(
+        training_set=bench.build_training_set(2, 2, 4), batch_size=4, tolerance=1e-6
+    )
+    return system, config, greedy.run_batch_greedy(system, config)
+
+
+def force_rows(monkeypatch, model, rows):
+    """Patch the budget so that sweeps over `model` take blocks of <= `rows` rows."""
+    budget = rows * estimator._row_bytes(model.basis_size, model.block_count)
+    monkeypatch.setattr(estimator, "SWEEP_BLOCK_BYTES", budget)
+
+
+class TestBlockSweep:
+    """estimate_sweep runs in row blocks bounded by SWEEP_BLOCK_BYTES."""
+
+    WEIGHTS = np.random.default_rng(29).uniform(0.1, 1.0, (363, 4))
+
+    @pytest.mark.parametrize("t_count", [1, 7, 64, 363, 20736])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_fewest_near_equal_blocks(self, monkeypatch, t_count, rows):
+        model = rb.ReducedModel(components=np.zeros((4, 19, 19)), load=np.zeros(19))
+        force_rows(monkeypatch, model, rows)
+        blocks = estimator._row_blocks(t_count, 19, 4)
+        sizes = [stop - start for start, stop in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == t_count
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == -(-t_count // rows)
+        assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+
+    def sweep(self, monkeypatch, data, model, rows):
+        """One sweep over WEIGHTS in blocks of <= `rows` rows (None: one block),
+        with the matrices it formed and the coefficients it solved for."""
+        force_rows(monkeypatch, model, rows or len(self.WEIGHTS))
+        matrices, coeffs = [], []
+
+        def recorded(function, record):
+            def call(*args):
+                record.append(function(*args))
+                return record[-1]
+
+            return call
+
+        monkeypatch.setattr(rb.ReducedModel, "matrix", recorded(rb.ReducedModel.matrix, matrices))
+        monkeypatch.setattr(
+            estimator,
+            "_rom_coefficients_batch",
+            recorded(estimator._rom_coefficients_batch, coeffs),
+        )
+        values = estimator.estimate_sweep(data, model, self.WEIGHTS)
+        monkeypatch.undo()
+        assert len(coeffs) == -(-len(self.WEIGHTS) // (rows or len(self.WEIGHTS)))
+        return values, np.concatenate(matrices), np.concatenate(coeffs)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_formation_and_coefficients_bitwise_independent_of_blocks(
+        self, monkeypatch, sweep_run, rows
+    ):
+        model = sweep_run[2][1]
+        _, matrices, coeffs = self.sweep(monkeypatch, model.estimator_data, model, rows)
+        _, one_matrices, one_coeffs = self.sweep(monkeypatch, model.estimator_data, model, None)
+        assert matrices.tobytes() == one_matrices.tobytes()
+        assert coeffs.tobytes() == one_coeffs.tobytes()
+
+    def test_every_row_matrix_is_the_one_solve_rom_factors(self, monkeypatch, sweep_run):
+        model = sweep_run[2][1]
+        for rows in (7, None):
+            _, matrices, _ = self.sweep(monkeypatch, model.estimator_data, model, rows)
+            for w, matrix in zip(self.WEIGHTS, matrices):
+                mu = fem.ParameterPoint(tuple(w))
+                assert matrix.tobytes() == model.matrix(mu.as_array()).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_estimates_within_round_off_of_one_block(self, monkeypatch, sweep_run, rows):
+        model = sweep_run[2][1]
+        data = model.estimator_data
+        values = self.sweep(monkeypatch, data, model, rows)[0]
+        one_block = self.sweep(monkeypatch, data, model, None)[0]
+        floor = 1e-14 * data.load_dual_norm / self.WEIGHTS.min(axis=1)
+        assert np.all(np.abs(values - one_block) <= floor)
+
+    def test_memory_bounded_by_budget(self):
+        """T = 20,736 rows at n = 19: an unblocked sweep holds 60 MB of matrices."""
+        t_count, n, p = 20736, 19, 4
+        rng = np.random.default_rng(31)
+        factors = rng.standard_normal((p, n, n))
+        model = rb.ReducedModel(
+            components=factors @ factors.transpose(0, 2, 1) + n * np.eye(n),
+            load=rng.standard_normal(n),
+        )
+        r = np.triu(rng.standard_normal((1 + p * n, 1 + p * n)))
+        data = estimator.EstimatorData(Q=None, R=r, block_count=p)
+        weights = rng.uniform(0.1, 1.0, (t_count, p))
+        tracemalloc.start()
+        try:
+            values = estimator.estimate_sweep(data, model, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (t_count,) and np.isfinite(values).all()
+        assert peak < estimator.SWEEP_BLOCK_BYTES + 64 * t_count
+
+    def test_greedy_selections_independent_of_budget(self, monkeypatch, sweep_run):
+        system, config, (basis, model, trace) = sweep_run
+        monkeypatch.setattr(estimator, "SWEEP_BLOCK_BYTES", 1)  # one row per block
+        tiny_basis, _, tiny = greedy.run_batch_greedy(system, config)
+        assert tiny.selected_indices() == trace.selected_indices()
+        assert tiny.stop_reason == trace.stop_reason
+        assert tiny_basis.vectors.tobytes() == basis.vectors.tobytes()
 
 
 class TestRieszCheck:

@@ -309,6 +309,28 @@ class TestArtifact:
         with pytest.raises(ConfigurationError, match="artifact"):
             rb.load_artifact(bogus)
 
+    @pytest.mark.parametrize("key", ["reduced_components", "reduced_load", "R"])
+    def test_non_finite_arrays_rejected(self, system, greedy_model, tmp_path, key):
+        """+inf at (0, 2) and (2, 0) of every component passes estimate's LU
+        solve as a finite estimate, so loading rejects any non-finite entry."""
+        assert greedy_model.estimator_data is not None
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, greedy_model.basis_size)),
+            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(greedy_model.basis_size)],
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        holder = payload["estimator"] if key == "R" else payload
+        array = rb._decode_array(holder[key])
+        if key == "reduced_components":
+            array[:, 0, 2] = array[:, 2, 0] = np.inf
+        else:
+            array[-1] = np.nan
+        holder[key] = rb._encode_array(array)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=f"non-finite entries in {key}$"):
+            rb.load_artifact(path, system=system)
+
     def test_version_1_rejected(self, system, basis_and_records, tmp_path):
         """A file with the squared-expansion Gram tables of version 1."""
         basis, _ = basis_and_records
