@@ -80,7 +80,7 @@ class ExperimentConfig:
         if not sizes or any(b < 1 for b in sizes):
             raise ConfigurationError(f"invalid batch sizes {self.batch_sizes!r}")
         object.__setattr__(self, "batch_sizes", sizes)
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ConfigurationError(f"tolerance={self.tolerance} must be positive")
         if self.worker_count < 1:
             raise ConfigurationError(

@@ -149,7 +149,6 @@ def build_estimator(
     model: ReducedModel,
     basis: ReducedBasis,
     system: AffineSystem,
-    bounds: Optional[EffectivityBounds] = None,
     previous: Optional[EstimatorData] = None,
     solver: Optional[RieszSolver] = None,
 ) -> EstimatorData:
@@ -163,8 +162,9 @@ def build_estimator(
     product).  One whose remainder is at most ``rb.DROP_TOL_DEFAULT`` times
     its incoming X-norm is dropped: every snapshot in the basis makes one
     combination of representers vanish exactly, and normalizing its
-    round-off remainder would destroy the orthogonality of Q.  The result is
-    also attached to ``model.estimator_data``.
+    round-off remainder would destroy the orthogonality of Q.  The bounds
+    are those of `previous`, or the default box.  The result is also
+    attached to ``model.estimator_data``.
     """
     if model.basis_size != basis.size:
         raise DimensionError(
@@ -172,8 +172,7 @@ def build_estimator(
         )
     if solver is None:
         solver = RieszSolver(system)
-    if bounds is None:
-        bounds = previous.bounds if previous is not None else EffectivityBounds()
+    bounds = previous.bounds if previous is not None else EffectivityBounds()
 
     gram = system.gram
     if previous is None:
@@ -227,7 +226,13 @@ def build_estimator(
 
 def _rom_coefficients_batch(model: ReducedModel, weights: np.ndarray) -> np.ndarray:
     """Reduced Galerkin coefficients of (T, P) weights; row t depends on row t only."""
-    return np.linalg.solve(model.matrix(weights), model.load)
+    try:
+        return np.linalg.solve(model.matrix(weights), model.load)
+    except np.linalg.LinAlgError as exc:
+        where = "at" if len(weights) == 1 else f"in the {len(weights)}-row block from"
+        raise NumericError(
+            f"singular reduced operator {where} mu={tuple(weights[0].tolist())}"
+        ) from exc
 
 
 def _row_bytes(n: int, p: int) -> int:

@@ -36,6 +36,7 @@ from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
 from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom
 from .pool import WorkerPool, column_blocks, map_column_blocks
+from .theory import snapshot_list
 
 __all__ = [
     "GreedyConfig",
@@ -154,13 +155,8 @@ class GreedyTrace:
             matrix[m, : len(row)] = row
         return matrix
 
-    def selected_indices(self, accepted_only: bool = False) -> list[int]:
-        out = []
-        for rec in self.iterations:
-            for sel in rec.selections:
-                if sel.accepted or not accepted_only:
-                    out.append(sel.param_index)
-        return out
+    def selected_indices(self) -> list[int]:
+        return [sel.param_index for rec in self.iterations for sel in rec.selections]
 
 
 def select_batch(
@@ -420,24 +416,19 @@ def true_sigma(
     a pool) and sees the arithmetic of the unsplit table, so the maxima
     merged across blocks are bitwise independent of the worker count.
 
-    `snapshots` is a mapping parameter -> Snapshot or a sequence of Snapshots.
+    `snapshots` is as in :func:`theory.snapshot_list`.
     """
-    if isinstance(snapshots, Mapping):
-        snapshot_list = list(snapshots.values())
-    else:
-        snapshot_list = list(snapshots)
-    if not snapshot_list:
-        raise ConfigurationError("need at least one snapshot")
+    snapshots = snapshot_list(snapshots)
 
     def block_sigma(block: slice) -> list[float]:
-        table = _ResidualTable(system, snapshot_list[block])
+        table = _ResidualTable(system, snapshots[block])
         sigma = [table.sweep().max()]
         for n in range(1, basis.size + 1):
             table.update(basis.prefix(n))
             sigma.append(table.sweep().max())
         return sigma
 
-    return np.max(map_column_blocks(pool, block_sigma, len(snapshot_list)), axis=0)
+    return np.max(map_column_blocks(pool, block_sigma, len(snapshots)), axis=0)
 
 
 def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.ndarray:

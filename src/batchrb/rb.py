@@ -4,7 +4,8 @@ The basis is kept X-orthonormal (X = H^1_0 seminorm metric) by modified
 Gram-Schmidt with one full re-orthogonalization pass.  Extension records the
 expansion coefficients of every incoming snapshot with respect to the updated
 basis; these rows form the lower-triangular matrix consumed by the
-convergence-theory checks.
+convergence-theory checks.  The one Galerkin projection, :func:`extend_model`,
+projects only the vectors a basis gained; :func:`reduce` grows the empty model.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class ExtensionRecord:
     residual_norm: float
 
 
-def _mgs_insert(w, basis_cols, gram_cols, gram, drop_tol, incoming_norm):
+def _mgs_insert(w, basis_cols, gram_cols, gram, incoming_norm):
     """Two-pass MGS of w against the given X-orthonormal columns.
 
     Returns (unit remainder or None, projection coefficients, remainder norm).
@@ -148,7 +149,7 @@ def _mgs_insert(w, basis_cols, gram_cols, gram, drop_tol, incoming_norm):
             coeffs[j] += c
     mw = gram @ w
     rnorm = float(np.sqrt(max(w @ mw, 0.0)))
-    if rnorm <= drop_tol * incoming_norm:
+    if rnorm <= DROP_TOL_DEFAULT * incoming_norm:
         return None, coeffs, rnorm
     return w / rnorm, coeffs, rnorm
 
@@ -157,7 +158,6 @@ def extend(
     basis: ReducedBasis,
     snapshots: Sequence[Snapshot],
     system: AffineSystem,
-    drop_tol: float = DROP_TOL_DEFAULT,
     iteration: int = 0,
 ) -> tuple[ReducedBasis, list[ExtensionRecord]]:
     """Orthonormally extend the basis by a batch of snapshots.
@@ -165,8 +165,8 @@ def extend(
     Snapshots are processed in the given order; each is orthogonalized (MGS
     with one re-orthogonalization pass) against all previously accepted
     vectors including earlier members of the same batch.  Members whose
-    remainder norm falls below ``drop_tol`` times their incoming X-norm are
-    discarded and reported with ``accepted=False``.
+    remainder norm falls below ``DROP_TOL_DEFAULT`` times their incoming
+    X-norm are discarded and reported with ``accepted=False``.
 
     Parameters
     ----------
@@ -174,8 +174,6 @@ def extend(
     snapshots : sequence of Snapshot
     system : AffineSystem
         Supplies the X-inner-product Gram matrix.
-    drop_tol : float
-        Relative linear-dependence threshold.
     iteration : int
         Provenance bookkeeping: greedy iteration index.  The batch rank of a
         snapshot is its position in `snapshots`.
@@ -204,7 +202,7 @@ def extend(
             )
             continue
         unit, coeffs, rnorm = _mgs_insert(
-            u.copy(), cols, gram_cols, gram, drop_tol, incoming
+            u.copy(), cols, gram_cols, gram, incoming
         )
         if unit is None:
             records.append(
@@ -224,32 +222,21 @@ def extend(
 
 
 def reduce(basis: ReducedBasis, system: AffineSystem) -> ReducedModel:
-    """Project the affine operator and load onto the basis (from scratch).
-
-    The reduced component matrices are symmetrized to suppress round-off
-    asymmetry; for admissible parameters the combined reduced operator is
-    symmetric positive definite.
-    """
-    v = basis.vectors
-    comps = np.empty((system.block_count, basis.size, basis.size))
-    for p, a_p in enumerate(system.components):
-        b = v.T @ (a_p @ v)
-        comps[p] = 0.5 * (b + b.T)
-    return ReducedModel(
-        components=comps,
-        load=v.T @ system.load,
-        system_fingerprint=system.fingerprint,
-    )
+    """Project the affine operator and load onto the basis: the empty model
+    grown by :func:`extend_model`."""
+    empty = ReducedModel(np.empty((system.block_count, 0, 0)), np.empty(0), system.fingerprint)
+    return extend_model(empty, basis, system)
 
 
 def extend_model(
     model: ReducedModel, basis: ReducedBasis, system: AffineSystem
 ) -> ReducedModel:
-    """Grow a reduced model to match an extended basis without full recomputation.
+    """Grow a reduced model to match an extended basis (the Galerkin projection).
 
     The leading block of each reduced component is carried over; only the new
-    rows/columns are projected.  Values agree with :func:`reduce` to round-off
-    (relative 1e-12 contract).
+    rows/columns are projected.  The new diagonal block is symmetrized to
+    suppress round-off asymmetry; for admissible parameters the combined
+    reduced operator is symmetric positive definite.
     """
     n_old = model.basis_size
     n_new = basis.size
@@ -392,10 +379,18 @@ def load_artifact(
             f"{system.fingerprint[:12]}...)"
         )
     est = payload.get("estimator") or {}
-    arrays = {k: _decode_array(payload[k]) for k in ("reduced_components", "reduced_load")}
+    p, n = int(payload["block_count"]), int(payload["basis_size"])
+    shapes = {"reduced_components": (p, n, n), "reduced_load": (n,)}
+    arrays = {k: _decode_array(payload[k]) for k in shapes}
     if est:
+        shapes["R"] = (1 + p * n, 1 + p * n)
         arrays["R"] = _decode_array(est["R"])
     for key, array in arrays.items():
+        if array.shape != shapes[key]:
+            raise ConfigurationError(
+                f"artifact {path} holds {key} of shape {array.shape}, "
+                f"expected {shapes[key]}"
+            )
         if not np.isfinite(array).all():
             raise ConfigurationError(f"artifact {path} holds non-finite entries in {key}")
     model = ReducedModel(
@@ -410,7 +405,7 @@ def load_artifact(
         model.estimator_data = EstimatorData(
             Q=None,
             R=arrays["R"],
-            block_count=int(payload["block_count"]),
+            block_count=p,
             bounds=bounds,
         )
     provenance = [

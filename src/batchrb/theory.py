@@ -43,6 +43,9 @@ ALPHA_RANGE = (0.2, 2.0)
 #: Fitted decay rates at or below this value count as "not decaying".
 DECAY_FLOOR = 1e-10
 
+#: Largest number K of consecutive sigmas in a checked product bound.
+PRODUCT_MAX_K = 6
+
 # Relative eigenvalue threshold for usable POD modes.  The correlation
 # matrix squares the conditioning of the snapshot set, so eigenvalues below
 # roughly machine precision times the largest one are pure noise.
@@ -115,17 +118,15 @@ class CheckReport:
         }
 
 
-def _snapshot_columns(all_snapshots) -> np.ndarray:
-    if isinstance(all_snapshots, Mapping):
-        snaps = list(all_snapshots.values())
-    else:
-        snaps = list(all_snapshots)
+def snapshot_list(snapshots) -> list:
+    """The Snapshots of a mapping parameter -> Snapshot or of a sequence, at least one."""
+    snaps = list(snapshots.values() if isinstance(snapshots, Mapping) else snapshots)
     if not snaps:
         raise InsufficientDataError("need at least one snapshot")
-    return np.column_stack([snap.coefficients for snap in snaps])
+    return snaps
 
 
-def pod_width_upper_bound(all_snapshots, system, n_max=None, pool=None) -> WidthSurrogate:
+def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
     """Certified width upper bounds from POD of the snapshot set.
 
     Eigendecomposes the X-weighted correlation matrix (method of snapshots),
@@ -137,13 +138,9 @@ def pod_width_upper_bound(all_snapshots, system, n_max=None, pool=None) -> Width
     one `pool` task (inline without a pool) with the arithmetic of the
     unsplit table, so ``d_up`` is bitwise independent of the worker count.
     """
-    columns = _snapshot_columns(all_snapshots)
+    columns = np.column_stack([s.coefficients for s in snapshot_list(all_snapshots)])
     gram = system.gram
     count = columns.shape[1]
-    if n_max is None:
-        n_max = count
-    if n_max < 0:
-        raise DomainError(f"n_max={n_max} must be nonnegative")
 
     corr = columns.T @ (gram @ columns)
     corr = 0.5 * (corr + corr.T)
@@ -155,7 +152,7 @@ def pod_width_upper_bound(all_snapshots, system, n_max=None, pool=None) -> Width
     # Build M-orthonormal modes, stopping at the numerical rank.
     modes = []
     weighted_modes = []
-    for i in range(min(count, n_max)):
+    for i in range(count):
         if eigvals[0] <= 0.0 or eigvals[i] <= eigvals[0] * _RANK_CUTOFF:
             break
         w = columns @ (eigvecs[:, i] / np.sqrt(eigvals[i]))
@@ -178,7 +175,7 @@ def pod_width_upper_bound(all_snapshots, system, n_max=None, pool=None) -> Width
             worst.append(np.max(x_norms(residual, system)))
         return worst
 
-    d_up = np.empty(n_max + 1)
+    d_up = np.empty(count + 1)
     d_up[: len(modes) + 1] = np.max(map_column_blocks(pool, block_d_up, count), axis=0)
     # Beyond the available modes the projection space stops growing.
     d_up[len(modes) + 1 :] = d_up[len(modes)]
@@ -212,7 +209,7 @@ def _normalized(sigma) -> np.ndarray:
     return sig / sig[0]
 
 
-def check_P1(trace, sigma, gamma, batch_size=None) -> CheckReport:
+def check_P1(trace, sigma, gamma) -> CheckReport:
     """Verify the diagonal bounds (P1) for every accepted step.
 
     Checks ``gamma * sigma_{n+b-1} <= |a_{n,n}| <= sigma_n`` with an additive
@@ -220,7 +217,7 @@ def check_P1(trace, sigma, gamma, batch_size=None) -> CheckReport:
     Indices beyond the computed sigma range fall back to the last available
     value.
     """
-    b = trace.batch_size if batch_size is None else batch_size
+    b = trace.batch_size
     try:
         sig = _normalized(sigma)
     except InsufficientDataError:
@@ -556,11 +553,11 @@ def _aggregate(name: str, reports: Sequence[CheckReport], extra=None) -> CheckRe
     return CheckReport(name, status, worst.worst_margin, context)
 
 
-def run_theory_checks(trace, sigma, d_up, gamma=None, max_K=6) -> list[CheckReport]:
+def run_theory_checks(trace, sigma, d_up, gamma=None) -> list[CheckReport]:
     """Run the full empirical check suite for one greedy run.
 
     Covers (P1), (P2), the product bound over all admissible ``(N, K, m)``
-    with ``K <= max_K``, the square-root width bound over all admissible
+    with ``K <= PRODUCT_MAX_K``, the square-root width bound over all admissible
     ``n``, and the fitted rate bounds.  ``gamma`` defaults to the empirical
     weakness constant of the run.
     """
@@ -574,7 +571,7 @@ def run_theory_checks(trace, sigma, d_up, gamma=None, max_K=6) -> list[CheckRepo
     reports = [check_P1(trace, sigma, gamma), check_P2(trace, sigma)]
 
     product = []
-    for K in range(2, max_K + 1):
+    for K in range(2, PRODUCT_MAX_K + 1):
         for N in range(0, last - (b - 1) - K + 1):
             for m in range(1, min(K, d.size)):
                 product.append(bound_theorem_product(N, K, m, b, gamma, sigma, d_up))

@@ -221,6 +221,7 @@ class TestConfig:
             {"worker_count": 0},
             {"max_basis_size": 0},
             {"seed": -1},
+            {"tolerance": float("nan")},
         ],
     )
     def test_validation(self, kwargs):

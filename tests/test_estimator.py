@@ -1,5 +1,6 @@
 """Tests for the residual-based error estimator."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -473,6 +474,26 @@ class TestArtifactWithEstimator:
             a = estimator.estimate(data, model, mu)
             b = estimator.estimate(loaded.estimator_data, loaded, mu)
             assert a == b
+
+    def test_singular_reduced_operator_raises_numeric_error(self, setup, tmp_path):
+        """All-zero reduced components: every online path raises NumericError
+        naming a parameter, never numpy's LinAlgError."""
+        system, basis, model, data = setup
+        path = rb.save_artifact(model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        payload["reduced_components"] = rb._encode_array(np.zeros_like(model.components))
+        path.write_text(json.dumps(payload))
+        loaded, _ = rb.load_artifact(path, system=system)
+        online = loaded.estimator_data
+        with pytest.raises(NumericError, match=r"not positive definite at mu=\(0\.3"):
+            rb.solve_rom(loaded, TRAIN[3])
+        with pytest.raises(NumericError, match=r"singular reduced operator at mu=\(0\.3"):
+            estimator.estimate(online, loaded, TRAIN[3])
+        weights = np.array([mu.weights for mu in TRAIN])
+        with pytest.raises(
+            NumericError, match=r"singular reduced operator in the 4-row block from mu=\(0\.1"
+        ):
+            estimator.estimate_sweep(online, loaded, weights)
 
 
 @pytest.fixture(scope="module")

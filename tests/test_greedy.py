@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchrb import bench, estimator, fem, greedy, rb
+from batchrb import bench, estimator, fem, greedy, rb, theory
 from batchrb import pool as pool_mod
-from batchrb.errors import ConfigurationError, DimensionError, GreedyError
+from batchrb.errors import (
+    ConfigurationError,
+    DimensionError,
+    GreedyError,
+    InsufficientDataError,
+)
 
 from oracles import classical_weak_greedy, projection_error_dense
 
@@ -176,7 +181,12 @@ class TestBatchGreedy:
         basis, model, trace = greedy.run_batch_greedy(system, config)
         assert trace.stop_reason == "tolerance"
         chosen = trace.selected_indices()
-        accepted = trace.selected_indices(accepted_only=True)
+        accepted = [
+            sel.param_index
+            for rec in trace.iterations
+            for sel in rec.selections
+            if sel.accepted
+        ]
         assert len(chosen) > len(accepted)  # at least one discard happened
         assert len(set(chosen)) == len(chosen)  # exclusion set kept them out
         assert len(accepted) == basis.size == trace.extension_count
@@ -399,6 +409,15 @@ class TestStrongGreedy:
         config = greedy.GreedyConfig(training_set=training, batch_size=1)
         with pytest.raises(ConfigurationError):
             greedy.run_strong_greedy(system, config, partial)
+
+    @pytest.mark.parametrize("empty", [{}, []])
+    def test_no_snapshots_is_insufficient_data(self, system, empty):
+        """true_sigma and the POD width read snapshots through one helper."""
+        basis = rb.ReducedBasis.empty(system.dof_count)
+        with pytest.raises(InsufficientDataError, match="need at least one snapshot"):
+            greedy.true_sigma(basis, empty, system)
+        with pytest.raises(InsufficientDataError, match="need at least one snapshot"):
+            theory.pod_width_upper_bound(empty, system)
 
     def test_true_sigma_against_dense_least_squares(self, system, training, snapshots):
         config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=1e-3)

@@ -1,6 +1,7 @@
 """Tests for basis extension, Galerkin reduction, and artifact round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -329,6 +330,41 @@ class TestArtifact:
         holder[key] = rb._encode_array(array)
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match=f"non-finite entries in {key}$"):
+            rb.load_artifact(path, system=system)
+
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("long load", "reduced_load"),
+            ("fewer blocks", "reduced_components"),
+            ("non-square components", "reduced_components"),
+            ("small R", "R"),
+        ],
+    )
+    def test_mis_shaped_arrays_rejected(self, system, greedy_model, tmp_path, case, key):
+        """Shapes are checked against the payload's block_count and basis_size
+        at load, not left to fail in a LAPACK wrapper or an estimate."""
+        p, n = greedy_model.block_count, greedy_model.basis_size
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, n)),
+            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)],
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        if case == "long load":
+            payload["reduced_load"] = rb._encode_array(np.zeros(n + 2))
+            shapes = f"{(n + 2,)}, expected {(n,)}"
+        elif case == "fewer blocks":
+            payload["block_count"] = p - 1
+            shapes = f"{(p, n, n)}, expected {(p - 1, n, n)}"
+        elif case == "non-square components":
+            payload["reduced_components"] = rb._encode_array(greedy_model.components[:, :, 1:])
+            shapes = f"{(p, n, n - 1)}, expected {(p, n, n)}"
+        else:
+            payload["estimator"]["R"] = rb._encode_array(greedy_model.estimator_data.R[:-1, :-1])
+            shapes = f"{(p * n, p * n)}, expected {(1 + p * n, 1 + p * n)}"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=re.escape(f"{key} of shape {shapes}")):
             rb.load_artifact(path, system=system)
 
     def test_version_1_rejected(self, system, basis_and_records, tmp_path):

@@ -143,12 +143,10 @@ class TestWidthSurrogate:
         exact_n1 = float(residuals.max(axis=1).min())
         assert surrogate.d_up[1] >= exact_n1 - 1e-4 * scale
 
-    def test_n_max_controls_length_and_tail(self, snapshots, system):
-        surrogate = theory.pod_width_upper_bound(snapshots, system, n_max=95)
-        assert surrogate.d_up.size == 96
-        rank = surrogate.rank
-        tail = surrogate.d_up[rank:]
-        assert np.all(tail <= 1e-8 * surrogate.d_up[0])
+    def test_length_and_tail(self, snapshots, width):
+        assert width.d_up.size == len(snapshots) + 1
+        tail = width.d_up[width.rank:]
+        assert np.all(tail <= 1e-8 * width.d_up[0])
 
 
 class TestWidthColumnBlocks:
