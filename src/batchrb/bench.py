@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -153,31 +154,55 @@ def build_test_set(px, py, count, seed):
     return [fem.ParameterPoint(row) for row in draws]
 
 
+def _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes, pool=None):
+    """Relative X-norm Galerkin errors on basis prefixes: (len(sizes), T).
+
+    Row k holds the errors of the reduced solutions c_n of the prefix model
+    of size n = sizes[k], relative to ||f||_X.  With A = V^T M_X f and the
+    distances d_n of :func:`fem.projection_distances` (one call for all
+    sizes, on `pool`), f - V_n c_n splits into X-orthogonal parts and
+    ||f - V_n c_n||_X = hypot(d_n, ||A_{:n} - c_n||).  Both parts carry
+    O(eps ||f||_X) absolute error, as the explicit difference does, and
+    nothing cancels.  Size 0 gives the exact value 1 (the reduced solution
+    is zero).  `fom_cache` maps every test point to its full-order snapshot
+    and that snapshot's X-norm.
+    """
+    for mu in test_set:
+        if fom_cache[mu][1] <= 0.0:
+            raise NumericError(f"full-order solution at {mu} has zero norm")
+    columns = [fom_cache[mu][0].coefficients for mu in test_set]
+    dist, coeffs = fem.projection_distances(basis.vectors, columns, system, pool)
+    errors = np.ones((len(sizes), len(test_set)))
+    for row, n in zip(errors, sizes):
+        if n == 0:
+            continue
+        sub_model = rb.prefix_model(model, n)
+        for t, mu in enumerate(test_set):
+            gap = np.linalg.norm(coeffs[:n, t] - rb.solve_rom(sub_model, mu))
+            row[t] = math.hypot(dist[n, t], gap) / fom_cache[mu][1]
+    return errors
+
+
 def evaluate_test_error(basis, model, system, test_set, fom_cache=None):
     """Relative X-norm Galerkin errors over a test set.
 
-    Returns ``(errors, max_error)`` with one entry per test parameter.  An
-    empty basis yields the exact value 1 for every parameter (the reduced
-    solution is zero).  Pass ``fom_cache`` (a dict mapping a parameter to its
+    Returns ``(errors, max_error)`` with one entry per test parameter, by the
+    error-decay rows' code path: the projection distance to the basis and
+    the coefficient gap ||V^T M_X f - c|| combine by hypot, each with
+    O(eps ||f||_X) absolute error, as the explicit difference has.  An empty
+    basis yields the exact value 1 for every parameter (the reduced solution
+    is zero).  Pass ``fom_cache`` (a dict mapping a parameter to its
     full-order snapshot and that snapshot's X-norm) to reuse both across
-    basis prefixes; missing entries are solved and added.
+    calls; missing entries are solved and added.
     """
-    if fom_cache is None:
-        fom_cache = {}
-    errors = []
+    fom_cache = {} if fom_cache is None else fom_cache
     for mu in test_set:
         if mu not in fom_cache:
             snapshot = fem.solve_fom(system, mu)
             fom_cache[mu] = (snapshot, fem.x_norm(snapshot.coefficients, system))
-        snapshot, full_norm = fom_cache[mu]
-        if full_norm <= 0.0:
-            raise NumericError(f"full-order solution at {mu} has zero norm")
-        if model.basis_size == 0:
-            errors.append(1.0)
-            continue
-        approx = rb.reconstruct(basis, rb.solve_rom(model, mu))
-        errors.append(fem.x_norm(snapshot.coefficients - approx, system) / full_norm)
-    return errors, max(errors)
+    sizes = [basis.size]
+    errors = _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes)[0]
+    return errors.tolist(), float(errors.max())
 
 
 def break_even(t_offline, t_full, t_online):
@@ -191,16 +216,16 @@ def break_even(t_offline, t_full, t_online):
     return math.ceil(t_offline / (t_full - t_online))
 
 
-def _error_decay_rows(basis, model, system, test_set, proxy, fom_cache):
-    """Per-prefix rows (n, max training estimate, max relative test error)."""
-    rows = []
-    for n in range(basis.size + 1):
-        sub_model = rb.prefix_model(model, n)
-        _, worst = evaluate_test_error(
-            basis.prefix(n), sub_model, system, test_set, fom_cache
-        )
-        rows.append((n, float(proxy[n]), worst))
-    return rows
+def _error_decay_rows(basis, model, system, test_set, proxy, fom_cache, pool):
+    """Per-prefix rows (n, max training estimate, max relative test error).
+
+    `fom_cache` must already hold every test point: the reference solves run
+    on the pool before any error is evaluated, never here.  The column
+    blocks of the projection distances run on `pool`.
+    """
+    sizes = range(basis.size + 1)
+    errors = _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes, pool)
+    return [(n, float(proxy[n]), float(row.max())) for n, row in zip(sizes, errors)]
 
 
 def _write_csv(path, header, rows):
@@ -319,17 +344,12 @@ def _solve_on_pool(pool, system, points):
     return dict(zip(points, solutions))
 
 
-def _strong_sigma(trace) -> np.ndarray:
-    """True projection errors sigma_0..sigma_N of a strong run at b = 1.
-
-    Each sweep of the strong greedy's residual table is the true projection
-    error of the basis so far, so the first maximum recorded at each basis
-    size equals `greedy.true_sigma` of the final basis to the last bit.
-    """
-    first = {}
-    for rec in trace.iterations:
-        first.setdefault(rec.basis_size, rec.max_estimate)
-    return np.array(list(first.values()))
+@contextmanager
+def _logged_phase(name, *args):
+    """Log the wall time of the enclosed block at INFO as "<name>: <t> s"."""
+    start = time.perf_counter()
+    yield
+    logger.info(name + ": %.3f s", *args, time.perf_counter() - start)
 
 
 def _oracle_run(mode, trace, sigma, d_up) -> dict:
@@ -349,8 +369,9 @@ def run_experiment(config: ExperimentConfig):
 
     Returns the list of RunSummary objects, one per batch size, in the
     configured order.  One worker pool serves the reference solves and, in
-    oracle mode, the training solves and the column-block peels of the POD
-    width and true sigma, whose results never depend on the worker count.
+    oracle mode, the training solves and the column blocks of the POD width
+    and true sigma, whose results never depend on the worker count.  The
+    wall time of each harness phase is logged at INFO.
     """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -380,18 +401,28 @@ def run_experiment(config: ExperimentConfig):
     report_runs = []
     summaries = []
     with WorkerPool(config.worker_count) as pool:
-        references.update(_solve_on_pool(pool, system, test_set[len(timing_set) :]))
+        with _logged_phase("reference solves"):
+            references.update(_solve_on_pool(pool, system, test_set[len(timing_set) :]))
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
-            snapshots = _solve_on_pool(pool, system, training)
-            # The strong run's full residual table goes before the block peels
-            # leave freed memory in the workers' heaps, to keep the peak low.
+            with _logged_phase("training solves"):
+                snapshots = _solve_on_pool(pool, system, training)
+            # The strong run's full residual table and the width's correlation
+            # matrix go before the column blocks leave freed memory in the
+            # workers' heaps, to keep the peak low.
             strong_config = greedy.GreedyConfig(
                 training_set=training, batch_size=1, tolerance=config.tolerance,
                 max_basis_size=config.max_basis_size,
             )
-            _, strong_trace = greedy.run_strong_greedy(system, strong_config, snapshots)
-            width = theory.pod_width_upper_bound(snapshots, system, pool=pool)
+            with _logged_phase("strong run"):
+                strong_basis, strong_trace = greedy.run_strong_greedy(
+                    system, strong_config, snapshots
+                )
+            with _logged_phase("width"):
+                width = theory.pod_width_upper_bound(snapshots, system, pool=pool)
+            with _logged_phase("strong run: true sigma"):
+                strong_sigma = greedy.true_sigma(strong_basis, snapshots, system, pool)
+            del strong_basis  # not held through the weak runs, which set the peak
         fom_cache = {
             mu: (snapshot, fem.x_norm(snapshot.coefficients, system))
             for mu, snapshot in references.items()
@@ -420,8 +451,12 @@ def run_experiment(config: ExperimentConfig):
 
             # Densify the estimator-max sequence after timing: batch runs only
             # sweep at batch boundaries, the decay files want every n.
-            proxy = greedy.sigma_proxy(model, training_weights, trace)
-            rows = _error_decay_rows(basis, model, system, test_set, proxy, fom_cache)
+            with _logged_phase("b=%d: sigma proxy", b):
+                proxy = greedy.sigma_proxy(model, training_weights, trace)
+            with _logged_phase("b=%d: test errors", b):
+                rows = _error_decay_rows(
+                    basis, model, system, test_set, proxy, fom_cache, pool
+                )
             err_final = rows[-1][2]
             summary = RunSummary(
                 batch_size=b,
@@ -455,12 +490,13 @@ def run_experiment(config: ExperimentConfig):
             greedy.export_trace(trace, out / f"trace_b{b}.csv")
 
             if config.oracle:
-                sigma = greedy.true_sigma(basis, snapshots, system, pool)
+                with _logged_phase("b=%d: true sigma", b):
+                    sigma = greedy.true_sigma(basis, snapshots, system, pool)
                 report_runs.append(_oracle_run("weak", trace, sigma, width.d_up))
 
     if config.oracle:
         report_runs.append(
-            _oracle_run("strong", strong_trace, _strong_sigma(strong_trace), width.d_up)
+            _oracle_run("strong", strong_trace, strong_sigma, width.d_up)
         )
         payload = {
             "format": "batchrb-theory-report",

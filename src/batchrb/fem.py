@@ -31,6 +31,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
+from .pool import map_column_blocks
 
 __all__ = [
     "ParameterPoint",
@@ -43,6 +44,7 @@ __all__ = [
     "x_inner",
     "x_norm",
     "x_norms",
+    "projection_distances",
 ]
 
 #: Default admissible range for the diffusion weights.
@@ -51,6 +53,12 @@ MU_MAX_DEFAULT = 1.0
 
 #: Relative residual each full-order solve must achieve.
 FOM_RESIDUAL_TOL = 1e-10
+
+#: Largest orthonormality defect max|V^T M_X V - I| that
+#: `projection_distances` accepts.  Its distances are exact for an
+#: orthonormal V and move by O(defect * ||f||_X) otherwise, so this keeps
+#: them within 1e-10 of the snapshot norm.
+ORTHONORMALITY_TOL = 1e-10
 
 #: Nested dissection keeps the natural order of grid blocks this small.
 _DISSECTION_LEAF = 16
@@ -504,3 +512,54 @@ def x_norms(columns: np.ndarray, system: AffineSystem) -> np.ndarray:
     """X-norm of every column of a (dof_count, k) matrix; negatives clamp to zero."""
     squares = np.einsum("ij,ij->j", columns, system.gram @ columns)
     return np.sqrt(np.clip(squares, 0.0, None))
+
+
+def projection_distances(vectors, columns, system: AffineSystem, pool=None):
+    """X-distance of every column to every prefix span of X-orthonormal vectors.
+
+    `vectors` is a (dof_count, N) matrix V with V^T M_X V = I; `columns` is
+    a sequence of T full-order vectors f_t (or a (T, dof_count) array).
+    Returns ``(dist, coeffs)``: ``dist[n, t] = ||f_t - V_n V_n^T M_X f_t||_X``
+    for the prefixes V_n of the first n vectors, n = 0..N, and
+    ``coeffs = V^T M_X F``, (N, T).
+
+    Each fixed-width column block is stacked on its own, one `pool` task
+    (inline without a pool), and forms its coefficients A and its explicit
+    remainder R = F - V A.  Then ``dist[n]**2 = ||R||_X**2 + sum_{j >= n}
+    A_j**2``, a sum of nonnegative terms accumulated from the last vector
+    back, and ``dist[0]`` is the direct norm ||f||_X.  The remainder and the
+    tail carry O(eps ||f||_X) absolute error, as peeling the vectors off one
+    at a time does, and no term cancels; an orthonormality defect delta
+    adds O(delta ||f||_X), so NumericError is raised when max|V^T M_X V - I|
+    exceeds ORTHONORMALITY_TOL.  The column split is fixed, so the results
+    are bitwise independent of the worker count.
+    """
+    gram = system.gram
+    size = vectors.shape[1]
+    if size:
+        defect = np.abs(vectors.T @ (gram @ vectors) - np.eye(size)).max()
+        if not defect <= ORTHONORMALITY_TOL:
+            raise NumericError(
+                f"vectors are not X-orthonormal: max|V^T M_X V - I| = {defect:.2e} "
+                f"exceeds {ORTHONORMALITY_TOL:.0e}"
+            )
+
+    count = len(columns)
+    dist, coeffs = np.empty((size + 1, count)), np.empty((size, count))
+
+    def block(cols: slice) -> None:
+        f = np.column_stack(columns[cols])
+        mf = gram @ f
+        direct = np.einsum("ij,ij->j", f, mf)
+        a = coeffs[:, cols] = vectors.T @ mf
+        del mf
+        f -= vectors @ a  # the remainder R, in place
+        squares = np.empty((size + 1, f.shape[1]))
+        squares[0] = np.einsum("ij,ij->j", f, gram @ f)
+        squares[1:] = a[::-1] ** 2
+        squares = np.cumsum(squares, axis=0)[::-1]
+        squares[0] = direct
+        dist[:, cols] = np.sqrt(np.clip(squares, 0.0, None))
+
+    map_column_blocks(pool, block, count)
+    return dist, coeffs

@@ -34,8 +34,8 @@ import numpy as np
 from . import estimator as est_mod
 from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
-from .fem import AffineSystem, ParameterPoint, Snapshot, solve_fom
-from .pool import WorkerPool, column_blocks, map_column_blocks
+from .fem import AffineSystem, ParameterPoint, Snapshot, projection_distances, solve_fom
+from .pool import WorkerPool, column_blocks
 from .theory import snapshot_list
 
 __all__ = [
@@ -208,11 +208,10 @@ class _EstimatorSweep:
 class _ResidualTable:
     """Strong-greedy error source: projection residuals of known snapshots.
 
-    Basis vectors are peeled off the residual columns explicitly, one at a
-    time, so the X-norms stay true projection errors down to round-off (no
-    Parseval shortcut).  A sweep keeps its product M_X R of the unchanged
-    residual R for the first peel after it, so each sweep-and-peel costs one
-    sparse product.
+    Serves the strong run only.  Basis vectors are peeled off the residual
+    columns explicitly, one at a time, as the loop extends the basis.  A
+    sweep keeps its product M_X R of the unchanged residual R for the first
+    peel after it, so each sweep-and-peel costs one sparse product.
     """
 
     def __init__(self, system: AffineSystem, snapshots: Sequence[Snapshot]):
@@ -410,25 +409,16 @@ def true_sigma(
     """Worst X-norm projection error onto each basis prefix.
 
     sigma[n] = max over snapshots of || f - P_{V_n} f ||_X for the nested
-    prefixes V_n, n = 0..basis.size, computed by peeling one basis vector at
-    a time from the residual table (certified against cancellation).  Each
-    fixed-width column block of snapshots is one `pool` task (inline without
-    a pool) and sees the arithmetic of the unsplit table, so the maxima
-    merged across blocks are bitwise independent of the worker count.
+    prefixes V_n, n = 0..basis.size: the column maxima of
+    :func:`fem.projection_distances`, one explicit remainder per snapshot
+    plus its coefficient tail, each with O(eps ||f||_X) absolute error.
+    Fixed-width column blocks of snapshots are `pool` tasks (inline without
+    a pool), so sigma is bitwise independent of the worker count.
 
     `snapshots` is as in :func:`theory.snapshot_list`.
     """
-    snapshots = snapshot_list(snapshots)
-
-    def block_sigma(block: slice) -> list[float]:
-        table = _ResidualTable(system, snapshots[block])
-        sigma = [table.sweep().max()]
-        for n in range(1, basis.size + 1):
-            table.update(basis.prefix(n))
-            sigma.append(table.sweep().max())
-        return sigma
-
-    return np.max(map_column_blocks(pool, block_sigma, len(snapshots)), axis=0)
+    columns = [s.coefficients for s in snapshot_list(snapshots)]
+    return projection_distances(basis.vectors, columns, system, pool)[0].max(axis=1)
 
 
 def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Deterministic worker pool for independent tasks: solves and column-block peels."""
+"""Deterministic worker pool for independent tasks: solves and column blocks."""
 
 from __future__ import annotations
 

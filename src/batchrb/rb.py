@@ -313,9 +313,15 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
+def _decode_array(obj: dict, name: str = "array") -> np.ndarray:
     raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype=np.dtype(obj["dtype"])).reshape(obj["shape"]).copy()
+    dtype, shape = np.dtype(obj["dtype"]), tuple(obj["shape"])
+    if len(raw) != math.prod(shape) * dtype.itemsize:
+        raise ConfigurationError(
+            f"{name} holds {len(raw) / dtype.itemsize:g} values, "
+            f"its shape field {shape} needs {math.prod(shape)}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def save_artifact(model: ReducedModel, basis: ReducedBasis, path) -> Path:
@@ -381,10 +387,10 @@ def load_artifact(
     est = payload.get("estimator") or {}
     p, n = int(payload["block_count"]), int(payload["basis_size"])
     shapes = {"reduced_components": (p, n, n), "reduced_load": (n,)}
-    arrays = {k: _decode_array(payload[k]) for k in shapes}
+    arrays = {k: _decode_array(payload[k], f"{k} of artifact {path}") for k in shapes}
     if est:
         shapes["R"] = (1 + p * n, 1 + p * n)
-        arrays["R"] = _decode_array(est["R"])
+        arrays["R"] = _decode_array(est["R"], f"R of artifact {path}")
     for key, array in arrays.items():
         if array.shape != shapes[key]:
             raise ConfigurationError(
@@ -407,6 +413,11 @@ def load_artifact(
             R=arrays["R"],
             block_count=p,
             bounds=bounds,
+        )
+    if len(payload["provenance"]) != n:
+        raise ConfigurationError(
+            f"artifact {path} holds {len(payload['provenance'])} provenance entries "
+            f"for {n} basis vectors"
         )
     provenance = [
         BasisVectorOrigin(

@@ -26,8 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, InsufficientDataError
-from .fem import x_norms
-from .pool import map_column_blocks
+from .fem import projection_distances
 
 #: Additive slack for the coefficient-matrix properties, applied after
 #: normalizing by sigma_0 so the tolerance is scale-free.
@@ -130,13 +129,13 @@ def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
     """Certified width upper bounds from POD of the snapshot set.
 
     Eigendecomposes the X-weighted correlation matrix (method of snapshots),
-    forms the POD modes in eigenvalue order, and measures ``d_up[n]`` as the
-    worst residual X-norm after projecting every snapshot onto the leading
-    ``n`` modes.  Residuals are peeled mode by mode against explicitly
-    re-orthonormalized vectors, so each ``d_up[n]`` is a true projection
-    error and not a Parseval shortcut.  Each fixed-width column block is
-    one `pool` task (inline without a pool) with the arithmetic of the
-    unsplit table, so ``d_up`` is bitwise independent of the worker count.
+    forms the POD modes in eigenvalue order, explicitly re-orthonormalized,
+    and measures ``d_up[n]`` as the worst X-distance of a snapshot to the
+    span of the leading ``n`` modes: the column maxima of
+    :func:`fem.projection_distances`, one explicit remainder per snapshot
+    plus its coefficient tail, each with O(eps ||f||_X) absolute error.
+    Fixed-width column blocks are `pool` tasks (inline without a pool), so
+    ``d_up`` is bitwise independent of the worker count.
     """
     columns = np.column_stack([s.coefficients for s in snapshot_list(all_snapshots)])
     gram = system.gram
@@ -167,16 +166,10 @@ def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
         modes.append(w)
         weighted_modes.append(gram @ w)
 
-    def block_d_up(block: slice) -> list[float]:
-        residual = columns[:, block].copy()
-        worst = [np.max(x_norms(residual, system))]
-        for w, mw in zip(modes, weighted_modes):
-            residual -= np.outer(w, mw @ residual)
-            worst.append(np.max(x_norms(residual, system)))
-        return worst
-
+    vectors = np.column_stack(modes) if modes else np.empty((columns.shape[0], 0))
+    dist, _ = projection_distances(vectors, columns.T, system, pool)
     d_up = np.empty(count + 1)
-    d_up[: len(modes) + 1] = np.max(map_column_blocks(pool, block_d_up, count), axis=0)
+    d_up[: len(modes) + 1] = dist.max(axis=1)
     # Beyond the available modes the projection space stops growing.
     d_up[len(modes) + 1 :] = d_up[len(modes)]
     return WidthSurrogate(d_up=d_up, pod_eigs=eigvals)

@@ -433,8 +433,8 @@ class TestReferenceSolves:
 
 class TestReferenceQuantities:
     def test_reference_norms_computed_once(self, tmp_path, monkeypatch):
-        # One X-norm per test point for its reference solution, plus one per
-        # test point and nonempty basis prefix for the error itself.
+        # One X-norm per test point, for its reference solution; the errors
+        # themselves come from the projection distances.
         calls = []
         x_norm = fem.x_norm
 
@@ -447,31 +447,8 @@ class TestReferenceQuantities:
             px=2, py=2, nx=8, train_per_dim=3, test_count=4, seed=3,
             batch_sizes=(1, 2), tolerance=1e-2, out=str(tmp_path),
         )
-        summaries = bench.run_experiment(config)
-        expected = config.test_count + sum(
-            config.test_count * s.num_ext for s in summaries
-        )
-        assert len(calls) == expected
-
-    def test_strong_sigma_read_off_the_trace(self, system):
-        # At b = 1 the strong run's sweeps are true_sigma's sweeps, bit for bit.
-        training = bench.build_training_set(2, 2, 3)
-        snapshots = {mu: fem.solve_fom(system, mu) for mu in training}
-        cases = [
-            ("tolerance", training, {"tolerance": 1e-6}),
-            ("max_basis", training, {"tolerance": 1e-30, "max_basis_size": 5}),
-            ("exhausted", training[:4], {"tolerance": 1e-30}),
-        ]
-        for stop, points, options in cases:
-            config = greedy.GreedyConfig(training_set=points, batch_size=1, **options)
-            basis, trace = greedy.run_strong_greedy(system, config, snapshots)
-            assert trace.stop_reason == stop
-            expected = greedy.true_sigma(
-                basis, [snapshots[mu] for mu in points], system
-            )
-            sigma = bench._strong_sigma(trace)
-            assert sigma.shape == expected.shape == (basis.size + 1,), stop
-            assert sigma.tobytes() == expected.tobytes(), stop
+        bench.run_experiment(config)
+        assert len(calls) == config.test_count
 
 
 class TestDeterminism:

@@ -3,6 +3,8 @@
 import csv
 import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from batchrb.errors import (
     DimensionError,
     GreedyError,
     InsufficientDataError,
+    NumericError,
 )
 
 from oracles import classical_weak_greedy, projection_error_dense
@@ -446,9 +449,18 @@ def naive_peel_norms(basis, snapshot_list, system):
     return norms
 
 
+def unsplit_distances(monkeypatch, basis, snapshot_list, system):
+    """fem.projection_distances over the whole snapshot matrix as one block."""
+    matrix = np.column_stack([s.coefficients for s in snapshot_list])
+    with monkeypatch.context() as patch:
+        patch.setattr(pool_mod, "COLUMN_BLOCK", matrix.shape[1])
+        return fem.projection_distances(basis.vectors, matrix.T, system)[0]
+
+
 class TestResidualTableReference:
-    """The residual table reuses a sweep's M_X R for the next peel; results
-    stay bitwise equal to peeling with a fresh product every time."""
+    """The strong run's residual table reuses a sweep's M_X R for the next
+    peel; results stay bitwise equal to peeling with a fresh product every
+    time.  true_sigma is the column maxima of the projection distances."""
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_strong_trace_bitwise(self, system, training, snapshots, batch_size):
@@ -462,17 +474,17 @@ class TestResidualTableReference:
             for sel in rec.selections:
                 assert sel.estimate == norms[rec.basis_size][sel.param_index]
 
-    def test_true_sigma_bitwise(self, system, training, snapshots):
+    def test_true_sigma_bitwise(self, monkeypatch, system, training, snapshots):
         config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
         basis, _, _ = greedy.run_batch_greedy(system, config)
         sigma = greedy.true_sigma(basis, snapshots, system)
-        norms = naive_peel_norms(basis, list(snapshots.values()), system)
-        assert np.array_equal(sigma, [n.max() for n in norms])
+        dist = unsplit_distances(monkeypatch, basis, list(snapshots.values()), system)
+        assert np.array_equal(sigma, dist.max(axis=1))
 
 
 class TestTrueSigmaColumnBlocks:
-    """true_sigma peels fixed-width column blocks, one pool task each; the
-    result is bitwise that of the unsplit table at every worker count."""
+    """true_sigma runs over fixed-width column blocks, one pool task each;
+    the result is bitwise that of the unsplit matrix at every worker count."""
 
     @pytest.fixture(scope="class")
     def basis(self, system, training):
@@ -485,7 +497,7 @@ class TestTrueSigmaColumnBlocks:
         self, monkeypatch, system, training, snapshots, basis, count, workers
     ):
         snapshot_list = [snapshots[mu] for mu in training[:count]]
-        naive = [n.max() for n in naive_peel_norms(basis, snapshot_list, system)]
+        naive = unsplit_distances(monkeypatch, basis, snapshot_list, system).max(axis=1)
         with pool_mod.WorkerPool(workers) as pool:
             blocked = greedy.true_sigma(basis, snapshot_list, system, pool)
         with monkeypatch.context() as patch:
@@ -494,6 +506,103 @@ class TestTrueSigmaColumnBlocks:
         assert blocked.shape == (basis.size + 1,)
         assert blocked.tobytes() == np.array(naive).tobytes()
         assert blocked.tobytes() == unblocked.tobytes()
+
+
+class TestProjectionDistances:
+    """fem.projection_distances, behind true_sigma, the POD width and the
+    test errors, agrees with the explicit peel and with per-point X-norms."""
+
+    @pytest.fixture(scope="class")
+    def system16(self):
+        return fem.assemble(fem.build_mesh(16, 16, 2, 2))
+
+    @pytest.fixture(scope="class")
+    def run16(self, system16, training):
+        snapshots = [fem.solve_fom(system16, mu) for mu in training]
+        config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
+        basis, model, _ = greedy.run_batch_greedy(system16, config)
+        return snapshots, basis, model
+
+    def test_sigma_matches_explicit_peel(self, system16, run16):
+        snapshots, basis, _ = run16
+        matrix = np.column_stack([s.coefficients for s in snapshots])
+        dist, coeffs = fem.projection_distances(basis.vectors, matrix.T, system16)
+        peel = np.array(naive_peel_norms(basis, snapshots, system16))
+        sigma0 = peel[0].max()
+        assert dist.shape == peel.shape == (basis.size + 1, len(snapshots))
+        assert np.abs(dist - peel).max() <= 1e-13 * sigma0
+        assert np.array_equal(dist[0], fem.x_norms(matrix, system16))
+        assert np.allclose(coeffs, basis.vectors.T @ (system16.gram @ matrix), rtol=0, atol=1e-13 * sigma0)
+        sigma = greedy.true_sigma(basis, snapshots, system16)
+        assert np.abs(sigma - peel.max(axis=1)).max() <= 1e-13 * sigma0
+
+    def test_width_matches_explicit_peel(self, monkeypatch, system16, run16):
+        snapshots, _, _ = run16
+        seen = []
+        original = fem.projection_distances
+
+        def recording(vectors, columns, system, pool=None):
+            seen.append(vectors)
+            return original(vectors, columns, system, pool)
+
+        monkeypatch.setattr(theory, "projection_distances", recording)
+        width = theory.pod_width_upper_bound(snapshots, system16)
+        (modes,) = seen
+        assert modes.shape[1] == width.rank
+        modes_basis = SimpleNamespace(vectors=modes, size=modes.shape[1])
+        expected = [n.max() for n in naive_peel_norms(modes_basis, snapshots, system16)]
+        assert np.abs(width.d_up[: width.rank + 1] - expected).max() <= 1e-13 * expected[0]
+
+    def test_test_errors_match_per_point_norms(self, system16, run16):
+        _, basis, model = run16
+        test_set = bench.build_test_set(2, 2, 6, seed=5)
+        cache = {}
+        expected = np.empty((basis.size + 1, len(test_set)))
+        for n in range(basis.size + 1):
+            sub_basis, sub_model = basis.prefix(n), rb.prefix_model(model, n)
+            errors, _ = bench.evaluate_test_error(sub_basis, sub_model, system16, test_set, cache)
+            for t, mu in enumerate(test_set):
+                f = cache[mu][0].coefficients
+                approx = rb.reconstruct(sub_basis, rb.solve_rom(sub_model, mu))
+                expected[n, t] = fem.x_norm(f - approx, system16) / fem.x_norm(f, system16)
+            assert np.abs(np.array(errors) - expected[n]).max() <= 1e-13
+        assert np.all(expected[0] == 1.0)
+        proxy = np.zeros(basis.size + 1)
+        rows = bench._error_decay_rows(basis, model, system16, test_set, proxy, cache, None)
+        worst = np.array([err for _, _, err in rows])
+        assert worst[0] == 1.0
+        assert np.abs(worst - expected.max(axis=1)).max() <= 1e-13
+
+    def test_non_orthonormal_vectors_raise(self, system16, run16):
+        snapshots, basis, _ = run16
+        skewed = basis.vectors.copy()
+        skewed[:, -1] += 1e-6 * skewed[:, 0]
+        columns = [s.coefficients for s in snapshots]
+        with pytest.raises(NumericError, match="not X-orthonormal"):
+            fem.projection_distances(skewed, columns, system16)
+        with pytest.raises(NumericError, match="not X-orthonormal"):
+            greedy.true_sigma(rb.ReducedBasis(skewed, basis.provenance), snapshots, system16)
+
+    def test_memory_bounded_by_column_blocks(self, system16, run16):
+        _, basis, _ = run16
+        snapshots = [fem.solve_fom(system16, mu) for mu in grid_params(5)]
+        assert len(snapshots) >= 3 * pool_mod.COLUMN_BLOCK
+        block_bytes = system16.dof_count * pool_mod.COLUMN_BLOCK * 8
+        output_bytes = (2 * basis.size + 1) * len(snapshots) * 8  # distances, coefficients
+        bound = 3 * block_bytes + output_bytes
+        assert system16.dof_count * len(snapshots) * 8 > bound  # a stack would not fit
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            greedy.true_sigma(basis, snapshots, system16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - base <= bound
 
 
 class TestStrongPeelColumnBlocks:

@@ -367,6 +367,45 @@ class TestArtifact:
         with pytest.raises(ConfigurationError, match=re.escape(f"{key} of shape {shapes}")):
             rb.load_artifact(path, system=system)
 
+    @pytest.mark.parametrize("key", ["reduced_components", "reduced_load", "R"])
+    def test_shape_field_disagreeing_with_data_rejected(
+        self, system, greedy_model, tmp_path, key
+    ):
+        """A shape field that asks for more values than its data holds is a
+        typed error naming the array and both sizes, not a failed reshape."""
+        n = greedy_model.basis_size
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, n)),
+            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)],
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        holder = payload["estimator"] if key == "R" else payload
+        shape = holder[key]["shape"]
+        held = int(np.prod(shape))
+        shape[0] += 1
+        needed = int(np.prod(shape))
+        path.write_text(json.dumps(payload))
+        message = f"{key} of artifact {path} holds {held} values, "
+        message += f"its shape field {tuple(shape)} needs {needed}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            rb.load_artifact(path, system=system)
+
+    def test_short_provenance_rejected(self, system, greedy_model, tmp_path):
+        n = greedy_model.basis_size
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, n)),
+            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)],
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        payload["provenance"] = payload["provenance"][:-2]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ConfigurationError, match=f"holds {n - 2} provenance entries for {n} basis vectors"
+        ):
+            rb.load_artifact(path, system=system)
+
     def test_version_1_rejected(self, system, basis_and_records, tmp_path):
         """A file with the squared-expansion Gram tables of version 1."""
         basis, _ = basis_and_records
