@@ -532,7 +532,8 @@ class TestProjectionDistances:
         assert dist.shape == peel.shape == (basis.size + 1, len(snapshots))
         assert np.abs(dist - peel).max() <= 1e-13 * sigma0
         assert np.array_equal(dist[0], fem.x_norms(matrix, system16))
-        assert np.allclose(coeffs, basis.vectors.T @ (system16.gram @ matrix), rtol=0, atol=1e-13 * sigma0)
+        direct = basis.vectors.T @ (system16.gram @ matrix)
+        assert np.allclose(coeffs, direct, rtol=0, atol=1e-13 * sigma0)
         sigma = greedy.true_sigma(basis, snapshots, system16)
         assert np.abs(sigma - peel.max(axis=1)).max() <= 1e-13 * sigma0
 
