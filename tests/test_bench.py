@@ -414,20 +414,22 @@ class TestReferenceSolves:
     def test_test_set_solved_before_error_evaluation(self, tmp_path, monkeypatch):
         # t_full times the first FULL_SOLVE_SAMPLES test points serially; the
         # pool solves the rest up front, so error evaluation solves nothing.
-        misses = []
-        evaluate = bench.evaluate_test_error
+        calls, misses = [], []
+        prefix_errors = bench._prefix_test_errors
 
-        def checked(basis, model, system, test_set, fom_cache=None):
+        def checked(basis, model, system, test_set, fom_cache, sizes, pool=None):
+            calls.append(len(test_set))
             misses.extend(mu for mu in test_set if mu not in fom_cache)
-            return evaluate(basis, model, system, test_set, fom_cache)
+            return prefix_errors(basis, model, system, test_set, fom_cache, sizes, pool)
 
-        monkeypatch.setattr(bench, "evaluate_test_error", checked)
+        monkeypatch.setattr(bench, "_prefix_test_errors", checked)
         config = bench.ExperimentConfig(
             px=2, py=2, nx=8, train_per_dim=3,
             test_count=bench.FULL_SOLVE_SAMPLES + 5, seed=3,
             batch_sizes=(2,), tolerance=1e-2, worker_count=2, out=str(tmp_path),
         )
         bench.run_experiment(config)
+        assert calls == [config.test_count]
         assert misses == []
 
 

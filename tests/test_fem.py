@@ -1,5 +1,7 @@
 """Tests for the thermal-block full-order model."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from batchrb import fem
-from batchrb.errors import ConfigurationError, DimensionError, DomainError
+from batchrb.errors import ConfigurationError, DimensionError, DomainError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,14 @@ class TestSolve:
         with pytest.raises(DimensionError):
             fem.solve_fom(small_system, fem.ParameterPoint((1.0, 1.0)))
 
+    def test_failed_residual_contract_raises(self, monkeypatch):
+        # The condensed solve still checks its residual against A(mu).
+        system = fem.assemble(fem.build_mesh(8, 8, 2, 2))
+        mu = fem.ParameterPoint((0.3, 0.7, 1.0, 0.45))
+        monkeypatch.setattr(fem, "FOM_RESIDUAL_TOL", -1.0)
+        with pytest.raises(NumericError, match=re.escape(str(mu.weights))):
+            fem.solve_fom(system, mu)
+
     @settings(max_examples=25, deadline=None)
     @given(
         factor=st.floats(min_value=0.05, max_value=20.0),
@@ -210,9 +220,16 @@ _SCALING_SYSTEM = fem.assemble(fem.build_mesh(4, 4, 2, 2))
 
 
 class TestOrderedFactorization:
-    """Every factorization runs on the nested-dissection ordering from assemble."""
+    """The condensed solves and the nested-dissection LU both match plain splu.
 
-    MESHES = [(2, 2, 1, 1), (3, 5, 1, 1), (12, 8, 3, 2), (6, 30, 2, 3), (16, 16, 4, 4)]
+    MESHES covers one block (no interface), no interior DOFs (4, 4, 4, 4),
+    blocks one cell wide in x (8, 6, 8, 2), and blocks of several sizes.
+    """
+
+    MESHES = [
+        (2, 2, 1, 1), (3, 5, 1, 1), (12, 8, 3, 2), (6, 30, 2, 3), (16, 16, 4, 4),
+        (4, 4, 4, 4), (8, 6, 8, 2),
+    ]
 
     @pytest.mark.parametrize("shape", MESHES)
     def test_solves_match_plain_splu(self, shape):
@@ -225,8 +242,8 @@ class TestOrderedFactorization:
             got = system.factorize(matrix.data).solve(system.load)
             err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
             assert err <= 1e-12
-        u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
-        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+            u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
+            assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("shape", MESHES)
     def test_ordering_is_a_permutation(self, shape):
@@ -254,6 +271,34 @@ class TestOrderedFactorization:
         ordered = system.factorize(matrix.data).lu
         fill = ordered.L.nnz + ordered.U.nnz
         assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
+
+
+class TestCondensation:
+    @pytest.mark.parametrize("shape", [(12, 8, 3, 2), (4, 4, 4, 4), (3, 5, 1, 1)])
+    def test_interface_and_interiors_partition_the_dofs(self, shape):
+        mesh = fem.build_mesh(*shape)
+        condensed = fem.assemble(mesh)._condensation
+        parts = [condensed.interface] + [blk.dofs for blk in condensed.interiors]
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(mesh.dof_count))
+        # An interior DOF's triangles all lie in its block.
+        vertex = np.flatnonzero(~mesh.boundary)
+        for blk in condensed.interiors:
+            touching = np.isin(mesh.triangles, vertex[blk.dofs]).any(axis=1)
+            assert set(mesh.tri_block[touching]) == {blk.block + 1}
+
+    def test_every_dof_on_the_interface(self):
+        # 256 one-cell blocks: nothing is eliminated, and the condensed data
+        # stays sparse (a dense interface matrix alone would be 35x A's data).
+        system = fem.assemble(fem.build_mesh(16, 16, 16, 16))
+        condensed = system._condensation
+        assert condensed.interiors == ()
+        assert condensed.interface.size == system.dof_count
+        weights = np.random.default_rng(4).uniform(0.1, 1.0, size=system.block_count)
+        matrix = system.matrix(weights)
+        expected = splu(matrix).solve(system.load)
+        u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
+        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert condensed.nbytes < 16 * matrix.data.nbytes
 
 
 class TestInnerProduct:
