@@ -17,7 +17,9 @@ a Euclidean norm of a vector of size 1 + P n.  A sweep over a training set
 runs in row blocks within `SWEEP_BLOCK_BYTES`, in O(T (n^3 + (P n)^2)) time
 and O(SWEEP_BLOCK_BYTES + T) memory independent of the full-order dimension,
 and its accuracy floor is machine epsilon relative to ||f||_{X'}, not the
-square root of it that a squared Gram expansion reaches.
+square root of it that a squared Gram expansion reaches.  A sweep masked to
+k rows solves only those, O(k n^3), and keeps the residual product of each
+block that holds one; the weak greedy masks out rows a bound rules out.
 """
 
 from __future__ import annotations
@@ -275,7 +277,10 @@ def _check_sizes(data: EstimatorData, model: ReducedModel, p_count: int) -> None
 
 
 def estimate_sweep(
-    data: EstimatorData, model: ReducedModel, weights: np.ndarray
+    data: EstimatorData,
+    model: ReducedModel,
+    weights: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorized error estimates for a (T, P) array of parameter weights.
 
@@ -283,27 +288,40 @@ def estimate_sweep(
     T, n, P and the budget only).  A block of r rows forms its matrices
     (``ReducedModel.matrix``, bitwise as in rb.solve_rom), LU-solves them, O(r n^3),
     and takes a residual product, O(r (P n)^2), whose bits may depend on r.
+
+    With a boolean `rows` mask of length T only the masked rows are
+    estimated; the others read NaN.  A block without a masked row is
+    skipped, and a touched block forms and solves only its masked rows (both
+    kernels are row-independent).  Its residual product keeps the block's
+    full shape, with zero weights in the other rows, so each masked row is
+    bitwise the value of the unmasked sweep.
     """
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     t_count, p_count = weights.shape
     _check_sizes(data, model, p_count)
     if np.any(weights <= 0):
         raise DomainError("all parameter weights must be positive")
-    alpha = weights.min(axis=1)
-    if model.basis_size == 0:
-        return np.full(t_count, data.load_dual_norm) / alpha
-    norms = np.empty(t_count)
-    for start, stop in _row_blocks(t_count, model.basis_size, p_count):
-        block = weights[start:stop]
-        coeffs = _rom_coefficients_batch(model, block)
-        norms[start:stop] = _dual_norms(data, _residual_weights(block, coeffs))
-    return norms / alpha
+    rows = np.ones(t_count, dtype=bool) if rows is None else np.asarray(rows)
+    if rows.shape != (t_count,) or rows.dtype != bool:
+        raise DimensionError(f"rows must be a boolean mask of {t_count} entries")
+    norms = np.where(rows, data.load_dual_norm, np.nan)
+    n = model.basis_size
+    for start, stop in _row_blocks(t_count, n, p_count) if n else []:
+        take = np.flatnonzero(rows[start:stop])
+        if take.size:
+            block = weights[start:stop][take]
+            y = np.zeros((stop - start, p_count * n))
+            y[take] = _residual_weights(block, _rom_coefficients_batch(model, block))
+            norms[start + take] = _dual_norms(data, y)[take]
+    return norms / weights.min(axis=1)
 
 
 def estimate(data: EstimatorData, model: ReducedModel, mu: ParameterPoint) -> float:
     """Error estimate Delta_n(mu): the sweep's kernels (LU: rb.solve_rom's Cholesky
     moves estimates near the floor by up to 1e-5 relative) on one row, bitwise
-    ``estimate_sweep(data, model, mu.as_array()[None, :])[0]``."""
+    ``estimate_sweep(data, model, mu.as_array()[None, :])[0]``.  A row of a
+    larger sweep agrees to round-off only (a few machine epsilons times
+    ||f||_{X'} / alpha), since a residual product's bits depend on its shape."""
     _check_sizes(data, model, mu.size)
     norm = data.load_dual_norm
     if model.basis_size > 0:

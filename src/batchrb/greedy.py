@@ -2,7 +2,9 @@
 
 Both drivers run one loop; one iteration with batch size b is:
 
-1. (Evaluate) sweep the error source over the training set;
+1. (Evaluate) sweep the error source over the training set (the weak driver
+   evaluates exactly only the rows a certified bound does not rule out, with
+   the maximum, picks and values of a full sweep, bit for bit);
 2. (Select) take the argmax as in the classical greedy, then the b - 1
    next-largest values of the *same* sweep — no re-evaluation between batch
    members;
@@ -122,6 +124,7 @@ class IterationRecord:
     rel_estimate: float
     selections: list[SelectionRecord]
     timings: PhaseTimings
+    evaluated: int  # training points whose error was evaluated exactly
 
 
 @dataclass
@@ -183,7 +186,31 @@ def select_batch(
 
 
 class _EstimatorSweep:
-    """Weak-greedy error source: the residual estimator over the training set."""
+    """Weak-greedy error source: the residual estimator over the training set.
+
+    A sweep evaluates exactly only the rows that could still be the maximum
+    or a batch pick, and returns a certified upper bound for the others:
+
+        B(mu) = min over evaluated m of  sqrt(kappa) Delta_m(mu) (1 + 1e-12)
+                + (1 + sqrt(kappa)) CANCELLATION_RATIO ||f||_{X'} / alpha(mu)
+
+    with kappa = gamma_UB(mu) / alpha_LB(mu).  Proof: A(mu) is symmetric and
+    coercive, so the Galerkin solution on the nested spaces V_m in V_n is the
+    energy-best one and the energy error e_n cannot grow with n.  With true
+    coercivity and continuity bounds alpha_LB <= alpha and gamma <= gamma_UB
+    (`EffectivityBounds`), sqrt(alpha) ||e||_mu <= ||r||_{X'} <=
+    sqrt(gamma) ||e||_mu, hence Delta_n <= sqrt(kappa) Delta_m for m < n.  The
+    relative factor and the floor term cover the round-off of both computed
+    estimates, each a few machine epsilons times ||f||_{X'} / alpha.
+
+    The cut: provisional values of the rows with the largest bounds, each
+    less its floor term (which covers their gathered-versus-blocked
+    round-off), bound the b-th exact value outside `excluded` from below; one
+    masked `estimate_sweep` evaluates every row whose bound reaches the cut.
+    """
+
+    #: Least number of rows that get provisional values (4 b for larger b).
+    PROVISIONAL_ROWS = 64
 
     def __init__(self, system: AffineSystem, training_set: list[ParameterPoint]):
         self.system = system
@@ -194,9 +221,39 @@ class _EstimatorSweep:
         self.data = est_mod.build_estimator(
             self.model, basis, system, solver=self.solver
         )
+        alpha = self.weights.min(axis=1)
+        root_kappa = np.sqrt(self.weights.max(axis=1) / alpha)
+        self._slope = root_kappa * (1 + 1e-12)
+        self._floor = (
+            (1 + root_kappa) * est_mod.CANCELLATION_RATIO * self.data.load_dual_norm / alpha
+        )
+        self._bound = np.full(len(alpha), np.inf)
 
-    def sweep(self) -> np.ndarray:
-        return est_mod.estimate_sweep(self.data, self.model, self.weights)
+    def sweep(self, batch_size: int, excluded: np.ndarray) -> tuple[np.ndarray, int]:
+        """Estimates (bounds in rows not evaluated) and the evaluated row count."""
+        rows = self._rows(batch_size, excluded)
+        values = est_mod.estimate_sweep(self.data, self.model, self.weights, rows)
+        bound = np.where(rows, self._slope * values + self._floor, np.inf)
+        np.minimum(self._bound, bound, out=self._bound)
+        return np.where(rows, values, self._bound), int(rows.sum())
+
+    def _rows(self, batch_size: int, excluded: np.ndarray) -> np.ndarray:
+        """Mask of the rows that a full sweep's maximum and picks can come from."""
+        every = np.ones(len(self._bound), dtype=bool)
+        top_count = max(self.PROVISIONAL_ROWS, 4 * batch_size)
+        if not self.model.basis_size or top_count >= len(every):
+            return every
+        top = np.argpartition(self._bound, -top_count)[-top_count:]
+        top = top[~excluded[top]]
+        if len(top) < batch_size:
+            return every
+        weights = self.weights[top]
+        coeffs = est_mod._rom_coefficients_batch(self.model, weights)
+        y = est_mod._residual_weights(weights, coeffs)
+        low = est_mod._dual_norms(self.data, y) / weights.min(axis=1) - self._floor[top]
+        rows = self._bound >= np.partition(low, -batch_size)[-batch_size]
+        rows[top] = True
+        return rows
 
     def update(self, basis: rb.ReducedBasis) -> None:
         self.model = rb.extend_model(self.model, basis, self.system)
@@ -222,10 +279,10 @@ class _ResidualTable:
         self.size = 0  # basis vectors peeled so far
         self._gram_residual = None  # M_X @ residual, while residual is unchanged
 
-    def sweep(self) -> np.ndarray:
+    def sweep(self, batch_size: int, excluded: np.ndarray) -> tuple[np.ndarray, int]:
         self._gram_residual = self.system.gram @ self.residual
         squares = np.einsum("ij,ij->j", self.residual, self._gram_residual)
-        return np.sqrt(np.clip(squares, 0.0, None))
+        return np.sqrt(np.clip(squares, 0.0, None)), squares.size
 
     def update(self, basis: rb.ReducedBasis) -> None:
         gram = self.system.gram
@@ -250,8 +307,9 @@ def _run_greedy(
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Evaluate, stop check, select, fetch snapshots, extend, update; repeat.
 
-    `source` is an error source (`sweep()` over the training set,
-    `update(basis)` after an extension); `fetch` returns the snapshots of the
+    `source` is an error source (`sweep(batch_size, excluded)` over the
+    training set, returning the values and the count of rows evaluated
+    exactly; `update(basis)` after an extension); `fetch` returns the snapshots of the
     selected parameters.  Stopping uses the relative criterion
     max_mu err_n(mu) <= tolerance * max_mu err_0(mu), checked before
     selection; the run also stops when the basis reaches its cap, when no
@@ -260,12 +318,12 @@ def _run_greedy(
     """
     trace = GreedyTrace(batch_size=config.batch_size, gamma_weak=gamma_weak)
     basis = rb.ReducedBasis.empty(system.dof_count)
-    excluded: set[int] = set()
+    excluded = np.zeros(len(config.training_set), dtype=bool)
     err0_max: Optional[float] = None
     iteration = 0
     while True:
         iter_start = perf_counter()
-        errors = source.sweep()
+        errors, evaluated = source.sweep(config.batch_size, excluded)
         t_evaluate = perf_counter() - iter_start
         max_err = float(errors.max())
         if err0_max is None:
@@ -278,18 +336,18 @@ def _run_greedy(
         elif basis.size >= config.max_basis_size:
             stop = STOP_MAX_BASIS
         else:
-            chosen = select_batch(errors, config.batch_size, excluded)
+            chosen = select_batch(errors, config.batch_size, np.flatnonzero(excluded))
             if not chosen:
                 stop = STOP_EXHAUSTED
         if stop is not None:
             timings = PhaseTimings(evaluate=t_evaluate)
             trace.iterations.append(
-                IterationRecord(iteration, basis.size, max_err, rel, [], timings)
+                IterationRecord(iteration, basis.size, max_err, rel, [], timings, evaluated)
             )
             trace.stop_reason = stop
             return basis, trace
 
-        excluded.update(chosen)
+        excluded[chosen] = True
         selections = [
             SelectionRecord(i, config.training_set[i], float(errors[i])) for i in chosen
         ]
@@ -323,14 +381,18 @@ def _run_greedy(
         other = max(perf_counter() - iter_start - phases, 0.0)
         timings = PhaseTimings(t_solve, t_evaluate, t_extend, t_reduce, other)
         trace.iterations.append(
-            IterationRecord(iteration, size_before, max_err, rel, selections, timings)
+            IterationRecord(
+                iteration, size_before, max_err, rel, selections, timings, evaluated
+            )
         )
         logger.info(
-            "iter %d: n=%d, max estimate %.3e (rel %.3e), batch %s",
+            "iter %d: n=%d, max estimate %.3e (rel %.3e), evaluated %d/%d, batch %s",
             iteration,
             basis.size,
             max_err,
             rel,
+            evaluated,
+            len(errors),
             [sel.param_index for sel in selections],
         )
         if basis.size == size_before:

@@ -384,6 +384,41 @@ class TestBlockSweep:
         assert values.shape == (t_count,) and np.isfinite(values).all()
         assert peak < estimator.SWEEP_BLOCK_BYTES + 64 * t_count
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_masked_rows_bitwise_equal_to_unmasked_sweep(self, monkeypatch, sweep_run, rows):
+        """Masked rows read the unmasked sweep's bits, the others NaN; a
+        block without a masked row solves nothing, a touched one its masked rows."""
+        model = sweep_run[2][1]
+        data = model.estimator_data
+        count = len(self.WEIGHTS)
+        force_rows(monkeypatch, model, rows)
+        full = estimator.estimate_sweep(data, model, self.WEIGHTS)
+        rng = np.random.default_rng(rows)
+        sparse = np.zeros(count, dtype=bool)
+        sparse[[0, 150, 151, 362]] = True
+        masks = [np.zeros(count, bool), np.ones(count, bool), sparse, rng.random(count) < 0.3]
+        solve = estimator._rom_coefficients_batch
+        for mask in masks:
+            solved = []
+            monkeypatch.setattr(
+                estimator,
+                "_rom_coefficients_batch",
+                lambda m, w: solved.append(len(w)) or solve(m, w),
+            )
+            values = estimator.estimate_sweep(data, model, self.WEIGHTS, mask)
+            assert values[mask].tobytes() == full[mask].tobytes()
+            assert np.isnan(values[~mask]).all()
+            blocks = estimator._row_blocks(count, model.basis_size, model.block_count)
+            touched = [mask[start:stop].sum() for start, stop in blocks]
+            assert solved == [r for r in touched if r]
+
+    def test_mask_must_be_boolean_per_row(self, setup):
+        system, basis, model, data = setup
+        weights = np.full((3, 4), 0.5)
+        for rows in (np.ones(2, dtype=bool), np.ones(3), np.ones((3, 1), dtype=bool)):
+            with pytest.raises(DimensionError, match="boolean mask of 3 entries"):
+                estimator.estimate_sweep(data, model, weights, rows)
+
     def test_greedy_selections_independent_of_budget(self, monkeypatch, sweep_run):
         system, config, (basis, model, trace) = sweep_run
         monkeypatch.setattr(estimator, "SWEEP_BLOCK_BYTES", 1)  # one row per block

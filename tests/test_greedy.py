@@ -341,6 +341,125 @@ class TestStagnation:
         assert basis.size == trace.extension_count == trace.iteration_count - 1
 
 
+@pytest.fixture(scope="module")
+def system16():
+    return fem.assemble(fem.build_mesh(16, 16, 2, 2))
+
+
+def random_snapshot(system, mu):
+    """A snapshot independent of every other one, the same for the same mu."""
+    rng = np.random.default_rng([int(w * 1e6) for w in mu.weights])
+    return fem.Snapshot(rng.standard_normal(system.dof_count), mu)
+
+
+class TestLazySweep:
+    """Lazy estimator sweeps select, estimate and stop as full sweeps do, bit
+    for bit, evaluating exactly only the rows a certified bound keeps."""
+
+    def assert_bitwise_equal_to_full_sweeps(self, monkeypatch, system, config, solver=None):
+        """Run lazily and with a source that sweeps every row; returns the lazy trace."""
+        basis, _, trace = greedy.run_batch_greedy(system, config, solver)
+        with monkeypatch.context() as patch:
+            every = np.ones(len(config.training_set), dtype=bool)
+            patch.setattr(greedy._EstimatorSweep, "_rows", lambda self, b, excluded: every)
+            full_basis, _, full = greedy.run_batch_greedy(system, config, solver)
+        assert basis.vectors.tobytes() == full_basis.vectors.tobytes()
+        assert trace.amatrix.tobytes() == full.amatrix.tobytes()
+        assert trace.stop_reason == full.stop_reason
+        assert len(trace.iterations) == len(full.iterations)
+        for lazy_rec, full_rec in zip(trace.iterations, full.iterations):
+            assert (
+                np.float64(lazy_rec.max_estimate).tobytes()
+                == np.float64(full_rec.max_estimate).tobytes()
+            )
+            assert [(s.param_index, s.estimate, s.accepted) for s in lazy_rec.selections] == [
+                (s.param_index, s.estimate, s.accepted) for s in full_rec.selections
+            ]
+        count = len(config.training_set)
+        assert all(rec.evaluated == count for rec in full.iterations)
+        return trace
+
+    @pytest.mark.parametrize("b", [1, 2, 4, 8])
+    def test_bitwise_equal_to_full_sweeps(self, monkeypatch, caplog, system16, b):
+        config = greedy.GreedyConfig(
+            training_set=bench.build_training_set(2, 2, 5), batch_size=b, tolerance=1e-12
+        )
+        with caplog.at_level("INFO", logger="batchrb.greedy"):
+            trace = self.assert_bitwise_equal_to_full_sweeps(monkeypatch, system16, config)
+        assert trace.stop_reason == "stagnated"
+        evaluated = [rec.evaluated for rec in trace.iterations]
+        assert evaluated[0] == 625 and sum(evaluated) < 625 * len(evaluated)
+        assert f"evaluated {evaluated[1]}/625, batch" in caplog.text
+
+    @pytest.mark.parametrize(
+        "case, per_dim, b, tolerance, max_basis, stop",
+        [
+            ("fewer rows than the provisional ones", 2, 2, 1e-30, 150, "exhausted"),
+            ("fewer candidates than a batch", 3, 8, 1e-30, 150, "exhausted"),
+            ("basis cap", 5, 4, 1e-30, 10, "max_basis"),
+            ("all of a batch rejected", 5, 1, 1e-12, 150, "stagnated"),
+        ],
+    )
+    def test_edge_cases(
+        self, monkeypatch, system16, case, per_dim, b, tolerance, max_basis, stop
+    ):
+        # Random snapshots never go dependent, so every training point is taken.
+        solver = random_snapshot if stop == "exhausted" else None
+        config = greedy.GreedyConfig(
+            training_set=bench.build_training_set(2, 2, per_dim),
+            batch_size=b,
+            tolerance=tolerance,
+            max_basis_size=max_basis,
+        )
+        trace = self.assert_bitwise_equal_to_full_sweeps(monkeypatch, system16, config, solver)
+        assert trace.stop_reason == stop, case
+
+    def test_fewer_candidates_than_a_batch_sweep_every_row(self, system16):
+        training = bench.build_training_set(2, 2, 5)
+        source = greedy._EstimatorSweep(system16, training)
+        basis, _ = rb.extend(
+            rb.ReducedBasis.empty(system16.dof_count),
+            [fem.solve_fom(system16, training[i]) for i in (0, 624)],
+            system16,
+        )
+        source.sweep(4, np.zeros(625, dtype=bool))
+        source.update(basis)
+        excluded = np.ones(625, dtype=bool)
+        excluded[[5, 300, 400]] = False
+        values, evaluated = source.sweep(4, excluded)
+        assert evaluated == 625
+        assert values.tobytes() == estimator.estimate_sweep(
+            source.data, source.model, source.weights
+        ).tobytes()
+
+    @pytest.mark.parametrize("blocks, nx, per_dim, b", [(2, 16, 5, 1), (3, 12, 2, 8)])
+    def test_bound_holds_for_every_prefix_pair(self, blocks, nx, per_dim, b):
+        """Delta_n <= sqrt(kappa) Delta_m + floor for all m < n, also at the floor."""
+        system = fem.assemble(fem.build_mesh(nx, nx, blocks, blocks))
+        training = bench.build_training_set(blocks, blocks, per_dim)
+        config = greedy.GreedyConfig(training_set=training, batch_size=b, tolerance=1e-12)
+        _, model, trace = greedy.run_batch_greedy(system, config)
+        assert trace.stop_reason == "stagnated"
+        source = greedy._EstimatorSweep(system, training)
+        data = model.estimator_data
+        table = np.array(
+            [
+                estimator.estimate_sweep(
+                    estimator.prefix_data(data, n), rb.prefix_model(model, n), source.weights
+                )
+                for n in range(model.basis_size + 1)
+            ]
+        )
+        alpha = source.weights.min(axis=1)
+        root_kappa = np.sqrt(source.weights.max(axis=1) / alpha)
+        floor = (1 + root_kappa) * estimator.CANCELLATION_RATIO * data.load_dual_norm / alpha
+        assert np.array_equal(source._floor, floor)
+        assert np.array_equal(source._slope, root_kappa * (1 + 1e-12))
+        bound = np.minimum.accumulate(source._slope * table + source._floor, axis=0)
+        assert np.all(table[1:] <= bound[:-1])
+        assert (table[-1] < floor).any()  # rows at the estimator floor
+
+
 class TestErrors:
     def test_solver_failure_carries_parameter_and_partial_trace(self, system, training):
         for workers in (1, 2):
@@ -646,6 +765,18 @@ class TestCallTimeLookups:
         config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-2)
         greedy.run_batch_greedy(system, config)
         assert all(counts.values()), counts
+
+    @pytest.mark.parametrize("b", [1, 8])
+    def test_weak_driver_sweeps_once_per_iteration(self, monkeypatch, system16, b):
+        """One `estimate_sweep` call per recorded iteration, lazy or not: a
+        tracer counting that name counts sweeps."""
+        counts = count_calls(monkeypatch, ["estimator.estimate_sweep"])
+        config = greedy.GreedyConfig(
+            training_set=bench.build_training_set(2, 2, 5), batch_size=b, tolerance=1e-6
+        )
+        _, _, trace = greedy.run_batch_greedy(system16, config)
+        assert any(rec.evaluated < 625 for rec in trace.iterations)
+        assert counts["estimator.estimate_sweep"] == len(trace.iterations)
 
     def test_strong_driver(self, monkeypatch, system, training, snapshots):
         counts = count_calls(monkeypatch, ["greedy.select_batch", "rb.extend"])
