@@ -140,7 +140,7 @@ class RieszSolver:
 
     def __init__(self, system: AffineSystem):
         self.system = system
-        self._lu = system.factorize(system.gram.data)
+        self._lu = system.factorize()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M_X z = rhs; accepts a vector or a matrix of columns."""

@@ -26,10 +26,16 @@ sparse LU of each interior block K_p, then discarded, gives the dense
 interface coupling Z_p, the interior solution w_p of the load, the
 mu-independent condensed load and the Schur complement S(mu) = sum_p mu_p S_p
 as sparse data on one pattern over the interface.  A `solve_fom` then forms
-S(mu), factors it with one sparse LU (125 interface DOFs against 3,969 DOFs
-at nx=64 on 2x2 blocks), and recovers each interior with one dense
-matrix-vector product.  Blocks without interior DOFs leave the whole grid on
-the interface, and the solve is a sparse LU of A(mu).
+S(mu) as a dense matrix, factors it by dense Cholesky (125 interface DOFs
+against 3,969 DOFs at nx=64 on 2x2 blocks, where S(mu) is 75% dense), and
+recovers each interior with one dense matrix-vector product.
+The dense factor costs m^2 memory and m^3 / 3 flops for m interface DOFs,
+whatever the sparsity of S(mu).  Against a sparse LU of S(mu) it was about
+2.5x faster on 2x2 blocks at nx=64, 1.8x on 3x3 blocks at nx=48, and about
+even on 4x4 blocks at nx=64 and on 16x16 one-cell blocks at nx=16, where
+the interface is the whole grid.  Blocks one cell wide on a fine grid put
+the whole grid on the interface, and there it loses: 0.6-1.2 s against
+16-31 ms per solve for 64x1 blocks at nx=64.
 
 The nested-dissection order numbers the interface, and the one full LU that
 remains, that of M_X for the estimator's Riesz solves
@@ -43,9 +49,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg.blas import dtrsv
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
@@ -173,7 +181,9 @@ class AffineSystem:
     arrays — cheap and bitwise deterministic.  The same pattern, permuted
     once into the nested-dissection order, is what `factorize` runs on;
     `solve_fom` solves through the block-interior condensation built with
-    the system.
+    the system.  `gram` holds M_X without the shared pattern's exact zeros
+    (the couplings across cell hypotenuses), so its products skip them and
+    are bitwise those of the full pattern.
     """
 
     components: list[sparse.csc_matrix]
@@ -203,21 +213,23 @@ class AffineSystem:
             raise DimensionError(
                 f"expected {self.block_count} weights, got shape {w.shape}"
             )
-        pattern = self.gram
+        pattern = self.components[0]
         data = w @ self._stacked
         return sparse.csc_matrix(
             (data, pattern.indices, pattern.indptr), shape=pattern.shape
         )
 
-    def factorize(self, data: np.ndarray) -> "OrderedLU":
+    def factorize(self, data: Optional[np.ndarray] = None) -> "OrderedLU":
         """LU factors of the matrix with `data` on the shared pattern.
 
-        `data` is the ``.data`` of ``gram`` (or of ``matrix(mu)``).  The matrix
-        is factored in the nested-dissection order computed by `assemble`.
+        `data` is the ``.data`` of ``matrix(mu)``; None factors M_X.  The
+        matrix is factored in the nested-dissection order computed by `assemble`.
         This full LU serves the Riesz solves with M_X, which solve many
         right-hand sides per factorization; full-order solves go through the
         block-interior condensation instead (see the module docstring).
         """
+        if data is None:
+            data = self._stacked.sum(axis=0)
         permuted = sparse.csc_matrix(
             (data[self._ordered_pos], self._ordered_indices, self._ordered_indptr),
             shape=self.gram.shape,
@@ -264,16 +276,16 @@ class Condensation:
     """A(mu) u = f condensed onto the interface DOFs, once for every mu.
 
     The Schur complement S(mu) = sum_p mu_p S_p lives on one sparsity pattern
-    (`indices`, `indptr`, CSC) over the interface DOFs `interface`, numbered
-    in nested-dissection order; `schur` is the sparse (nnz, P) stack of the
+    over the interface DOFs `interface`, numbered in nested-dissection order:
+    entry k sits at ``positions[k] = column * m + row`` of the dense
+    column-major m x m matrix.  `schur` is the sparse (nnz, P) stack of the
     S_p data, so ``schur @ mu`` is the data of S(mu).  `load` is the
     mu-independent condensed load g.
     """
 
     dof_count: int
     interface: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    positions: np.ndarray
     schur: sparse.csr_matrix
     load: np.ndarray
     interiors: tuple[BlockInterior, ...]
@@ -281,19 +293,33 @@ class Condensation:
     @property
     def nbytes(self) -> int:
         """Bytes held by the condensed operator, load and interior data."""
-        arrays = [self.interface, self.indices, self.indptr, self.load]
+        arrays = [self.interface, self.positions, self.load]
         arrays += [self.schur.data, self.schur.indices, self.schur.indptr]
         for blk in self.interiors:
             arrays += [blk.dofs, blk.interface, blk.load, blk.coupling]
         return sum(a.nbytes for a in arrays)
 
     def solve(self, weights: np.ndarray) -> np.ndarray:
-        """u with A(mu) u = f: one sparse LU of S(mu), then the interiors."""
+        """u with A(mu) u = f: one dense Cholesky of S(mu), then the interiors."""
         size = self.interface.size
-        schur = sparse.csc_matrix(
-            (self.schur @ weights, self.indices, self.indptr), shape=(size, size)
-        )
-        u_interface = splu(schur, permc_spec="NATURAL").solve(self.load)
+        u_interface = np.zeros(0)
+        if size:
+            schur = np.zeros(size * size)
+            schur[self.positions] = self.schur @ weights
+            # numpy's LAPACK, not scipy's: each wheel bundles its own threaded
+            # OpenBLAS, and at nx=128 a scipy `potrf` between the numpy
+            # products of a solve made both thread pools contend for the
+            # CPUs (7.9 ms against 2.3-2.8 ms per solve on 2 CPUs).
+            try:
+                lower = np.linalg.cholesky(schur.reshape(size, size, order="F"))
+            except np.linalg.LinAlgError:
+                raise NumericError(
+                    f"interface Schur complement at mu={tuple(weights.tolist())} "
+                    f"is not positive definite"
+                ) from None
+            # L^T is upper triangular and Fortran-ordered, as `trsv` wants it.
+            half = dtrsv(lower.T, self.load, lower=0, trans=1)
+            u_interface = dtrsv(lower.T, half, lower=0)
         u = np.empty(self.dof_count)
         u[self.interface] = u_interface
         for blk in self.interiors:
@@ -502,21 +528,18 @@ def _condense(
         values.append(-(b @ coupling).ravel())
         interiors.append(BlockInterior(p, dofs, touched, w, coupling))
 
-    size = interface.size
-    keys, position = np.unique(
-        np.concatenate(cols) * size + np.concatenate(rows), return_inverse=True
+    positions, entry = np.unique(
+        np.concatenate(cols) * interface.size + np.concatenate(rows),
+        return_inverse=True,
     )
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
     schur = sparse.csr_matrix(
-        (np.concatenate(values), (position, np.concatenate(owners))),
-        shape=(keys.size, blocks),
+        (np.concatenate(values), (entry, np.concatenate(owners))),
+        shape=(positions.size, blocks),
     )
     return Condensation(
         dof_count=n_dof,
         interface=interface,
-        indices=(keys % size).astype(np.int32),
-        indptr=indptr,
+        positions=positions,
         schur=schur,
         load=condensed_load,
         interiors=tuple(interiors),
@@ -577,10 +600,11 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         mask = blocks_sel == p
         np.add.at(stacked[p - 1], pos[mask], values_sel[mask])
 
-    gram_data = stacked.sum(axis=0)
+    # A copy of the pattern: pruning in place would corrupt the components'.
     gram = sparse.csc_matrix(
-        (gram_data, pat.indices, pat.indptr), shape=(n_dof, n_dof)
+        (stacked.sum(axis=0), pat.indices, pat.indptr), shape=(n_dof, n_dof), copy=True
     )
+    gram.eliminate_zeros()
     components = [
         sparse.csc_matrix((stacked[p], pat.indices, pat.indptr), shape=(n_dof, n_dof))
         for p in range(mesh.block_count)
@@ -635,12 +659,14 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
     """Solve the full-order problem A(mu) u = f through the condensation.
 
     The block interiors were eliminated once by `assemble`.  A solve forms
-    the data of the interface Schur complement S(mu) from the per-block
-    data (one sparse product with mu), factors it with one sparse LU in the nested-dissection order
-    and solves for the interface values u_G, then sets each interior to
-    u[I_p] = w_p / mu_p - Z_p u_G[L_p].  The relative residual is checked
-    against the assembled A(mu).  At nx=64 on 2x2 blocks a solve takes about
-    1.2 ms, against about 12 ms for a sparse LU of A(mu).
+    the interface Schur complement S(mu) from the per-block data (one sparse
+    product with mu, scattered into a dense matrix), factors it by dense
+    Cholesky and solves for the interface values u_G, then sets each
+    interior to u[I_p] = w_p / mu_p - Z_p u_G[L_p].  The Cholesky reads one
+    triangle of S(mu) only; the relative residual, checked against the
+    assembled A(mu), certifies the solve.  At nx=64 on 2x2 blocks a solve
+    takes about 0.5 ms, against about 1.2 ms with a sparse LU of S(mu) and
+    about 12 ms with a sparse LU of A(mu).
 
     Raises
     ------
@@ -648,7 +674,8 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
         If the parameter size does not match the system's block count
         (non-positive weights are already rejected by `ParameterPoint`).
     NumericError
-        If the relative residual exceeds 1e-10.
+        If S(mu) is not positive definite or the relative residual exceeds
+        1e-10.
     """
     if mu.size != system.block_count:
         raise DimensionError(

@@ -17,9 +17,10 @@ Both drivers run one loop; one iteration with batch size b is:
 The weak driver's error source is the residual estimator (reduced model plus
 offline estimator data); the strong driver's is the table of true projection
 residuals of precomputed snapshots.  With b = 1 the weak driver is exactly
-the classical weak greedy.  Selection happens before any parallel work and
-estimator sweeps run on a fixed single-threaded path, so traces are
-independent of the worker count.
+the classical weak greedy.  Selection happens before any parallel work,
+estimator sweeps run on a fixed single-threaded path and the strong
+driver's residual table on fixed column blocks, so traces are independent
+of the worker count.
 """
 
 from __future__ import annotations
@@ -170,14 +171,23 @@ def select_batch(
     The first pick is the classical weak-greedy argmax; the rest are the
     next-largest values of the same estimate vector.  Ties break toward the
     smaller training-set index.  Returns fewer than batch_size indices when
-    candidates run out; an empty list signals termination.
+    candidates run out; an empty list signals termination.  Costs O(T) plus
+    a sort of the values that reach the (batch_size + |excluded|)-th largest.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    estimates = np.asarray(estimates, dtype=float)
+    keys = -np.asarray(estimates, dtype=float)
     excluded = set(excluded)
+    count = min(batch_size + len(excluded), len(keys))
+    if not count:
+        return []
+    # The picks are among the first `count` of the full order, so only the
+    # keys up to the count-th smallest need sorting.  NaN keys sort last in
+    # both `partition` and `lexsort`; a NaN cut keeps every key.
+    cut = np.partition(keys, count - 1)[count - 1]
+    candidates = np.flatnonzero(~(keys > cut))
     picks = []
-    for i in np.lexsort((np.arange(len(estimates)), -estimates)).tolist():
+    for i in candidates[np.lexsort((candidates, keys[candidates]))].tolist():
         if i not in excluded:
             picks.append(i)
             if len(picks) == batch_size:
@@ -265,37 +275,44 @@ class _EstimatorSweep:
 class _ResidualTable:
     """Strong-greedy error source: projection residuals of known snapshots.
 
-    Serves the strong run only.  Basis vectors are peeled off the residual
-    columns explicitly, one at a time, as the loop extends the basis.  A
-    sweep keeps its product M_X R of the unchanged residual R for the first
-    peel after it, so each sweep-and-peel costs one sparse product.
+    Serves the strong run only.  The residual columns are held in the fixed
+    column blocks of `pool.column_blocks`, and a sweep is one `pool` task per
+    block (inline without a pool).  The task first peels the basis vectors
+    added since the last sweep off the block explicitly, one at a time, the
+    first of them with the block's M_X R kept from that sweep, so each
+    sweep-and-peel costs one sparse product.  Then it forms the block's
+    M_X R and column squares.  The split never depends on the worker count,
+    so neither do the values.
     """
 
-    def __init__(self, system: AffineSystem, snapshots: Sequence[Snapshot]):
-        self.system = system
-        self.residual = np.column_stack(
-            [np.asarray(s.coefficients, dtype=float) for s in snapshots]
-        )
+    def __init__(self, system: AffineSystem, snapshots: Sequence[Snapshot], pool=None):
+        self.gram = system.gram
+        self.pool = pool or WorkerPool()
+        self.residuals = [
+            np.column_stack([np.asarray(s.coefficients, dtype=float) for s in snapshots[cols]])
+            for cols in column_blocks(len(snapshots))
+        ]
+        self.products = [None] * len(self.residuals)  # M_X R at the last sweep
+        self.basis = rb.ReducedBasis.empty(system.dof_count)
         self.size = 0  # basis vectors peeled so far
-        self._gram_residual = None  # M_X @ residual, while residual is unchanged
+
+    def _sweep_block(self, k: int) -> np.ndarray:
+        residual, product = self.residuals[k], self.products[k]
+        for j in range(self.size, self.basis.size):
+            v = self.basis.vectors[:, j]
+            coeffs = v @ (self.gram @ residual if product is None else product)
+            product = None
+            residual -= np.outer(v, coeffs)
+        product = self.products[k] = self.gram @ residual
+        return np.einsum("ij,ij->j", residual, product)
 
     def sweep(self, batch_size: int, excluded: np.ndarray) -> tuple[np.ndarray, int]:
-        self._gram_residual = self.system.gram @ self.residual
-        squares = np.einsum("ij,ij->j", self.residual, self._gram_residual)
+        squares = np.concatenate(self.pool.map(self._sweep_block, range(len(self.residuals))))
+        self.size = self.basis.size
         return np.sqrt(np.clip(squares, 0.0, None)), squares.size
 
     def update(self, basis: rb.ReducedBasis) -> None:
-        gram = self.system.gram
-        for j in range(self.size, basis.size):
-            v = basis.vectors[:, j]
-            if self._gram_residual is None:
-                coeffs = v @ (gram @ self.residual)
-            else:
-                coeffs = v @ self._gram_residual
-                self._gram_residual = None  # freed before np.outer allocates
-            for cols in column_blocks(coeffs.size):  # bounds the outer product
-                self.residual[:, cols] -= np.outer(v, coeffs[cols])
-        self.size = basis.size
+        self.basis = basis  # peeled off at the next sweep
 
 
 def _run_greedy(
@@ -447,19 +464,22 @@ def run_strong_greedy(
     system: AffineSystem,
     config: GreedyConfig,
     snapshots: Mapping[ParameterPoint, Snapshot],
+    pool=None,
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Batch greedy steered by true projection errors over precomputed snapshots.
 
-    The error source is the residual table of the training snapshots.  Phase
-    timings: solve covers the snapshot lookups, evaluate the error sweep,
-    reduce the residual-table downdate.
+    The error source is the residual table of the training snapshots, whose
+    fixed column blocks are `pool` tasks (inline without a pool), so the run
+    is bitwise independent of the worker count.  Phase timings: solve covers
+    the snapshot lookups, evaluate the error sweep with the residual-table
+    downdate, reduce nothing.
     """
     missing = [mu for mu in config.training_set if mu not in snapshots]
     if missing:
         raise ConfigurationError(
             f"{len(missing)} training points without snapshots, first: {missing[0].weights}"
         )
-    table = _ResidualTable(system, [snapshots[mu] for mu in config.training_set])
+    table = _ResidualTable(system, [snapshots[mu] for mu in config.training_set], pool)
     return _run_greedy(
         system, config, table, lambda mus: [snapshots[mu] for mu in mus], 1.0
     )

@@ -1,8 +1,10 @@
 """Tests for the thermal-block full-order model."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sparse
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +159,29 @@ class TestAssembly:
         assert np.all(row == 0.0)
         assert system.components[0][dof].toarray().any()
 
+    def test_gram_products_skip_stored_zeros(self):
+        # The hypotenuse couplings are exact zeros of the shared pattern;
+        # gram drops them, and its products stay bitwise those of the full
+        # pattern, whose arrays the components keep.
+        system = fem.assemble(fem.build_mesh(16, 16, 2, 2))
+        pattern = system.components[0]
+        indices, indptr = pattern.indices.copy(), pattern.indptr.copy()
+        full = sparse.csc_matrix(
+            (system._stacked.sum(axis=0), indices, indptr), shape=pattern.shape
+        )
+        assert np.count_nonzero(full.data == 0.0) > 0
+        assert system.gram.nnz == np.count_nonzero(full.data)
+        columns = np.random.default_rng(5).standard_normal((system.dof_count, 70))
+        assert (system.gram @ columns).tobytes() == (full @ columns).tobytes()
+        # Pruning gram in place on shared index arrays would garble these.
+        for component in system.components:
+            assert np.array_equal(component.indices, indices)
+            assert np.array_equal(component.indptr, indptr)
+            assert component.nnz == indices.size
+        dense = sum(component.toarray() for component in system.components)
+        assert np.array_equal(dense, system.gram.toarray())
+        assert system.matrix(np.ones(4)).nnz == indices.size
+
     def test_matrix_weight_count_checked(self, small_system):
         with pytest.raises(DimensionError):
             small_system.matrix(np.ones(3))
@@ -285,6 +310,25 @@ class TestCondensation:
         for blk in condensed.interiors:
             touching = np.isin(mesh.triangles, vertex[blk.dofs]).any(axis=1)
             assert set(mesh.tri_block[touching]) == {blk.block + 1}
+
+    def test_single_block_has_no_interface(self):
+        # One block: every DOF is interior, and no interface factor is made.
+        system = fem.assemble(fem.build_mesh(8, 8, 1, 1))
+        assert system._condensation.interface.size == 0
+        mu = fem.ParameterPoint((0.4,))
+        expected = splu(system.matrix(mu)).solve(system.load)
+        u = fem.solve_fom(system, mu).coefficients
+        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_indefinite_schur_complement_names_mu(self, monkeypatch):
+        system = fem.assemble(fem.build_mesh(8, 8, 2, 2))
+        condensed = system._condensation
+        flipped = condensed.schur.copy()
+        flipped.data = -flipped.data
+        monkeypatch.setattr(system, "_condensation", replace(condensed, schur=flipped))
+        mu = fem.ParameterPoint((0.3, 0.7, 1.0, 0.45))
+        with pytest.raises(NumericError, match=re.escape(str(mu.weights))):
+            fem.solve_fom(system, mu)
 
     def test_every_dof_on_the_interface(self):
         # 256 one-cell blocks: nothing is eliminated, and the condensed data

@@ -78,6 +78,26 @@ class TestSelectBatch:
         assert greedy.select_batch(estimates, 10, excluded={1}) == [2, 0, 3]
         assert greedy.select_batch(estimates, 2, excluded={0, 1, 2, 3}) == []
 
+    @pytest.mark.parametrize("b", [1, 2, 4, 8])
+    def test_matches_full_lexsort_with_ties(self, b):
+        """The partitioned selection equals the full sort it replaces, ties
+        and exclusions included."""
+
+        def reference(estimates, excluded):
+            order = np.lexsort((np.arange(len(estimates)), -estimates)).tolist()
+            return [i for i in order if i not in excluded][:b]
+
+        rng = np.random.default_rng(b)
+        for trial in range(200):
+            size = int(rng.integers(1, 300))
+            levels = rng.choice([0.0, 0.25, 0.5, 1.0, np.inf], size=int(rng.integers(1, 6)))
+            estimates = rng.choice(levels, size=size)
+            excluded = set(rng.choice(size, size=int(rng.integers(0, size + 1))).tolist())
+            picks = greedy.select_batch(estimates, b, excluded)
+            assert picks == reference(estimates, excluded), (trial, size)
+        estimates = np.array([np.nan, 3.0, 2.0, np.nan, 1.0, 3.0])
+        assert greedy.select_batch(estimates, b, {5}) == reference(estimates, {5})
+
     @settings(max_examples=50)
     @given(
         values=st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=40),
@@ -725,9 +745,60 @@ class TestProjectionDistances:
         assert peak - base <= bound
 
 
+class _FullPeel:
+    """The strong error source on one unsplit residual matrix: the reference
+    that the column-blocked residual table must match bit for bit."""
+
+    def __init__(self, system, snapshots):
+        self.gram = system.gram
+        self.residual = np.column_stack([s.coefficients for s in snapshots])
+        self.product = None
+        self.size = 0
+
+    def sweep(self, batch_size, excluded):
+        self.product = self.gram @ self.residual
+        squares = np.einsum("ij,ij->j", self.residual, self.product)
+        return np.sqrt(np.clip(squares, 0.0, None)), squares.size
+
+    def update(self, basis):
+        for j in range(self.size, basis.size):
+            v = basis.vectors[:, j]
+            product = self.gram @ self.residual if self.product is None else self.product
+            self.product = None
+            self.residual -= np.outer(v, v @ product)
+        self.size = basis.size
+
+
 class TestStrongPeelColumnBlocks:
-    """The strong greedy subtracts each peel's outer product one column block
-    at a time; its run is bitwise that of the unblocked update."""
+    """The strong greedy holds its residual table in column blocks, one pool
+    task each per sweep; its run is bitwise that of one unsplit table."""
+
+    @pytest.fixture(scope="class")
+    def snapshots625(self, system):
+        return {mu: fem.solve_fom(system, mu) for mu in grid_params(5)}
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bytes_equal_to_full_matrix_peel(self, system, snapshots625, b, workers):
+        training = list(snapshots625)
+        assert len(training) > 2 * pool_mod.COLUMN_BLOCK
+        config = greedy.GreedyConfig(training_set=training, batch_size=b, tolerance=1e-9)
+        source = _FullPeel(system, [snapshots625[mu] for mu in training])
+        ref_basis, ref = greedy._run_greedy(
+            system, config, source, lambda mus: [snapshots625[mu] for mu in mus], 1.0
+        )
+        with pool_mod.WorkerPool(workers) as pool:
+            basis, trace = greedy.run_strong_greedy(system, config, snapshots625, pool)
+        assert basis.size == ref_basis.size > 10
+        assert basis.vectors.tobytes() == ref_basis.vectors.tobytes()
+        assert len(trace.iterations) == len(ref.iterations)
+        for a, r in zip(trace.iterations, ref.iterations):
+            assert np.float64(a.max_estimate).tobytes() == np.float64(r.max_estimate).tobytes()
+            assert [(s.param_index, s.estimate, s.accepted) for s in a.selections] == [
+                (s.param_index, s.estimate, s.accepted) for s in r.selections
+            ]
+        assert trace.stop_reason == ref.stop_reason
+        assert trace.amatrix.tobytes() == ref.amatrix.tobytes()
 
     def test_trace_bitwise_equal_to_unblocked_update(self, monkeypatch, system, training, snapshots):
         assert len(training) == 81 and len(training) % pool_mod.COLUMN_BLOCK != 0
