@@ -49,6 +49,8 @@ SUMMARY_COLUMNS = [
     "t_offline_n",
     "k_star",
     "stop_reason",
+    "num_rejected",
+    "err_final",
 ]
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ class RunSummary:
     k_star: Optional[int]
     err_final: float
     stop_reason: str
+    num_rejected: int  # selections whose snapshot the extension dropped
 
 
 def build_training_set(px, py, train_per_dim, cap=TRAINING_CAP_DEFAULT):
@@ -267,6 +270,8 @@ def write_summary(summaries: Sequence[RunSummary], path) -> Path:
                 repr(s.t_offline / reference.t_offline),
                 _format_value(s.k_star),
                 s.stop_reason,
+                s.num_rejected,
+                repr(s.err_final),
             ]
         )
     return _write_csv(path, SUMMARY_COLUMNS, rows)
@@ -474,6 +479,7 @@ def run_experiment(config: ExperimentConfig):
                 k_star=break_even(t_offline, t_full, t_online),
                 err_final=err_final,
                 stop_reason=trace.stop_reason,
+                num_rejected=len(trace.selected_indices()) - trace.extension_count,
             )
             summaries.append(summary)
             logger.info(

@@ -37,19 +37,19 @@ the interface is the whole grid.  Blocks one cell wide on a fine grid put
 the whole grid on the interface, and there it loses: 0.6-1.2 s against
 16-31 ms per solve for 64x1 blocks at nx=64.
 
-The nested-dissection order numbers the interface, and the one full LU that
-remains, that of M_X for the estimator's Riesz solves
-(`AffineSystem.factorize`), runs on it.  A Riesz solve has a new right-hand
-side inside every block, so through the condensation each column would need
-every K_p's factors again; with many columns per solve that is slower than
-the one ordered LU.
+The nested-dissection order numbers the interface.  The estimator's Riesz
+solves with M_X = A(1, ..., 1) go through the same condensation
+(`estimator.RieszSolver`): a right-hand side A_p v vanishes on every other
+block's interior and condenses to S_p v on the interface, so no K_p is
+factored again.  A `RieszSolver` holds the inverse of the Cholesky factor
+of S(1, ..., 1), one dense m x m matrix per greedy run, with the same m^2
+memory caveat as a full-order solve.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sparse
@@ -178,12 +178,11 @@ class AffineSystem:
 
     All component matrices share one sparsity pattern (stored zeros allowed),
     so A(mu) is formed by a single dense combination of the stacked data
-    arrays — cheap and bitwise deterministic.  The same pattern, permuted
-    once into the nested-dissection order, is what `factorize` runs on;
-    `solve_fom` solves through the block-interior condensation built with
-    the system.  `gram` holds M_X without the shared pattern's exact zeros
-    (the couplings across cell hypotenuses), so its products skip them and
-    are bitwise those of the full pattern.
+    arrays — cheap and bitwise deterministic.  `solve_fom` solves through the
+    block-interior condensation built with the system, and the estimator's
+    Riesz solves with M_X go through it too.  `gram` holds M_X without the
+    shared pattern's exact zeros (the couplings across cell hypotenuses), so
+    its products skip them and are bitwise those of the full pattern.
     """
 
     components: list[sparse.csc_matrix]
@@ -194,9 +193,6 @@ class AffineSystem:
     rhs_value: float
     _stacked: np.ndarray = field(repr=False)  # (P, nnz) data on the shared pattern
     _order: np.ndarray = field(repr=False)  # DOF at each position of the ordering
-    _ordered_indices: np.ndarray = field(repr=False)  # permuted CSC pattern
-    _ordered_indptr: np.ndarray = field(repr=False)
-    _ordered_pos: np.ndarray = field(repr=False)  # shared -> permuted data positions
     _condensation: Condensation = field(repr=False)  # A(mu) u = f on the interface
     _fingerprint: str = field(default="", repr=False)
 
@@ -219,42 +215,10 @@ class AffineSystem:
             (data, pattern.indices, pattern.indptr), shape=pattern.shape
         )
 
-    def factorize(self, data: Optional[np.ndarray] = None) -> "OrderedLU":
-        """LU factors of the matrix with `data` on the shared pattern.
-
-        `data` is the ``.data`` of ``matrix(mu)``; None factors M_X.  The
-        matrix is factored in the nested-dissection order computed by `assemble`.
-        This full LU serves the Riesz solves with M_X, which solve many
-        right-hand sides per factorization; full-order solves go through the
-        block-interior condensation instead (see the module docstring).
-        """
-        if data is None:
-            data = self._stacked.sum(axis=0)
-        permuted = sparse.csc_matrix(
-            (data[self._ordered_pos], self._ordered_indices, self._ordered_indptr),
-            shape=self.gram.shape,
-        )
-        return OrderedLU(splu(permuted, permc_spec="NATURAL"), self._order)
-
     @property
     def fingerprint(self) -> str:
         """Content hash identifying this assembled system."""
         return self._fingerprint
-
-
-class OrderedLU:
-    """Sparse LU factors of a permuted matrix, solving in the original order."""
-
-    def __init__(self, lu, order: np.ndarray):
-        self.lu = lu
-        self.order = order
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for a vector or a (dof_count, k) matrix of right-hand sides."""
-        rhs = np.asarray(rhs, dtype=float)
-        out = np.empty(rhs.shape)
-        out[self.order] = self.lu.solve(rhs[self.order])
-        return out
 
 
 @dataclass(frozen=True)
@@ -299,24 +263,28 @@ class Condensation:
             arrays += [blk.dofs, blk.interface, blk.load, blk.coupling]
         return sum(a.nbytes for a in arrays)
 
+    def cholesky(self, weights: np.ndarray) -> np.ndarray:
+        """Lower Cholesky factor of S(mu), formed as a dense m x m matrix."""
+        size = self.interface.size
+        schur = np.zeros(size * size)
+        schur[self.positions] = self.schur @ weights
+        # numpy's LAPACK, not scipy's: each wheel bundles its own threaded
+        # OpenBLAS, and at nx=128 a scipy `potrf` between the numpy
+        # products of a solve made both thread pools contend for the
+        # CPUs (7.9 ms against 2.3-2.8 ms per solve on 2 CPUs).
+        try:
+            return np.linalg.cholesky(schur.reshape(size, size, order="F"))
+        except np.linalg.LinAlgError:
+            raise NumericError(
+                f"interface Schur complement at mu={tuple(weights.tolist())} "
+                f"is not positive definite"
+            ) from None
+
     def solve(self, weights: np.ndarray) -> np.ndarray:
         """u with A(mu) u = f: one dense Cholesky of S(mu), then the interiors."""
-        size = self.interface.size
         u_interface = np.zeros(0)
-        if size:
-            schur = np.zeros(size * size)
-            schur[self.positions] = self.schur @ weights
-            # numpy's LAPACK, not scipy's: each wheel bundles its own threaded
-            # OpenBLAS, and at nx=128 a scipy `potrf` between the numpy
-            # products of a solve made both thread pools contend for the
-            # CPUs (7.9 ms against 2.3-2.8 ms per solve on 2 CPUs).
-            try:
-                lower = np.linalg.cholesky(schur.reshape(size, size, order="F"))
-            except np.linalg.LinAlgError:
-                raise NumericError(
-                    f"interface Schur complement at mu={tuple(weights.tolist())} "
-                    f"is not positive definite"
-                ) from None
+        if self.interface.size:
+            lower = self.cholesky(weights)
             # L^T is upper triangular and Fortran-ordered, as `trsv` wants it.
             half = dtrsv(lower.T, self.load, lower=0, trans=1)
             u_interface = dtrsv(lower.T, half, lower=0)
@@ -610,16 +578,7 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         for p in range(mesh.block_count)
     ]
 
-    # The shared pattern in nested-dissection order, with the position of
-    # every stored entry of the shared pattern in the permuted one.
     order = _nested_dissection(mesh.nx - 1, mesh.ny - 1)
-    rank = np.empty(n_dof, dtype=pat.indices.dtype)
-    rank[order] = np.arange(n_dof)
-    ordered_rows = rank[pat.indices]
-    ordered_cols = rank[col_of_pos]
-    ordered_pos = np.lexsort((ordered_rows, ordered_cols))
-    ordered_indptr = np.zeros(n_dof + 1, dtype=pat.indptr.dtype)
-    np.cumsum(np.bincount(ordered_cols, minlength=n_dof), out=ordered_indptr[1:])
 
     # Load: integral of each interior hat function is area/3 per triangle.
     load_full = np.zeros(n_vert)
@@ -647,9 +606,6 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         rhs_value=float(rhs_value),
         _stacked=stacked,
         _order=order,
-        _ordered_indices=ordered_rows[ordered_pos],
-        _ordered_indptr=ordered_indptr,
-        _ordered_pos=ordered_pos,
         _condensation=_condense(mesh, components, stacked, load, order),
         _fingerprint=digest.hexdigest(),
     )

@@ -307,9 +307,31 @@ class TestRunExperiment:
     def test_summary_carries_stop_reason(self, experiment):
         config, summaries = experiment
         header, rows = read_csv(Path(config.out) / "summary.csv")
-        assert header[-1] == "stop_reason"
+        column = header.index("stop_reason")
         for row, summary in zip(rows, summaries):
-            assert row[-1] == summary.stop_reason == "tolerance"
+            assert row[column] == summary.stop_reason == "tolerance"
+
+    def test_summary_carries_rejections_and_final_error(self, experiment, tmp_path):
+        # b=8 on the 3^4 grid drops two snapshots that b=1 and b=2 keep.
+        eight = bench.ExperimentConfig(
+            px=2, py=2, nx=8, train_per_dim=3, test_count=4, seed=0,
+            batch_sizes=(8,), tolerance=1e-3, out=str(tmp_path),
+        )
+        runs = [experiment, (eight, bench.run_experiment(eight))]
+        assert [s.num_rejected for _, found in runs for s in found] == [0, 0, 2]
+        for config, summaries in runs:
+            self.check_rejections_and_final_error(Path(config.out), summaries)
+
+    @staticmethod
+    def check_rejections_and_final_error(out, summaries):
+        header, rows = read_csv(out / "summary.csv")
+        assert header[-2:] == ["num_rejected", "err_final"]
+        for row, summary in zip(rows, summaries):
+            _, trace = read_csv(out / f"trace_b{summary.batch_size}.csv")
+            rejected = sum(1 for line in trace if line[4] == "0")
+            assert int(row[-2]) == summary.num_rejected == rejected
+            _, decay = read_csv(out / f"errdecay_b{summary.batch_size}.csv")
+            assert float(row[-1]) == summary.err_final == float(decay[-1][2])
 
     def test_summary_uses_lf_and_dot_decimal(self, experiment):
         config, _ = experiment

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from batchrb import bench, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, DimensionError, DomainError, NumericError
@@ -55,14 +56,17 @@ class TestBounds:
         assert bounds.kappa(mu) == pytest.approx(4.0, rel=1e-15)
 
 
+def direct_representers(system, vectors):
+    """M_X^-1 A_p v_j by a plain sparse LU of M_X, at column j P + p."""
+    lu = splu(system.gram.tocsc())
+    rhs = np.stack([a_p @ vectors for a_p in system.components], 2)
+    return lu.solve(rhs.reshape(system.dof_count, -1))
+
+
 def representers(system, basis):
     """[z_f, z_(0,0), ..., z_(P-1,0), z_(0,1), ...] by direct Riesz solves."""
-    solver = estimator.RieszSolver(system)
-    columns = [solver.solve(system.load)]
-    for j in range(basis.size):
-        for a_p in system.components:
-            columns.append(solver.solve(a_p @ basis.vectors[:, j]))
-    return np.column_stack(columns)
+    z_f = splu(system.gram.tocsc()).solve(system.load)
+    return np.column_stack([z_f, direct_representers(system, basis.vectors)])
 
 
 def kept_columns(data):
@@ -174,7 +178,7 @@ class TestEstimate:
         model = rb.reduce(empty, system)
         data = estimator.build_estimator(model, empty, system)
         mu = fem.ParameterPoint((0.25, 0.5, 1.0, 0.4))
-        z_f = estimator.RieszSolver(system).solve(system.load)
+        z_f = splu(system.gram.tocsc()).solve(system.load)
         expected = np.sqrt(z_f @ (system.gram @ z_f)) / 0.25
         assert data.load_dual_norm == pytest.approx(expected * 0.25, rel=1e-12)
         assert estimator.estimate(data, model, mu) == pytest.approx(expected, rel=1e-12)
@@ -477,23 +481,75 @@ class TestRieszCheck:
 
 
 class TestRieszSolver:
+    """The condensed representer kernel against a plain sparse LU of M_X.
+
+    LAYOUTS covers 2x2 blocks, nx != ny on 3x2 blocks, one block (no
+    interface) and one-cell blocks (no interiors).
+    """
+
+    LAYOUTS = [(16, 16, 2, 2), (12, 8, 3, 2), (8, 8, 1, 1), (16, 16, 16, 16)]
+
+    @pytest.fixture(scope="class", params=LAYOUTS, ids=str)
+    def layout(self, request):
+        system = fem.assemble(fem.build_mesh(*request.param))
+        return system, estimator.RieszSolver(system)
+
     def test_column_matrix_matches_column_solves(self, setup):
         system = setup[0]
         solver = estimator.RieszSolver(system)
         rng = np.random.default_rng(5)
         columns = rng.standard_normal((system.dof_count, 6))
-        for rhs in (columns, np.asfortranarray(columns)):
-            together = solver.solve(rhs)
-            one_by_one = np.column_stack(
-                [solver.solve(rhs[:, j]) for j in range(rhs.shape[1])]
+        for vectors in (columns, np.asfortranarray(columns)):
+            together = solver.representers(vectors)
+            one_by_one = np.hstack(
+                [solver.representers(vectors[:, j : j + 1]) for j in range(6)]
             )
             np.testing.assert_allclose(together, one_by_one, rtol=1e-14, atol=0.0)
 
     def test_solves_the_gram_system(self, setup):
         system = setup[0]
-        z = estimator.RieszSolver(system).solve(system.load)
-        residual = system.gram @ z - system.load
+        solver = estimator.RieszSolver(system)
+        residual = system.gram @ solver.load - system.load
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.load)
+        vectors = np.random.default_rng(6).standard_normal((system.dof_count, 3))
+        z = solver.representers(vectors)
+        for p, a_p in enumerate(system.components):
+            rhs = a_p @ vectors
+            residual = system.gram @ z[:, p :: system.block_count] - rhs
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_matches_plain_lu(self, layout):
+        system, solver = layout
+        rng = np.random.default_rng(7)
+        for count in (5, 0):  # no new vectors gives no columns
+            vectors = rng.standard_normal((system.dof_count, count))
+            expected = direct_representers(system, vectors)
+            got = solver.representers(vectors)
+            assert got.shape == (system.dof_count, count * system.block_count)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        z_f = splu(system.gram.tocsc()).solve(system.load)
+        assert np.linalg.norm(solver.load - z_f) <= 1e-12 * np.linalg.norm(z_f)
+
+    def test_incremental_build_matches_scratch(self, layout):
+        system, solver = layout
+        rng = np.random.default_rng(8)
+        mu = fem.ParameterPoint.uniform(system.block_count)
+        snapshots = [fem.Snapshot(rng.standard_normal(system.dof_count), mu) for _ in range(3)]
+        basis, _ = rb.extend(rb.ReducedBasis.empty(system.dof_count), snapshots, system)
+        scratch = estimator.build_estimator(
+            rb.reduce(basis, system), basis, system, solver=solver
+        )
+        sub = basis.prefix(1)
+        partial = estimator.build_estimator(rb.reduce(sub, system), sub, system, solver=solver)
+        grown = estimator.build_estimator(
+            rb.reduce(basis, system), basis, system, previous=partial, solver=solver
+        )
+        assert np.array_equal(kept_columns(grown), kept_columns(scratch))
+        scale = np.abs(scratch.R).max()
+        assert np.allclose(grown.R, scratch.R, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(
+            grown.Q, scratch.Q, rtol=0, atol=1e-10 * np.abs(scratch.Q).max()
+        )
 
 
 class TestArtifactWithEstimator:

@@ -245,7 +245,8 @@ _SCALING_SYSTEM = fem.assemble(fem.build_mesh(4, 4, 2, 2))
 
 
 class TestOrderedFactorization:
-    """The condensed solves and the nested-dissection LU both match plain splu.
+    """The condensed solves match plain splu, and the nested-dissection
+    order that numbers the interface is a permutation cut by separators.
 
     MESHES covers one block (no interface), no interior DOFs (4, 4, 4, 4),
     blocks one cell wide in x (8, 6, 8, 2), and blocks of several sizes.
@@ -264,9 +265,6 @@ class TestOrderedFactorization:
             weights = rng.uniform(0.1, 1.0, size=system.block_count)
             matrix = system.matrix(weights)
             expected = splu(matrix).solve(system.load)
-            got = system.factorize(matrix.data).solve(system.load)
-            err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
-            assert err <= 1e-12
             u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
             assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -287,15 +285,6 @@ class TestOrderedFactorization:
         right = order[(63 - 7) // 2 : -7]
         assert set(left % 9) == set(range(4))
         assert not matrix[np.ix_(left, right)].any()
-
-    def test_fill_below_colamd(self):
-        # nnz(L) + nnz(U) is deterministic, unlike the factorization time.
-        system = fem.assemble(fem.build_mesh(64, 64, 2, 2))
-        matrix = system.matrix((0.2, 0.7, 0.4, 0.9))
-        colamd = splu(matrix)
-        ordered = system.factorize(matrix.data).lu
-        fill = ordered.L.nnz + ordered.U.nnz
-        assert fill <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
 class TestCondensation:
