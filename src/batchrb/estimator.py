@@ -32,7 +32,13 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
-from .fem import MU_MAX_DEFAULT, MU_MIN_DEFAULT, AffineSystem, ParameterPoint
+from .fem import (
+    MU_MAX_DEFAULT,
+    MU_MIN_DEFAULT,
+    AffineSystem,
+    ParameterPoint,
+    solve_fom_block,
+)
 from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel, solve_rom
 
 __all__ = [
@@ -147,7 +153,8 @@ class RieszSolver:
         condensation = system._condensation
         size, blocks = condensation.interface.size, system.block_count
         self._condensation = condensation
-        self._inverse = np.linalg.inv(condensation.cholesky(np.ones(blocks)))
+        unit = np.ones((1, blocks))
+        self._inverse = np.linalg.inv(condensation.cholesky(unit)[0])
         # Every S_p stacked by rows: row p m + i holds row i of S_p.
         entries = condensation.schur.tocoo()
         columns, rows = np.divmod(condensation.positions[entries.row], size)
@@ -155,7 +162,7 @@ class RieszSolver:
             (entries.data, (entries.col * size + rows, columns)),
             shape=(blocks * size, size),
         )
-        self.load = condensation.solve(np.ones(blocks))
+        self.load = solve_fom_block(system, unit)[:, 0]
 
     def representers(self, vectors: np.ndarray) -> np.ndarray:
         """M_X^-1 A_p v_j for the k columns v_j of `vectors`: (dof, k P), column j P + p.

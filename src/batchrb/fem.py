@@ -25,10 +25,23 @@ interface.  `assemble` eliminates every block interior once, for all mu: one
 sparse LU of each interior block K_p, then discarded, gives the dense
 interface coupling Z_p, the interior solution w_p of the load, the
 mu-independent condensed load and the Schur complement S(mu) = sum_p mu_p S_p
-as sparse data on one pattern over the interface.  A `solve_fom` then forms
-S(mu) as a dense matrix, factors it by dense Cholesky (125 interface DOFs
-against 3,969 DOFs at nx=64 on 2x2 blocks, where S(mu) is 75% dense), and
-recovers each interior with one dense matrix-vector product.
+as sparse data on one pattern over the interface.  A solve then forms S(mu)
+as a dense matrix, factors it by dense Cholesky (125 interface DOFs against
+3,969 DOFs at nx=64 on 2x2 blocks, where S(mu) is 75% dense), and recovers
+each interior with one dense matrix-vector product.
+
+One kernel, `solve_fom_block`, solves a block of k points: one sparse
+product and one scatter form their k matrices S(mu), and one stacked
+Cholesky factors each chunk of them that fits `FACTOR_BLOCK_BYTES` (a
+stacked call hands all of a chunk's factorizations to LAPACK at once, as
+batched BLAS does; Dongarra et al. 2017).  The triangular solves and the
+interior products stay per point, so each solution is bitwise the one-point
+solve, and one sparse matrix-vector product a point checks the residuals
+against the assembled A(mu), chunk by chunk.  `solve_fom` is its k = 1 case, for the weak greedy's
+batches and the serial `t_full` timing; the experiment's bulk solves run
+one 64-point block per worker-pool task, at 0.2-0.3 ms a solve on 2
+workers against 0.4-0.5 ms with one task per point (nx=64, 2x2 blocks, 2
+CPUs).
 The dense factor costs m^2 memory and m^3 / 3 flops for m interface DOFs,
 whatever the sparsity of S(mu).  Against a sparse LU of S(mu) it was about
 2.5x faster on 2x2 blocks at nx=64, 1.8x on 3x3 blocks at nx=48, and about
@@ -50,23 +63,32 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg.blas import dtrsv
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigurationError, DimensionError, DomainError, NumericError
-from .pool import map_column_blocks
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    InsufficientDataError,
+    NumericError,
+)
+from .pool import WorkerPool, column_blocks
 
 __all__ = [
     "ParameterPoint",
     "Mesh",
     "AffineSystem",
     "Snapshot",
+    "ColumnBlocks",
     "build_mesh",
     "assemble",
     "solve_fom",
+    "solve_fom_block",
     "x_inner",
     "x_norm",
     "x_norms",
@@ -79,6 +101,11 @@ MU_MAX_DEFAULT = 1.0
 
 #: Relative residual each full-order solve must achieve.
 FOM_RESIDUAL_TOL = 1e-10
+
+#: Bytes of dense interface matrices and residual products that one chunk of
+#: a block solve holds (`Condensation.solve`): 8 points at nx=64 on 2x2
+#: blocks.
+FACTOR_BLOCK_BYTES = 2 << 20
 
 #: Largest orthonormality defect max|V^T M_X V - I| that
 #: `projection_distances` accepts.  Its distances are exact for an
@@ -178,9 +205,11 @@ class AffineSystem:
 
     All component matrices share one sparsity pattern (stored zeros allowed),
     so A(mu) is formed by a single dense combination of the stacked data
-    arrays — cheap and bitwise deterministic.  `solve_fom` solves through the
-    block-interior condensation built with the system, and the estimator's
-    Riesz solves with M_X go through it too.  `gram` holds M_X without the
+    arrays — cheap and bitwise deterministic.  `solve_fom_block` solves
+    through the block-interior condensation built with the system and checks
+    its residuals with the components side by side, [A_1 ... A_P] without
+    stored zeros; the estimator's Riesz solves with M_X go through the
+    condensation too.  `gram` holds M_X without the
     shared pattern's exact zeros (the couplings across cell hypotenuses), so
     its products skip them and are bitwise those of the full pattern.
     """
@@ -194,6 +223,7 @@ class AffineSystem:
     _stacked: np.ndarray = field(repr=False)  # (P, nnz) data on the shared pattern
     _order: np.ndarray = field(repr=False)  # DOF at each position of the ordering
     _condensation: Condensation = field(repr=False)  # A(mu) u = f on the interface
+    _operator: sparse.csr_matrix = field(repr=False)  # [A_1 ... A_P], (dof, P dof)
     _fingerprint: str = field(default="", repr=False)
 
     @property
@@ -264,37 +294,82 @@ class Condensation:
         return sum(a.nbytes for a in arrays)
 
     def cholesky(self, weights: np.ndarray) -> np.ndarray:
-        """Lower Cholesky factor of S(mu), formed as a dense m x m matrix."""
+        """Lower Cholesky factors of S(mu) for the k rows mu of `weights`, (k, m, m).
+
+        One sparse product and one scatter form all k dense matrices, and one
+        stacked call factors them.  Each matrix is handed over column-major,
+        as a lone one is: S(mu) is symmetric only to round-off, so a
+        row-major stack would factor other bits.  Raises NumericError naming
+        the first mu whose S(mu) is not positive definite.
+        """
         size = self.interface.size
-        schur = np.zeros(size * size)
-        schur[self.positions] = self.schur @ weights
+        dense = np.zeros((len(weights), size * size))
+        dense[:, self.positions] = (self.schur @ weights.T).T
+        stack = dense.reshape(len(weights), size, size).transpose(0, 2, 1)
         # numpy's LAPACK, not scipy's: each wheel bundles its own threaded
         # OpenBLAS, and at nx=128 a scipy `potrf` between the numpy
         # products of a solve made both thread pools contend for the
         # CPUs (7.9 ms against 2.3-2.8 ms per solve on 2 CPUs).
         try:
-            return np.linalg.cholesky(schur.reshape(size, size, order="F"))
+            return np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
+            if len(weights) > 1:
+                # A stacked factorization does not say which matrix failed.
+                for j in range(len(weights)):
+                    self.cholesky(weights[j : j + 1])
             raise NumericError(
-                f"interface Schur complement at mu={tuple(weights.tolist())} "
+                f"interface Schur complement at mu={tuple(weights[0].tolist())} "
                 f"is not positive definite"
             ) from None
 
-    def solve(self, weights: np.ndarray) -> np.ndarray:
-        """u with A(mu) u = f: one dense Cholesky of S(mu), then the interiors."""
-        u_interface = np.zeros(0)
-        if self.interface.size:
-            lower = self.cholesky(weights)
-            # L^T is upper triangular and Fortran-ordered, as `trsv` wants it.
-            half = dtrsv(lower.T, self.load, lower=0, trans=1)
-            u_interface = dtrsv(lower.T, half, lower=0)
-        u = np.empty(self.dof_count)
-        u[self.interface] = u_interface
-        for blk in self.interiors:
-            u[blk.dofs] = (
-                blk.load / weights[blk.block] - blk.coupling @ u_interface[blk.interface]
-            )
-        return u
+    def solve(self, weights: np.ndarray, check) -> np.ndarray:
+        """u_j with A(mu_j) u_j = f for the k rows mu_j of `weights`: C-ordered (dof, k).
+
+        The points run in chunks whose dense interface matrices and residual
+        products (P dof values a point) fit `FACTOR_BLOCK_BYTES`, each
+        factored by one stacked `cholesky`.  Every point then gets its own
+        pair of triangular solves and one matrix-vector product per block
+        interior, so each column is bitwise the solve of its point alone.
+        ``check(weights, rows)`` runs on each chunk once it is solved, with
+        the chunk's solutions as rows.  A failure names the first mu in row
+        order: a chunk whose factorization fails is redone point by point, so
+        the points before the failing one are solved and checked first.
+        """
+        solutions = np.empty((self.dof_count, len(weights)))
+        point_bytes = 8 * (self.interface.size**2 + weights.shape[1] * self.dof_count)
+        step = max(1, FACTOR_BLOCK_BYTES // point_bytes)
+        # Each chunk is solved in rows and copied into its columns: writing
+        # each solution into a column of the result was slower at nx=128,
+        # and transposing all rows at the end held one more (dof, k) array.
+        rows = np.empty((min(step, len(weights)), self.dof_count))
+        for start in range(0, len(weights), step):
+            chunk = rows[: len(weights[start : start + step])]
+            self._solve_chunk(weights[start : start + step], chunk, check)
+            solutions[:, start : start + step] = chunk.T
+        return solutions
+
+    def _solve_chunk(self, weights: np.ndarray, rows: np.ndarray, check) -> None:
+        """Solve one chunk into `rows`, then `check` it."""
+        try:
+            lowers = self.cholesky(weights)
+        except NumericError:
+            if len(weights) == 1:
+                raise
+            for j in range(len(weights)):
+                self._solve_chunk(weights[j : j + 1], rows[j : j + 1], check)
+            return
+        for w, lower, u in zip(weights, lowers, rows):
+            u_interface = np.zeros(0)
+            if self.interface.size:
+                # L^T is upper triangular and Fortran-ordered, as `trsv` wants it.
+                half = dtrsv(lower.T, self.load, lower=0, trans=1)
+                u_interface = dtrsv(lower.T, half, lower=0)
+            u[self.interface] = u_interface
+            for blk in self.interiors:
+                u[blk.dofs] = (
+                    blk.load / w[blk.block] - blk.coupling @ u_interface[blk.interface]
+                )
+        check(weights, rows)
 
 
 @dataclass(frozen=True)
@@ -578,6 +653,8 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         for p in range(mesh.block_count)
     ]
 
+    operator = sparse.hstack(components, format="csr")
+    operator.eliminate_zeros()
     order = _nested_dissection(mesh.nx - 1, mesh.ny - 1)
 
     # Load: integral of each interior hat function is area/3 per triangle.
@@ -607,22 +684,71 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         _stacked=stacked,
         _order=order,
         _condensation=_condense(mesh, components, stacked, load, order),
+        _operator=operator,
         _fingerprint=digest.hexdigest(),
     )
 
 
-def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
-    """Solve the full-order problem A(mu) u = f through the condensation.
+def solve_fom_block(system: AffineSystem, weights) -> np.ndarray:
+    """Full-order solutions for the k rows mu_j of a (k, P) weight array.
 
-    The block interiors were eliminated once by `assemble`.  A solve forms
-    the interface Schur complement S(mu) from the per-block data (one sparse
-    product with mu, scattered into a dense matrix), factors it by dense
-    Cholesky and solves for the interface values u_G, then sets each
-    interior to u[I_p] = w_p / mu_p - Z_p u_G[L_p].  The Cholesky reads one
-    triangle of S(mu) only; the relative residual, checked against the
-    assembled A(mu), certifies the solve.  At nx=64 on 2x2 blocks a solve
-    takes about 0.5 ms, against about 1.2 ms with a sparse LU of S(mu) and
-    about 12 ms with a sparse LU of A(mu).
+    Returns a C-ordered (dof, k) array whose column j solves A(mu_j) u = f,
+    the layout that sparse products with column blocks want.  Chunks of
+    points that fit `FACTOR_BLOCK_BYTES` (8 points at nx=64 on 2x2 blocks)
+    are factored by one stacked Cholesky of their interface Schur
+    complements; each point then solves for its interface values u_G and
+    sets each interior to u[I_p] = w_p / mu_p - Z_p u_G[L_p] on its own
+    (`Condensation.solve`), so every column is bitwise the solution
+    `solve_fom` gives for its point.  The relative residuals, checked
+    against the assembled A(mu) for each chunk, certify the solves.  At
+    nx=64 on 2x2 blocks (2 CPUs), 625 solves in 64-point blocks on 2 pool
+    workers took 0.13-0.18 s, against 0.26-0.32 s as one task per point
+    (medians of 7 runs each).
+
+    Raises
+    ------
+    DimensionError
+        If `weights` is not a (k, P) array for the system's P blocks.
+    NumericError
+        Naming the first mu, in row order, whose S(mu) is not positive
+        definite or whose relative residual exceeds 1e-10.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != system.block_count:
+        raise DimensionError(
+            f"expected a (k, {system.block_count}) weight array, got shape {weights.shape}"
+        )
+    return system._condensation.solve(
+        weights, lambda chunk, rows: _check_residuals(system, chunk, rows)
+    )
+
+
+def _check_residuals(system: AffineSystem, weights: np.ndarray, rows: np.ndarray) -> None:
+    """Raise NumericError at the first row u_j of `rows` whose relative
+    residual ||A(mu_j) u_j - f|| / ||f|| exceeds FOM_RESIDUAL_TOL.
+
+    [A_1 ... A_P] times (mu_j1 u_j, ..., mu_jP u_j) is A(mu_j) u_j: one
+    sparse matrix-vector product a point, and no A(mu) is formed.
+    """
+    scaled = (weights[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    residuals = np.array([system._operator @ row for row in scaled]) - system.load
+    squares = np.einsum("ij,ij->i", residuals, residuals)
+    relative = np.sqrt(squares) / (np.linalg.norm(system.load) or 1.0)
+    failed = np.flatnonzero(~(relative <= FOM_RESIDUAL_TOL))
+    if failed.size:
+        j = failed[0]
+        raise NumericError(
+            f"FOM solve at mu={tuple(weights[j].tolist())} reached relative residual "
+            f"{relative[j]:.3e} (contract {FOM_RESIDUAL_TOL:.0e})"
+        )
+
+
+def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
+    """Solve the full-order problem A(mu) u = f: `solve_fom_block` at one point.
+
+    The Cholesky reads one triangle of S(mu) only.  At nx=64 on 2x2 blocks a
+    solve takes about 0.5-0.8 ms, against about 1.2 ms with a sparse LU of
+    S(mu) and about 12 ms with a sparse LU of A(mu).
 
     Raises
     ------
@@ -637,17 +763,7 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
         raise DimensionError(
             f"parameter has {mu.size} weights, system has {system.block_count} blocks"
         )
-    weights = mu.as_array()
-    u = system._condensation.solve(weights)
-    matrix = system.matrix(weights)
-    load_norm = np.linalg.norm(system.load)
-    residual = np.linalg.norm(matrix @ u - system.load) / (load_norm or 1.0)
-    if not residual <= FOM_RESIDUAL_TOL:
-        raise NumericError(
-            f"FOM solve at mu={mu.weights} reached relative residual {residual:.3e} "
-            f"(contract {FOM_RESIDUAL_TOL:.0e})"
-        )
-    return Snapshot(coefficients=u, parameter=mu)
+    return Snapshot(coefficients=solve_fom_block(system, [mu.weights])[:, 0], parameter=mu)
 
 
 def x_inner(u: np.ndarray, v: np.ndarray, system: AffineSystem) -> float:
@@ -673,25 +789,77 @@ def x_norms(columns: np.ndarray, system: AffineSystem) -> np.ndarray:
     return np.sqrt(np.clip(squares, 0.0, None))
 
 
+class ColumnBlocks:
+    """Full-order vectors f_0, ..., f_{T-1} read in the fixed column blocks of
+    `pool.column_blocks`.
+
+    Built from a list of such blocks, C-ordered (dof, width) arrays as the
+    experiment's bulk solves return them (`solve_fom_block` over the slices
+    of `pool.column_blocks`), or from a mapping parameter -> Snapshot (its
+    values, in order), a sequence of Snapshots or vectors, or a (T, dof)
+    array of rows.  `block(k)` returns block k as a new array the caller
+    owns, a copy of a given block or the stack of its vectors, so a
+    sequence of vectors is stacked one block at a time, never whole.
+
+    Raises InsufficientDataError without a column, and DimensionError when
+    given blocks do not follow the fixed split.
+    """
+
+    def __init__(self, columns):
+        if isinstance(columns, Mapping):
+            columns = columns.values()
+        items = [getattr(c, "coefficients", c) for c in columns]
+        if not items:
+            raise InsufficientDataError("need at least one snapshot")
+        stacked = np.ndim(items[0]) == 2
+        widths = [b.shape[1] for b in items] if stacked else [1] * len(items)
+        self.count = sum(widths)
+        self.slices = column_blocks(self.count)
+        if stacked and widths != [len(range(self.count)[s]) for s in self.slices]:
+            raise DimensionError(f"column blocks of widths {widths} break the fixed split")
+        self._blocks = items if stacked else None
+        self._vectors = None if stacked else items
+
+    def block(self, k: int) -> np.ndarray:
+        """Columns `slices[k]` as a new C-ordered (dof, width) array."""
+        if self._blocks is None:
+            return np.column_stack(self._vectors[self.slices[k]])
+        return self._blocks[k].copy()
+
+    def column(self, t: int) -> np.ndarray:
+        """f_t as a contiguous vector (not a copy when given as a vector)."""
+        if self._blocks is None:
+            return self._vectors[t]
+        k, j = divmod(t, self.slices[0].stop)
+        return self._blocks[k][:, j].copy()
+
+    def matrix(self) -> np.ndarray:
+        """Every column in one new C-ordered (dof, T) array."""
+        if self._blocks is None:
+            return np.column_stack(self._vectors)
+        return np.concatenate(self._blocks, axis=1)
+
+
 def projection_distances(vectors, columns, system: AffineSystem, pool=None):
     """X-distance of every column to every prefix span of X-orthonormal vectors.
 
-    `vectors` is a (dof_count, N) matrix V with V^T M_X V = I; `columns` is
-    a sequence of T full-order vectors f_t (or a (T, dof_count) array).
+    `vectors` is a (dof_count, N) matrix V with V^T M_X V = I; `columns`
+    holds T full-order vectors f_t in any form `ColumnBlocks` takes.
     Returns ``(dist, coeffs)``: ``dist[n, t] = ||f_t - V_n V_n^T M_X f_t||_X``
     for the prefixes V_n of the first n vectors, n = 0..N, and
     ``coeffs = V^T M_X F``, (N, T).
 
-    Each fixed-width column block is stacked on its own, one `pool` task
-    (inline without a pool), and forms its coefficients A and its explicit
-    remainder R = F - V A.  Then ``dist[n]**2 = ||R||_X**2 + sum_{j >= n}
-    A_j**2``, a sum of nonnegative terms accumulated from the last vector
-    back, and ``dist[0]`` is the direct norm ||f||_X.  The remainder and the
-    tail carry O(eps ||f||_X) absolute error, as peeling the vectors off one
-    at a time does, and no term cancels; an orthonormality defect delta
-    adds O(delta ||f||_X), so NumericError is raised when max|V^T M_X V - I|
-    exceeds ORTHONORMALITY_TOL.  The column split is fixed, so the results
-    are bitwise independent of the worker count.
+    Each fixed-width column block, one `pool` task (inline without a pool),
+    takes its own copy of the block and forms its coefficients A and its
+    explicit remainder R = F - V A.  Then ``dist[n]**2 = ||R||_X**2 +
+    sum_{j >= n} A_j**2``, a sum of nonnegative terms accumulated from the
+    last vector back, and ``dist[0]`` is the direct norm ||f||_X.  The
+    remainder and the tail carry O(eps ||f||_X) absolute error, as peeling
+    the vectors off one at a time does, and no term cancels; an
+    orthonormality defect delta adds O(delta ||f||_X), so NumericError is
+    raised when max|V^T M_X V - I| exceeds ORTHONORMALITY_TOL.  The column
+    split is fixed, so the results are bitwise independent of the worker
+    count and of whether the columns came stacked.
     """
     gram = system.gram
     size = vectors.shape[1]
@@ -703,11 +871,13 @@ def projection_distances(vectors, columns, system: AffineSystem, pool=None):
                 f"exceeds {ORTHONORMALITY_TOL:.0e}"
             )
 
-    count = len(columns)
-    dist, coeffs = np.empty((size + 1, count)), np.empty((size, count))
+    if not isinstance(columns, ColumnBlocks):
+        columns = ColumnBlocks(columns)
+    dist, coeffs = np.empty((size + 1, columns.count)), np.empty((size, columns.count))
 
-    def block(cols: slice) -> None:
-        f = np.column_stack(columns[cols])
+    def block(k: int) -> None:
+        cols = columns.slices[k]
+        f = columns.block(k)
         mf = gram @ f
         direct = np.einsum("ij,ij->j", f, mf)
         a = coeffs[:, cols] = vectors.T @ mf
@@ -720,5 +890,5 @@ def projection_distances(vectors, columns, system: AffineSystem, pool=None):
         squares[0] = direct
         dist[:, cols] = np.sqrt(np.clip(squares, 0.0, None))
 
-    map_column_blocks(pool, block, count)
+    (pool or WorkerPool()).map(block, range(len(columns.slices)))
     return dist, coeffs

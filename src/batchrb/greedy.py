@@ -37,9 +37,15 @@ import numpy as np
 from . import estimator as est_mod
 from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
-from .fem import AffineSystem, ParameterPoint, Snapshot, projection_distances, solve_fom
-from .pool import WorkerPool, column_blocks
-from .theory import snapshot_list
+from .fem import (
+    AffineSystem,
+    ColumnBlocks,
+    ParameterPoint,
+    Snapshot,
+    projection_distances,
+    solve_fom,
+)
+from .pool import WorkerPool
 
 __all__ = [
     "GreedyConfig",
@@ -276,22 +282,19 @@ class _ResidualTable:
     """Strong-greedy error source: projection residuals of known snapshots.
 
     Serves the strong run only.  The residual columns are held in the fixed
-    column blocks of `pool.column_blocks`, and a sweep is one `pool` task per
-    block (inline without a pool).  The task first peels the basis vectors
-    added since the last sweep off the block explicitly, one at a time, the
-    first of them with the block's M_X R kept from that sweep, so each
-    sweep-and-peel costs one sparse product.  Then it forms the block's
-    M_X R and column squares.  The split never depends on the worker count,
-    so neither do the values.
+    column blocks of `pool.column_blocks`, copies of the `ColumnBlocks`
+    given, and a sweep is one `pool` task per block (inline without a pool).
+    The task first peels the basis vectors added since the last sweep off
+    the block explicitly, one at a time, the first of them with the block's
+    M_X R kept from that sweep, so each sweep-and-peel costs one sparse
+    product.  Then it forms the block's M_X R and column squares.  The split
+    never depends on the worker count, so neither do the values.
     """
 
-    def __init__(self, system: AffineSystem, snapshots: Sequence[Snapshot], pool=None):
+    def __init__(self, system: AffineSystem, columns: ColumnBlocks, pool=None):
         self.gram = system.gram
         self.pool = pool or WorkerPool()
-        self.residuals = [
-            np.column_stack([np.asarray(s.coefficients, dtype=float) for s in snapshots[cols]])
-            for cols in column_blocks(len(snapshots))
-        ]
+        self.residuals = [columns.block(k) for k in range(len(columns.slices))]
         self.products = [None] * len(self.residuals)  # M_X R at the last sweep
         self.basis = rb.ReducedBasis.empty(system.dof_count)
         self.size = 0  # basis vectors peeled so far
@@ -461,27 +464,42 @@ def run_batch_greedy(
 
 
 def run_strong_greedy(
-    system: AffineSystem,
-    config: GreedyConfig,
-    snapshots: Mapping[ParameterPoint, Snapshot],
-    pool=None,
+    system: AffineSystem, config: GreedyConfig, snapshots, pool=None
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Batch greedy steered by true projection errors over precomputed snapshots.
 
-    The error source is the residual table of the training snapshots, whose
-    fixed column blocks are `pool` tasks (inline without a pool), so the run
-    is bitwise independent of the worker count.  Phase timings: solve covers
-    the snapshot lookups, evaluate the error sweep with the residual-table
-    downdate, reduce nothing.
+    `snapshots` maps every training point to its Snapshot, or holds the
+    training snapshots in training-set order in any other form
+    `fem.ColumnBlocks` takes, such as the column blocks of the experiment's
+    bulk solves.  The error source is the residual table of the training
+    snapshots, whose fixed column blocks are `pool` tasks (inline without a
+    pool), so the run is bitwise independent of the worker count and of the
+    form the snapshots came in.  Phase timings: solve covers the snapshot
+    lookups, evaluate the error sweep with the residual-table downdate,
+    reduce nothing.
     """
-    missing = [mu for mu in config.training_set if mu not in snapshots]
-    if missing:
+    training = config.training_set
+    if isinstance(snapshots, Mapping):
+        missing = [mu for mu in training if mu not in snapshots]
+        if missing:
+            raise ConfigurationError(
+                f"{len(missing)} training points without snapshots, "
+                f"first: {missing[0].weights}"
+            )
+        snapshots = [snapshots[mu] for mu in training]
+    columns = ColumnBlocks(snapshots)
+    if columns.count != len(training):
         raise ConfigurationError(
-            f"{len(missing)} training points without snapshots, first: {missing[0].weights}"
+            f"{columns.count} snapshots for {len(training)} training points"
         )
-    table = _ResidualTable(system, [snapshots[mu] for mu in config.training_set], pool)
+    index = {mu: t for t, mu in enumerate(training)}
+    table = _ResidualTable(system, columns, pool)
     return _run_greedy(
-        system, config, table, lambda mus: [snapshots[mu] for mu in mus], 1.0
+        system,
+        config,
+        table,
+        lambda mus: [Snapshot(columns.column(index[mu]), mu) for mu in mus],
+        1.0,
     )
 
 
@@ -497,10 +515,9 @@ def true_sigma(
     Fixed-width column blocks of snapshots are `pool` tasks (inline without
     a pool), so sigma is bitwise independent of the worker count.
 
-    `snapshots` is as in :func:`theory.snapshot_list`.
+    `snapshots` is in any form `fem.ColumnBlocks` takes.
     """
-    columns = [s.coefficients for s in snapshot_list(snapshots)]
-    return projection_distances(basis.vectors, columns, system, pool)[0].max(axis=1)
+    return projection_distances(basis.vectors, snapshots, system, pool)[0].max(axis=1)
 
 
 def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.ndarray:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, InsufficientDataError
-from .fem import projection_distances
+from .fem import ColumnBlocks, projection_distances
 
 #: Additive slack for the coefficient-matrix properties, applied after
 #: normalizing by sigma_0 so the tolerance is scale-free.
@@ -117,14 +117,6 @@ class CheckReport:
         }
 
 
-def snapshot_list(snapshots) -> list:
-    """The Snapshots of a mapping parameter -> Snapshot or of a sequence, at least one."""
-    snaps = list(snapshots.values() if isinstance(snapshots, Mapping) else snapshots)
-    if not snaps:
-        raise InsufficientDataError("need at least one snapshot")
-    return snaps
-
-
 def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
     """Certified width upper bounds from POD of the snapshot set.
 
@@ -135,9 +127,11 @@ def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
     :func:`fem.projection_distances`, one explicit remainder per snapshot
     plus its coefficient tail, each with O(eps ||f||_X) absolute error.
     Fixed-width column blocks are `pool` tasks (inline without a pool), so
-    ``d_up`` is bitwise independent of the worker count.
+    ``d_up`` is bitwise independent of the worker count.  `all_snapshots`
+    is in any form `fem.ColumnBlocks` takes.
     """
-    columns = np.column_stack([s.coefficients for s in snapshot_list(all_snapshots)])
+    snapshots = ColumnBlocks(all_snapshots)
+    columns = snapshots.matrix()
     gram = system.gram
     count = columns.shape[1]
 
@@ -167,7 +161,8 @@ def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
         weighted_modes.append(gram @ w)
 
     vectors = np.column_stack(modes) if modes else np.empty((columns.shape[0], 0))
-    dist, _ = projection_distances(vectors, columns.T, system, pool)
+    del columns
+    dist, _ = projection_distances(vectors, snapshots, system, pool)
     d_up = np.empty(count + 1)
     d_up[: len(modes) + 1] = dist.max(axis=1)
     # Beyond the available modes the projection space stops growing.

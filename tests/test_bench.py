@@ -5,15 +5,18 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from batchrb import bench, cli, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, NumericError
+from batchrb.pool import WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -453,6 +456,45 @@ class TestReferenceSolves:
         bench.run_experiment(config)
         assert calls == [config.test_count]
         assert misses == []
+
+
+class TestBulkSolves:
+    """The reference and training solves: one pool task per column block."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_equal_per_point_solves(self, system, workers):
+        points = bench.build_training_set(2, 2, 3)  # 81: a full and a tail block
+        with WorkerPool(workers) as pool:
+            blocks = bench._solve_on_pool(pool, system, points, "training solves")
+        assert [block.shape[1] for block in blocks] == [64, 17]
+        columns = np.concatenate(blocks, axis=1).T
+        for mu, column in zip(points, columns):
+            assert fem.solve_fom(system, mu).coefficients.tobytes() == column.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_point_in_order_raised(self, system, workers):
+        # Point 100 (second block) fails its residual and point 130 (third
+        # block) its factorization; the pool raises the first in order.
+        points = bench.build_training_set(2, 2, 3) + bench.build_training_set(2, 2, 4)[:70]
+        points[100] = SimpleNamespace(weights=(0.5, 0.0, 0.5, 0.5))
+        points[130] = SimpleNamespace(weights=(-0.5, -0.5, -0.5, -0.5))
+        with WorkerPool(workers) as pool:
+            with pytest.raises(NumericError, match="relative residual") as error:
+                bench._solve_on_pool(pool, system, points, "training solves")
+        assert str((0.5, 0.0, 0.5, 0.5)) in str(error.value)
+
+    def test_phase_lines_give_count_blocks_and_time_per_solve(self, tmp_path, caplog):
+        config = bench.ExperimentConfig(
+            px=2, py=2, nx=8, train_per_dim=3, test_count=bench.FULL_SOLVE_SAMPLES + 5,
+            seed=3, batch_sizes=(2,), tolerance=1e-2, oracle=True, out=str(tmp_path),
+        )
+        with caplog.at_level("INFO", logger="batchrb.bench"):
+            bench.run_experiment(config)
+        pattern = r"{}: \d+\.\d{{3}} s \({} in {} blocks, \d+\.\d{{2}} ms each\)"
+        assert re.search(pattern.format("reference solves", 5, 1), caplog.text)
+        assert re.search(pattern.format("training solves", 81, 2), caplog.text)
 
 
 class TestReferenceQuantities:

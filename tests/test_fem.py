@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from batchrb import fem
+from batchrb import pool as pool_mod
 from batchrb.errors import ConfigurationError, DimensionError, DomainError, NumericError
 
 
@@ -332,6 +333,115 @@ class TestCondensation:
         u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
         assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
         assert condensed.nbytes < 16 * matrix.data.nbytes
+
+
+class TestBlockSolve:
+    """`solve_fom_block` solves a block of points through stacked Cholesky
+    chunks; every column is bitwise the one-point `solve_fom`."""
+
+    LAYOUTS = [(64, 64, 2, 2), (48, 48, 3, 3), (8, 8, 1, 1), (16, 16, 16, 16), (12, 8, 3, 2)]
+
+    @staticmethod
+    def per_point(system, weights):
+        return [
+            fem.solve_fom(system, fem.ParameterPoint(tuple(w))).coefficients for w in weights
+        ]
+
+    @pytest.mark.parametrize("shape", LAYOUTS)
+    def test_bitwise_equal_to_per_point_solves(self, monkeypatch, shape):
+        system = fem.assemble(fem.build_mesh(*shape))
+        weights = np.random.default_rng(11).uniform(0.1, 1.0, size=(81, system.block_count))
+        expected = self.per_point(system, weights)
+        # The default chunks, one point per chunk, and the whole block in one.
+        for budget in (fem.FACTOR_BLOCK_BYTES, 1, 1 << 40):
+            monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", budget)
+            for count in (1, 5, 64, 81):
+                block = fem.solve_fom_block(system, weights[:count])
+                assert block.shape == (system.dof_count, count)
+                assert block.flags.c_contiguous
+                for u, column in zip(expected, block.T):
+                    assert u.tobytes() == column.tobytes()
+
+    def test_empty_block(self, small_system):
+        block = fem.solve_fom_block(small_system, np.empty((0, 4)))
+        assert block.shape == (small_system.dof_count, 0)
+
+    @pytest.mark.parametrize("weights", [np.ones(4), np.ones((2, 3)), np.ones((1, 2, 4))])
+    def test_weight_shape_checked(self, small_system, weights):
+        with pytest.raises(DimensionError):
+            fem.solve_fom_block(small_system, weights)
+
+    @pytest.fixture(scope="class")
+    def system8(self):
+        return fem.assemble(fem.build_mesh(8, 8, 2, 2))
+
+    @pytest.mark.parametrize("budget", [None, 1 << 40])
+    def test_indefinite_point_named_not_the_first(self, monkeypatch, system8, budget):
+        # A stacked factorization does not say which matrix failed.
+        if budget is not None:
+            monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", budget)
+        weights = np.random.default_rng(2).uniform(0.1, 1.0, size=(5, 4))
+        weights[2] = (-0.3, -0.7, -1.0, -0.45)
+        with pytest.raises(NumericError, match="not positive definite") as error:
+            fem.solve_fom_block(system8, weights)
+        assert str(tuple(weights[2].tolist())) in str(error.value)
+        assert str(tuple(weights[0].tolist())) not in str(error.value)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("budget", [None, 1 << 40])
+    def test_residual_failure_named(self, monkeypatch, system8, budget):
+        # A zero weight keeps S(mu) positive definite on 2x2 blocks, but
+        # its block's interior divides by zero and the residual is NaN.
+        if budget is not None:
+            monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", budget)
+        weights = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 4))
+        weights[2, 1] = 0.0
+        with pytest.raises(NumericError, match="relative residual") as error:
+            fem.solve_fom_block(system8, weights)
+        assert str(tuple(weights[2].tolist())) in str(error.value)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_earlier_residual_failure_wins_over_later_factorization(
+        self, monkeypatch, system8
+    ):
+        # Both failures fall in one chunk: the first failing point in order
+        # is reported, whichever check catches it.
+        monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", 1 << 40)
+        weights = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 4))
+        weights[1, 0] = 0.0
+        weights[3] = -weights[3]
+        with pytest.raises(NumericError, match="relative residual") as error:
+            fem.solve_fom_block(system8, weights)
+        assert str(tuple(weights[1].tolist())) in str(error.value)
+
+
+class TestColumnBlocks:
+    """The one reader of snapshot sets: given blocks or stacked vectors."""
+
+    def test_blocks_and_vectors_read_alike(self, monkeypatch, small_system):
+        monkeypatch.setattr(pool_mod, "COLUMN_BLOCK", 4)
+        weights = np.random.default_rng(5).uniform(0.1, 1.0, size=(10, 4))
+        blocks = [fem.solve_fom_block(small_system, weights[s : s + 4]) for s in (0, 4, 8)]
+        snapshots = [
+            fem.solve_fom(small_system, fem.ParameterPoint(tuple(w))) for w in weights
+        ]
+        given, stacked = fem.ColumnBlocks(blocks), fem.ColumnBlocks(snapshots)
+        assert given.count == stacked.count == 10
+        for k in range(3):
+            block = given.block(k)
+            assert block is not blocks[k] and block.flags.c_contiguous
+            assert block.tobytes() == stacked.block(k).tobytes() == blocks[k].tobytes()
+        for t in range(10):
+            assert given.column(t).tobytes() == stacked.column(t).tobytes()
+        assert given.matrix().tobytes() == stacked.matrix().tobytes()
+
+    def test_blocks_must_follow_the_fixed_split(self, small_system):
+        weights = np.full((3, 4), 0.5)
+        block = fem.solve_fom_block(small_system, weights)
+        with pytest.raises(DimensionError, match="fixed split"):
+            fem.ColumnBlocks([block, block])
 
 
 class TestInnerProduct:

@@ -817,6 +817,53 @@ class TestStrongPeelColumnBlocks:
         assert blocked.amatrix.tobytes() == unblocked.amatrix.tobytes()
 
 
+class TestSolvedColumnBlocks:
+    """The oracle keeps its training snapshots as the column blocks of the
+    bulk solves; every consumer gives the bytes it gives on Snapshots."""
+
+    @pytest.fixture(scope="class")
+    def training625(self):
+        return grid_params(5)
+
+    @pytest.fixture(scope="class")
+    def mapping(self, system, training625):
+        return {mu: fem.solve_fom(system, mu) for mu in training625}
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_bytes_equal_to_snapshot_mapping(self, system, training625, mapping, workers):
+        config = greedy.GreedyConfig(training_set=training625, batch_size=2, tolerance=1e-8)
+        results = []
+        with pool_mod.WorkerPool(workers or 1) as pool:
+            task_pool = pool if workers else None
+            blocks = bench._solve_on_pool(pool, system, training625, "training solves")
+            assert len(blocks) > 1
+            for snapshots in (blocks, mapping):
+                basis, trace = greedy.run_strong_greedy(system, config, snapshots, task_pool)
+                width = theory.pod_width_upper_bound(snapshots, system, pool=task_pool)
+                sigma = greedy.true_sigma(basis, snapshots, system, task_pool)
+                results.append((basis, trace, width, sigma))
+        (basis, trace, width, sigma), (ref_basis, ref, ref_width, ref_sigma) = results
+        assert basis.size == ref_basis.size > 10
+        assert basis.vectors.tobytes() == ref_basis.vectors.tobytes()
+        assert [
+            (rec.basis_size, rec.max_estimate, [(s.param_index, s.estimate) for s in rec.selections])
+            for rec in trace.iterations
+        ] == [
+            (rec.basis_size, rec.max_estimate, [(s.param_index, s.estimate) for s in rec.selections])
+            for rec in ref.iterations
+        ]
+        assert trace.stop_reason == ref.stop_reason
+        assert trace.amatrix.tobytes() == ref.amatrix.tobytes()
+        assert width.d_up.tobytes() == ref_width.d_up.tobytes()
+        assert sigma.tobytes() == ref_sigma.tobytes()
+
+    def test_block_count_must_match_training_set(self, system, training625):
+        blocks = [fem.solve_fom_block(system, np.array([mu.weights for mu in training625[:64]]))]
+        config = greedy.GreedyConfig(training_set=training625, batch_size=1)
+        with pytest.raises(ConfigurationError, match="64 snapshots for 625 training points"):
+            greedy.run_strong_greedy(system, config, blocks)
+
+
 class TestCallTimeLookups:
     """The loop looks these names up when it calls them, so a wrapper bound
     onto the module (a tracer, a profiler) sees every call."""
