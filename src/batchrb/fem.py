@@ -12,23 +12,23 @@ reference inner product is the H^1_0 seminorm, whose Gram matrix is the
 unit-coefficient stiffness matrix M_X = sum_p A_p.
 
 Every full-order matrix — A(mu) for any mu, and M_X — lives on one shared
-sparsity pattern.  `assemble` orders the interior DOF grid once by nested
-dissection (George 1973): the grid is cut along a full grid line, the two
-halves are numbered recursively and the cut line last.  A grid line is a
-separator because P1 couplings only join adjacent grid lines.
+sparsity pattern over the interior DOFs, numbered x-fastest.
 
 Full-order solves use static condensation, as Huynh, Knezevic & Patera
 (2013) apply it to parametrized components.  A DOF all of whose triangles
 lie in block p is interior to that block: it couples only through
 mu_p A_p.  The other DOFs, on the grid lines between blocks, form the
-interface.  `assemble` eliminates every block interior once, for all mu: one
-sparse LU of each interior block K_p, then discarded, gives the dense
-interface coupling Z_p, the interior solution w_p of the load, the
-mu-independent condensed load and the Schur complement S(mu) = sum_p mu_p S_p
-as sparse data on one pattern over the interface.  A solve then forms S(mu)
-as a dense matrix, factors it by dense Cholesky (125 interface DOFs against
-3,969 DOFs at nx=64 on 2x2 blocks, where S(mu) is 75% dense), and recovers
-each interior with one dense matrix-vector product.
+interface, in ascending DOF order.  `assemble` eliminates every block
+interior once, for all mu: one sparse LU of each interior block K_p, then
+discarded, gives the dense interface coupling Z_p, the interior solution
+w_p of the load, the mu-independent condensed load and the Schur complement
+S(mu) = sum_p mu_p S_p as sparse data on one pattern over the interface.  A
+solve then forms S(mu) as a dense matrix, factors it by dense Cholesky and
+recovers each interior with one dense matrix-vector product: O(m^2) memory
+and O(m^3) flops for m interface DOFs, whatever the sparsity of S(mu), plus
+O(|I_p| |L_p|) for each block interior I_p and its interface neighbours
+L_p.  `assemble` rejects a grid whose dense m x m matrix would exceed
+`INTERFACE_MAX_BYTES`.
 
 One kernel, `solve_fom_block`, solves a block of k points: one sparse
 product and one scatter form their k matrices S(mu), and one stacked
@@ -37,26 +37,14 @@ stacked call hands all of a chunk's factorizations to LAPACK at once, as
 batched BLAS does; Dongarra et al. 2017).  The triangular solves and the
 interior products stay per point, so each solution is bitwise the one-point
 solve, and one sparse matrix-vector product a point checks the residuals
-against the assembled A(mu), chunk by chunk.  `solve_fom` is its k = 1 case, for the weak greedy's
-batches and the serial `t_full` timing; the experiment's bulk solves run
-one 64-point block per worker-pool task, at 0.2-0.3 ms a solve on 2
-workers against 0.4-0.5 ms with one task per point (nx=64, 2x2 blocks, 2
-CPUs).
-The dense factor costs m^2 memory and m^3 / 3 flops for m interface DOFs,
-whatever the sparsity of S(mu).  Against a sparse LU of S(mu) it was about
-2.5x faster on 2x2 blocks at nx=64, 1.8x on 3x3 blocks at nx=48, and about
-even on 4x4 blocks at nx=64 and on 16x16 one-cell blocks at nx=16, where
-the interface is the whole grid.  Blocks one cell wide on a fine grid put
-the whole grid on the interface, and there it loses: 0.6-1.2 s against
-16-31 ms per solve for 64x1 blocks at nx=64.
+against the assembled A(mu), chunk by chunk.  `solve_fom` is its k = 1
+case.
 
-The nested-dissection order numbers the interface.  The estimator's Riesz
-solves with M_X = A(1, ..., 1) go through the same condensation
-(`estimator.RieszSolver`): a right-hand side A_p v vanishes on every other
-block's interior and condenses to S_p v on the interface, so no K_p is
-factored again.  A `RieszSolver` holds the inverse of the Cholesky factor
-of S(1, ..., 1), one dense m x m matrix per greedy run, with the same m^2
-memory caveat as a full-order solve.
+The estimator's Riesz solves with M_X = A(1, ..., 1) go through the same
+condensation (`estimator.RieszSolver`): a right-hand side A_p v vanishes on
+every other block's interior and condenses to S_p v on the interface, so no
+K_p is factored again.  A `RieszSolver` holds the inverse of the Cholesky
+factor of S(1, ..., 1), one dense m x m matrix per greedy run.
 """
 
 from __future__ import annotations
@@ -107,14 +95,16 @@ FOM_RESIDUAL_TOL = 1e-10
 #: blocks.
 FACTOR_BLOCK_BYTES = 2 << 20
 
+#: Largest dense m x m interface matrix, in bytes, that `assemble` admits:
+#: m <= 5792 interface DOFs.  Every solve holds at least one such matrix,
+#: whatever `FACTOR_BLOCK_BYTES` allows.
+INTERFACE_MAX_BYTES = 256 << 20
+
 #: Largest orthonormality defect max|V^T M_X V - I| that
 #: `projection_distances` accepts.  Its distances are exact for an
 #: orthonormal V and move by O(defect * ||f||_X) otherwise, so this keeps
 #: them within 1e-10 of the snapshot norm.
 ORTHONORMALITY_TOL = 1e-10
-
-#: Nested dissection keeps the natural order of grid blocks this small.
-_DISSECTION_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -221,7 +211,6 @@ class AffineSystem:
     mesh: Mesh
     rhs_value: float
     _stacked: np.ndarray = field(repr=False)  # (P, nnz) data on the shared pattern
-    _order: np.ndarray = field(repr=False)  # DOF at each position of the ordering
     _condensation: Condensation = field(repr=False)  # A(mu) u = f on the interface
     _operator: sparse.csr_matrix = field(repr=False)  # [A_1 ... A_P], (dof, P dof)
     _fingerprint: str = field(default="", repr=False)
@@ -270,11 +259,11 @@ class Condensation:
     """A(mu) u = f condensed onto the interface DOFs, once for every mu.
 
     The Schur complement S(mu) = sum_p mu_p S_p lives on one sparsity pattern
-    over the interface DOFs `interface`, numbered in nested-dissection order:
-    entry k sits at ``positions[k] = column * m + row`` of the dense
-    column-major m x m matrix.  `schur` is the sparse (nnz, P) stack of the
-    S_p data, so ``schur @ mu`` is the data of S(mu).  `load` is the
-    mu-independent condensed load g.
+    over the interface DOFs `interface`, in ascending DOF order: entry k sits
+    at ``positions[k] = column * m + row`` of the dense column-major m x m
+    matrix.  `schur` is the sparse (nnz, P) stack of the S_p data, so
+    ``schur @ mu`` is the data of S(mu).  `load` is the mu-independent
+    condensed load g.
     """
 
     dof_count: int
@@ -299,27 +288,25 @@ class Condensation:
         One sparse product and one scatter form all k dense matrices, and one
         stacked call factors them.  Each matrix is handed over column-major,
         as a lone one is: S(mu) is symmetric only to round-off, so a
-        row-major stack would factor other bits.  Raises NumericError naming
-        the first mu whose S(mu) is not positive definite.
+        row-major stack would factor other bits.  Raises NumericError if
+        some S(mu) is not positive definite; a stacked factorization does not
+        say which, so only a one-row `weights` names its mu.
         """
         size = self.interface.size
         dense = np.zeros((len(weights), size * size))
         dense[:, self.positions] = (self.schur @ weights.T).T
         stack = dense.reshape(len(weights), size, size).transpose(0, 2, 1)
         # numpy's LAPACK, not scipy's: each wheel bundles its own threaded
-        # OpenBLAS, and at nx=128 a scipy `potrf` between the numpy
-        # products of a solve made both thread pools contend for the
-        # CPUs (7.9 ms against 2.3-2.8 ms per solve on 2 CPUs).
+        # OpenBLAS, and a scipy call between numpy's products makes both
+        # thread pools contend for the CPUs.
         try:
             return np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
+            where = f"mu={tuple(weights[0].tolist())}"
             if len(weights) > 1:
-                # A stacked factorization does not say which matrix failed.
-                for j in range(len(weights)):
-                    self.cholesky(weights[j : j + 1])
+                where = f"one of {len(weights)} points"
             raise NumericError(
-                f"interface Schur complement at mu={tuple(weights[0].tolist())} "
-                f"is not positive definite"
+                f"interface Schur complement at {where} is not positive definite"
             ) from None
 
     def solve(self, weights: np.ndarray, check) -> np.ndarray:
@@ -386,7 +373,8 @@ def build_mesh(nx: int, ny: int, px: int, py: int) -> Mesh:
     Parameters
     ----------
     nx, ny : int
-        Cells per direction; must be positive and divisible by px, py.
+        Cells per direction; must be at least 2 (so that the grid has an
+        interior DOF) and divisible by px, py.
     px, py : int
         Sub-blocks per direction; must be positive.
 
@@ -397,11 +385,16 @@ def build_mesh(nx: int, ny: int, px: int, py: int) -> Mesh:
     Raises
     ------
     ConfigurationError
-        If a grid size is not positive or not divisible by its block count.
+        If a grid size is not positive or not divisible by its block count,
+        or if nx or ny is below 2.
     """
     for name, value in (("nx", nx), ("ny", ny), ("px", px), ("py", py)):
         if int(value) != value or value < 1:
             raise ConfigurationError(f"{name} must be a positive integer, got {value}")
+    if min(nx, ny) < 2:
+        raise ConfigurationError(
+            f"the {nx}x{ny} grid has no interior DOF; nx and ny must be at least 2"
+        )
     if nx % px != 0:
         raise ConfigurationError(f"nx={nx} is not divisible by px={px}")
     if ny % py != 0:
@@ -479,49 +472,26 @@ def _element_quantities(mesh: Mesh):
     return k_local, area
 
 
-def _nested_dissection(columns: int, rows: int) -> np.ndarray:
-    """Nested-dissection order of a rows-by-columns DOF grid numbered x-fastest.
-
-    Returns the DOF at each position of the ordering.  A block is cut along
-    the middle grid line across its longer side; both halves come first,
-    each ordered the same way, then the cut line.  Blocks of at most
-    `_DISSECTION_LEAF` DOFs keep their natural order.
-    """
-    pieces = []
-
-    def visit(block):
-        if block.size <= _DISSECTION_LEAF:
-            pieces.append(np.sort(block, axis=None))
-            return
-        if block.shape[0] > block.shape[1]:
-            block = block.T
-        mid = block.shape[1] // 2
-        visit(block[:, :mid])
-        visit(block[:, mid + 1 :])
-        pieces.append(block[:, mid])
-
-    visit(np.arange(rows * columns).reshape(rows, columns))
-    return np.concatenate(pieces)
-
-
 def _condense(
     mesh: Mesh,
     components: list[sparse.csc_matrix],
     stacked: np.ndarray,
     load: np.ndarray,
-    order: np.ndarray,
 ) -> Condensation:
     """Eliminate every block's interior DOFs from A(mu) u = f, for all mu at once.
 
     A DOF all of whose triangles lie in block p is in that block's interior
     I_p; it couples only through mu_p A_p, and only to I_p and to the
     interface DOFs L_p next to it.  The remaining DOFs form the interface,
-    numbered in the nested-dissection `order`.  One sparse LU of each
-    K_p = A_p[I_p, I_p], discarded afterwards, gives Z_p = K_p^-1 A_p[I_p, L_p]
-    and w_p = K_p^-1 f[I_p].  Then the mu_p cancel from the condensed load
-    g = f_interface - sum_p A_p[L_p, I_p] w_p, and block p adds mu_p times
-    A_p[interface, interface] - A_p[L_p, I_p] Z_p to S(mu); the dense part of
-    that is L_p x L_p only, so S stays sparse.
+    in ascending order.  One sparse LU of each K_p = A_p[I_p, I_p], discarded
+    afterwards, gives Z_p = K_p^-1 A_p[I_p, L_p] and w_p = K_p^-1 f[I_p].
+    Then the mu_p cancel from the condensed load g = f_interface -
+    sum_p A_p[L_p, I_p] w_p, and block p adds mu_p times A_p[interface,
+    interface] - A_p[L_p, I_p] Z_p to S(mu); the dense part of that is
+    L_p x L_p only, so S stays sparse.
+
+    Raises ConfigurationError, before any dense allocation, when a dense
+    m x m interface matrix would exceed INTERFACE_MAX_BYTES.
     """
     n_dof, blocks = mesh.dof_count, mesh.block_count
     corners = mesh.triangles.ravel()
@@ -531,7 +501,13 @@ def _condense(
     np.minimum.at(lowest, corners, corner_block)
     np.maximum.at(highest, corners, corner_block)
     owner = np.where(lowest == highest, lowest - 1, -1)[~mesh.boundary]
-    interface = order[owner[order] < 0]
+    interface = np.flatnonzero(owner < 0)
+    dense_bytes = 8 * interface.size**2
+    if dense_bytes > INTERFACE_MAX_BYTES:
+        raise ConfigurationError(
+            f"{interface.size} interface DOFs need {dense_bytes} bytes for one dense "
+            f"interface matrix (limit {INTERFACE_MAX_BYTES}); use fewer or wider blocks"
+        )
     local = np.full(n_dof, -1)
     local[interface] = np.arange(interface.size)
 
@@ -557,9 +533,8 @@ def _condense(
         lu = splu(columns[dofs].tocsc())
         b = coupled[touched].tocsr()  # A_p[L_p, I_p]
         # One right-hand side at a time: a many-column SuperLU solve makes
-        # small threaded BLAS-3 calls, which took 80-130 ms instead of 4 ms
-        # for 63 columns at nx=64 (2 CPUs, 2 BLAS threads) whenever the BLAS
-        # threads had gone idle, as they have when a system is assembled.
+        # small threaded BLAS-3 calls, which stall when the BLAS threads have
+        # gone idle, as they have when a system is assembled.
         coupling = np.empty((dofs.size, touched.size))
         for j, row in enumerate(b.toarray()):
             coupling[:, j] = lu.solve(row)
@@ -599,9 +574,12 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
     (homogeneous Dirichlet).  The block interiors are eliminated here, once
     for all mu, for `solve_fom` (see `_condense`).
 
-    Returns
-    -------
-    AffineSystem
+    Raises
+    ------
+    DomainError
+        If `rhs_value` is not finite.
+    ConfigurationError
+        If one dense interface matrix would exceed INTERFACE_MAX_BYTES.
     """
     if not np.isfinite(rhs_value):
         raise DomainError(f"rhs_value must be finite, got {rhs_value}")
@@ -655,7 +633,6 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
 
     operator = sparse.hstack(components, format="csr")
     operator.eliminate_zeros()
-    order = _nested_dissection(mesh.nx - 1, mesh.ny - 1)
 
     # Load: integral of each interior hat function is area/3 per triangle.
     load_full = np.zeros(n_vert)
@@ -682,8 +659,7 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         mesh=mesh,
         rhs_value=float(rhs_value),
         _stacked=stacked,
-        _order=order,
-        _condensation=_condense(mesh, components, stacked, load, order),
+        _condensation=_condense(mesh, components, stacked, load),
         _operator=operator,
         _fingerprint=digest.hexdigest(),
     )
@@ -700,10 +676,10 @@ def solve_fom_block(system: AffineSystem, weights) -> np.ndarray:
     sets each interior to u[I_p] = w_p / mu_p - Z_p u_G[L_p] on its own
     (`Condensation.solve`), so every column is bitwise the solution
     `solve_fom` gives for its point.  The relative residuals, checked
-    against the assembled A(mu) for each chunk, certify the solves.  At
-    nx=64 on 2x2 blocks (2 CPUs), 625 solves in 64-point blocks on 2 pool
-    workers took 0.13-0.18 s, against 0.26-0.32 s as one task per point
-    (medians of 7 runs each).
+    against the assembled A(mu) for each chunk, certify the solves.  Each
+    point costs O(m^3) flops for m interface DOFs plus O(dof) for its
+    interiors and residual; beyond the (dof, k) result, a call holds
+    O(FACTOR_BLOCK_BYTES) and at least one dense m x m matrix.
 
     Raises
     ------
@@ -746,9 +722,7 @@ def _check_residuals(system: AffineSystem, weights: np.ndarray, rows: np.ndarray
 def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
     """Solve the full-order problem A(mu) u = f: `solve_fom_block` at one point.
 
-    The Cholesky reads one triangle of S(mu) only.  At nx=64 on 2x2 blocks a
-    solve takes about 0.5-0.8 ms, against about 1.2 ms with a sparse LU of
-    S(mu) and about 12 ms with a sparse LU of A(mu).
+    The Cholesky reads one triangle of S(mu) only.
 
     Raises
     ------

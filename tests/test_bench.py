@@ -595,6 +595,23 @@ class TestCli:
             cli.main(["--batch-sizes", "1,x"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--px", "1", "--py", "1", "--nx", "1"], "1x1 grid has no interior DOF"),
+            (["--px", "19", "--py", "1", "--nx", "19", "--ny", "1000"], "17982 interface DOFs"),
+        ],
+    )
+    def test_rejects_unsolvable_grid(self, tmp_path, capsys, grid, message):
+        argv = grid + [
+            "--train-per-dim", "2", "--batch-sizes", "1", "--test-count", "2",
+            "--out", str(tmp_path / "out"),
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_import_leaves_optional_scipy_modules_unloaded(self):
         # scipy.optimize (needed only by a free-rate fit) and scipy.io
         # (unused) add start-up time; importing the CLI must load neither.

@@ -47,6 +47,11 @@ class TestMesh:
         with pytest.raises(ConfigurationError):
             fem.build_mesh(0, 4, 1, 1)
 
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (4, 1)])
+    def test_grid_without_interior_dof_rejected(self, nx, ny):
+        with pytest.raises(ConfigurationError, match=f"{nx}x{ny} grid has no interior DOF"):
+            fem.build_mesh(nx, ny, 1, 1)
+
     def test_triangles_ccw_and_block_aligned(self):
         mesh = fem.build_mesh(6, 4, 3, 2)
         pts = mesh.vertices[mesh.triangles]
@@ -246,8 +251,8 @@ _SCALING_SYSTEM = fem.assemble(fem.build_mesh(4, 4, 2, 2))
 
 
 class TestOrderedFactorization:
-    """The condensed solves match plain splu, and the nested-dissection
-    order that numbers the interface is a permutation cut by separators.
+    """The condensed solves match plain splu, and the interface is numbered
+    in ascending DOF order.
 
     MESHES covers one block (no interface), no interior DOFs (4, 4, 4, 4),
     blocks one cell wide in x (8, 6, 8, 2), and blocks of several sizes.
@@ -270,22 +275,15 @@ class TestOrderedFactorization:
             assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("shape", MESHES)
-    def test_ordering_is_a_permutation(self, shape):
-        system = fem.assemble(fem.build_mesh(*shape))
-        assert np.array_equal(np.sort(system._order), np.arange(system.dof_count))
-
-    def test_cut_lines_separate_the_halves(self):
-        # Removing the last-numbered grid line leaves two blocks that the
-        # matrix does not couple; the top-level cut of a 9 x 7 grid is
-        # column 4 (x-fastest numbering, 9 DOFs per row).
-        order = fem._nested_dissection(9, 7)
-        assert np.array_equal(order[-7:], np.arange(7) * 9 + 4)
-        system = fem.assemble(fem.build_mesh(10, 8, 1, 1))
-        matrix = system.gram.toarray()
-        left = order[: (63 - 7) // 2]
-        right = order[(63 - 7) // 2 : -7]
-        assert set(left % 9) == set(range(4))
-        assert not matrix[np.ix_(left, right)].any()
+    def test_interface_ascends_over_dofs_interior_to_no_block(self, shape):
+        mesh = fem.build_mesh(*shape)
+        interface = fem.assemble(mesh)._condensation.interface
+        assert np.all(np.diff(interface) > 0)
+        vertex = np.flatnonzero(~mesh.boundary)
+        shared = [
+            len(set(mesh.tri_block[(mesh.triangles == v).any(axis=1)])) > 1 for v in vertex
+        ]
+        assert np.array_equal(interface, np.flatnonzero(shared))
 
 
 class TestCondensation:
@@ -333,6 +331,31 @@ class TestCondensation:
         u = fem.solve_fom(system, fem.ParameterPoint(tuple(weights))).coefficients
         assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
         assert condensed.nbytes < 16 * matrix.data.nbytes
+
+
+class TestInterfaceBound:
+    """`assemble` rejects a grid whose dense interface matrix would exceed
+    INTERFACE_MAX_BYTES, before any dense allocation."""
+
+    def test_one_cell_wide_blocks_at_nx_64_admitted(self):
+        system = fem.assemble(fem.build_mesh(64, 64, 64, 1))
+        assert system._condensation.interface.size == 3969
+
+    def test_oversized_interface_rejected_naming_size_and_bytes(self):
+        # 17,982 interface DOFs: 2.6 GB for one dense matrix.
+        mesh = fem.build_mesh(19, 1000, 19, 1)
+        message = f"17982 interface DOFs need {8 * 17982**2} bytes"
+        with pytest.raises(ConfigurationError, match=message):
+            fem.assemble(mesh)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        mesh = fem.build_mesh(8, 6, 8, 2)
+        size = fem.assemble(mesh)._condensation.interface.size
+        monkeypatch.setattr(fem, "INTERFACE_MAX_BYTES", 8 * size**2 - 1)
+        with pytest.raises(ConfigurationError, match=f"{size} interface DOFs"):
+            fem.assemble(mesh)
+        monkeypatch.setattr(fem, "INTERFACE_MAX_BYTES", 8 * size**2)
+        assert fem.assemble(mesh)._condensation.interface.size == size
 
 
 class TestBlockSolve:
