@@ -398,8 +398,6 @@ def run_experiment(config: ExperimentConfig):
     time of each harness phase is logged at INFO, and the bulk solves also
     log their count, their blocks and the time per solve.
     """
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     logger.info(
         "experiment: %dx%d blocks, nx=%d, ny=%d, %d^%d training points",
         config.px, config.py, config.nx, config.resolved_ny,
@@ -412,6 +410,8 @@ def run_experiment(config: ExperimentConfig):
     )
     training_weights = np.array([mu.weights for mu in training])
     test_set = build_test_set(config.px, config.py, config.test_count, config.seed)
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     # Full-order reference timing (serial), reusing the solutions for error
     # evaluation; the other test points are solved on the pool.

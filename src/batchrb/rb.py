@@ -1,9 +1,9 @@
 """Reduced basis container, orthonormal extension, and Galerkin reduction.
 
-The basis is kept X-orthonormal (X = H^1_0 seminorm metric) by modified
-Gram-Schmidt with one full re-orthogonalization pass.  Extension records the
-expansion coefficients of every incoming snapshot with respect to the updated
-basis; these rows form the lower-triangular matrix consumed by the
+The basis is kept X-orthonormal (X = H^1_0 seminorm metric) by two classical
+Gram-Schmidt passes on matrix products, O(n dof) per snapshot.  Extension
+records the expansion coefficients of every incoming snapshot with respect to
+the updated basis; these rows form the lower-triangular matrix consumed by the
 convergence-theory checks.  The one Galerkin projection, :func:`extend_model`,
 projects only the vectors a basis gained; :func:`reduce` grows the empty model.
 """
@@ -123,8 +123,8 @@ class ExtensionRecord:
     """Outcome of orthogonalizing one snapshot during extend().
 
     `coefficients` is the expansion row of the incoming snapshot: projections
-    onto the previously accepted vectors (both MGS passes summed) followed,
-    for accepted snapshots, by the remainder norm as the diagonal entry.
+    onto the previously accepted vectors (both Gram-Schmidt passes summed)
+    followed, for accepted snapshots, by the remainder norm as the diagonal entry.
     """
 
     parameter: ParameterPoint
@@ -132,26 +132,6 @@ class ExtensionRecord:
     coefficients: np.ndarray
     incoming_norm: float
     residual_norm: float
-
-
-def _mgs_insert(w, basis_cols, gram_cols, gram, incoming_norm):
-    """Two-pass MGS of w against the given X-orthonormal columns.
-
-    Returns (unit remainder or None, projection coefficients, remainder norm).
-    """
-    coeffs = np.zeros(len(basis_cols))
-    for _ in range(2):
-        mw = gram @ w
-        for j, (v, mv) in enumerate(zip(basis_cols, gram_cols)):
-            c = float(v @ mw)
-            w = w - c * v
-            mw = mw - c * mv
-            coeffs[j] += c
-    mw = gram @ w
-    rnorm = float(np.sqrt(max(w @ mw, 0.0)))
-    if rnorm <= DROP_TOL_DEFAULT * incoming_norm:
-        return None, coeffs, rnorm
-    return w / rnorm, coeffs, rnorm
 
 
 def extend(
@@ -162,11 +142,14 @@ def extend(
 ) -> tuple[ReducedBasis, list[ExtensionRecord]]:
     """Orthonormally extend the basis by a batch of snapshots.
 
-    Snapshots are processed in the given order; each is orthogonalized (MGS
-    with one re-orthogonalization pass) against all previously accepted
-    vectors including earlier members of the same batch.  Members whose
-    remainder norm falls below ``DROP_TOL_DEFAULT`` times their incoming
-    X-norm are discarded and reported with ``accepted=False``.
+    Snapshots are processed in the given order; each gets two classical
+    Gram-Schmidt passes ``c = (M_X V)^T w; w -= V c`` against all previously
+    accepted vectors V, including earlier members of the same batch, at
+    O(n dof) per snapshot: M_X V is formed once per call and gains a column per
+    accepted vector, so a snapshot costs two sparse products with M_X.
+    Members whose remainder norm falls below ``DROP_TOL_DEFAULT`` times their
+    incoming X-norm are discarded and reported with ``accepted=False``; a
+    snapshot with a non-finite X-norm raises ``NumericError``.
 
     Parameters
     ----------
@@ -184,8 +167,12 @@ def extend(
         The extended basis and one record per incoming snapshot.
     """
     gram = system.gram
-    cols = [basis.vectors[:, j] for j in range(basis.size)]
-    gram_cols = [gram @ v for v in cols]
+    n = basis.size
+    # Fortran order keeps the leading columns V[:, :n] one contiguous block.
+    shape = (system.dof_count, n + len(snapshots))
+    v, mv = np.empty(shape, order="F"), np.empty(shape, order="F")
+    v[:, :n] = basis.vectors
+    mv[:, :n] = gram @ basis.vectors
     provenance = list(basis.provenance)
     records: list[ExtensionRecord] = []
 
@@ -195,30 +182,26 @@ def extend(
             raise DimensionError(
                 f"snapshot has shape {u.shape}, system expects ({system.dof_count},)"
             )
-        incoming = float(np.sqrt(max(u @ (gram @ u), 0.0)))
-        if incoming == 0.0:
-            records.append(
-                ExtensionRecord(snap.parameter, False, np.zeros(len(cols)), 0.0, 0.0)
-            )
+        incoming = math.sqrt(max(float(u @ (gram @ u)), 0.0))
+        if not math.isfinite(incoming):
+            raise NumericError(f"non-finite snapshot at mu={snap.parameter.weights}")
+        w, coeffs = u, np.zeros(n)
+        for _ in range(2):
+            c = mv[:, :n].T @ w
+            w = w - v[:, :n] @ c
+            coeffs += c
+        mw = gram @ w
+        rnorm = math.sqrt(max(float(w @ mw), 0.0))
+        if rnorm <= DROP_TOL_DEFAULT * incoming:
+            records.append(ExtensionRecord(snap.parameter, False, coeffs, incoming, rnorm))
             continue
-        unit, coeffs, rnorm = _mgs_insert(
-            u.copy(), cols, gram_cols, gram, incoming
-        )
-        if unit is None:
-            records.append(
-                ExtensionRecord(snap.parameter, False, coeffs, incoming, rnorm)
-            )
-            continue
-        cols.append(unit)
-        gram_cols.append(gram @ unit)
+        v[:, n], mv[:, n] = w / rnorm, mw / rnorm
+        n += 1
         provenance.append(BasisVectorOrigin(snap.parameter, iteration, rank))
         row = np.append(coeffs, rnorm)
         records.append(ExtensionRecord(snap.parameter, True, row, incoming, rnorm))
 
-    vectors = (
-        np.column_stack(cols) if cols else np.empty((system.dof_count, 0))
-    )
-    return ReducedBasis(vectors, provenance), records
+    return ReducedBasis(np.ascontiguousarray(v[:, :n]), provenance), records
 
 
 def reduce(basis: ReducedBasis, system: AffineSystem) -> ReducedModel:

@@ -611,6 +611,7 @@ class TestCli:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_import_leaves_optional_scipy_modules_unloaded(self):
         # scipy.optimize (needed only by a free-rate fit) and scipy.io

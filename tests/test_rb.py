@@ -1,5 +1,6 @@
 """Tests for basis extension, Galerkin reduction, and artifact round-trips."""
 
+import dataclasses
 import json
 import re
 
@@ -18,6 +19,18 @@ MUS = [
         (0.5, 0.5, 1.0, 0.2),
         (0.3, 0.9, 0.4, 0.7),
         (1.0, 1.0, 1.0, 1.0),
+    ]
+]
+
+#: A batch at nearby parameters.  Each later member's remainder falls to
+#: 1e-8-1e-10 of its norm, where one Gram-Schmidt pass loses orthogonality.
+NEAR_MUS = [
+    fem.ParameterPoint(w)
+    for w in [
+        (0.5, 0.6, 0.7, 0.8),
+        (0.50000001, 0.59999999, 0.7, 0.8),
+        (0.5, 0.600000001, 0.699999999, 0.8),
+        (0.5, 0.6, 0.700000001, 0.799999999),
     ]
 ]
 
@@ -44,12 +57,25 @@ def test_extend_single_snapshot_normalizes(system):
     assert fem.x_norm(basis.vectors[:, 0], system) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_extended_basis_is_x_orthonormal(system, basis_and_records):
-    basis, records = basis_and_records
-    assert basis.size == len(MUS)
-    assert all(r.accepted for r in records)
-    gramian = basis.vectors.T @ (system.gram @ basis.vectors)
-    assert np.allclose(gramian, np.eye(basis.size), atol=1e-8)
+@pytest.fixture(scope="module")
+def extensions(system):
+    """(snapshots, basis, records) of the MUS and the NEAR_MUS batch, each
+    extending the empty basis."""
+    runs = []
+    for mus in (MUS, NEAR_MUS):
+        snaps = [fem.solve_fom(system, mu) for mu in mus]
+        runs.append((snaps, *rb.extend(rb.ReducedBasis.empty(system.dof_count), snaps, system)))
+    return runs
+
+
+def test_extended_basis_is_x_orthonormal(system, extensions):
+    for snaps, basis, records in extensions:
+        assert basis.size == len(snaps)
+        assert all(r.accepted for r in records)
+        gramian = basis.vectors.T @ (system.gram @ basis.vectors)
+        assert np.allclose(gramian, np.eye(basis.size), atol=1e-8)
+    ratios = [r.residual_norm / r.incoming_norm for r in extensions[1][2][1:]]
+    assert all(1e-10 < ratio < 1e-8 for ratio in ratios), ratios  # NEAR_MUS regime
 
 
 def test_duplicate_snapshot_discarded(system):
@@ -82,15 +108,54 @@ def test_zero_snapshot_discarded(system):
     assert not records[0].accepted
 
 
-def test_records_reproduce_snapshots(system, basis_and_records):
+def test_records_reproduce_snapshots(system, extensions):
     """Each record row expands its snapshot in the accepted basis (Parseval)."""
-    basis, records = basis_and_records
-    for m, (mu, record) in enumerate(zip(MUS, records)):
-        snap = fem.solve_fom(system, mu)
-        rebuilt = basis.vectors[:, : m + 1] @ record.coefficients
-        norm = fem.x_norm(snap.coefficients, system)
-        assert fem.x_norm(snap.coefficients - rebuilt, system) <= 1e-8 * norm
-        assert np.sum(record.coefficients**2) == pytest.approx(norm**2, rel=1e-8)
+    for snaps, basis, records in extensions:
+        for m, (snap, record) in enumerate(zip(snaps, records)):
+            rebuilt = basis.vectors[:, : m + 1] @ record.coefficients
+            norm = fem.x_norm(snap.coefficients, system)
+            assert fem.x_norm(snap.coefficients - rebuilt, system) <= 1e-8 * norm
+            assert np.sum(record.coefficients**2) == pytest.approx(norm**2, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_snapshot_rejected(system, bad):
+    snap = fem.solve_fom(system, MUS[0])
+    poisoned = snap.coefficients.copy()
+    poisoned[3] = bad
+    batch = [snap, fem.Snapshot(poisoned, MUS[1])]
+    with pytest.raises(NumericError, match=re.escape(f"mu={MUS[1].weights}")):
+        rb.extend(rb.ReducedBasis.empty(system.dof_count), batch, system)
+
+
+class CountingGram:
+    """M_X behind a proxy that counts the products formed with it."""
+
+    def __init__(self, gram):
+        self.gram, self.products = gram, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.gram @ other
+
+
+def test_extension_forms_constant_gram_products(system):
+    """One snapshot costs O(1) products with M_X whatever the basis size n."""
+    rng = np.random.default_rng(3)
+    fakes = [
+        fem.Snapshot(rng.standard_normal(system.dof_count), fem.ParameterPoint.uniform(4))
+        for _ in range(20)
+    ]
+    snap = fem.solve_fom(system, MUS[0])
+    products = []
+    for n in (0, 20):
+        basis, _ = rb.extend(rb.ReducedBasis.empty(system.dof_count), fakes[:n], system)
+        counting = CountingGram(system.gram)
+        extended, _ = rb.extend(basis, [snap], dataclasses.replace(system, gram=counting))
+        assert extended.size == n + 1
+        products.append(counting.products)
+    assert products[0] == products[1] <= 3, products
 
 
 def test_provenance_tracks_iteration_and_rank(system):
