@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fem, greedy, rb, theory
 from .errors import ConfigurationError, NumericError
-from .pool import WorkerPool, map_column_blocks
+from .pool import BLAS_THREADS, WorkerPool, map_column_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -398,6 +398,7 @@ def run_experiment(config: ExperimentConfig):
     time of each harness phase is logged at INFO, and the bulk solves also
     log their count, their blocks and the time per solve.
     """
+    logger.info("BLAS threads: %s", BLAS_THREADS)
     logger.info(
         "experiment: %dx%d blocks, nx=%d, ny=%d, %d^%d training points",
         config.px, config.py, config.nx, config.resolved_ny,

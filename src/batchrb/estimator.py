@@ -14,12 +14,13 @@ Ohlberger & Rave 2014; Casenave, Ern & Lelievre 2014), so online
     ||r||_{X'} = || R [1, -mu_p c_j] ||_2,
 
 a Euclidean norm of a vector of size 1 + P n.  A sweep over a training set
-runs in row blocks within `SWEEP_BLOCK_BYTES`, in O(T (n^3 + (P n)^2)) time
-and O(SWEEP_BLOCK_BYTES + T) memory independent of the full-order dimension,
-and its accuracy floor is machine epsilon relative to ||f||_{X'}, not the
-square root of it that a squared Gram expansion reaches.  A sweep masked to
-k rows solves only those, O(k n^3), and keeps the residual product of each
-block that holds one; the weak greedy masks out rows a bound rules out.
+runs in row blocks within `SWEEP_BLOCK_BYTES`, one worker-pool task each, in
+O(T (n^3 + (P n)^2)) time and O(workers SWEEP_BLOCK_BYTES + T) memory
+independent of the full-order dimension, and its accuracy floor is machine
+epsilon relative to ||f||_{X'}, not the square root of it that a squared
+Gram expansion reaches.  A sweep masked to k rows solves only those,
+O(k n^3), and keeps the residual product of each block that holds one; the
+weak greedy masks out rows a bound rules out.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .fem import (
     ParameterPoint,
     solve_fom_block,
 )
+from .pool import WorkerPool
 from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel, solve_rom
 
 __all__ = [
@@ -87,10 +89,6 @@ class EffectivityBounds:
 
     def gamma_ub(self, mu: ParameterPoint) -> float:
         return max(mu.weights)
-
-    def kappa(self, mu: ParameterPoint) -> float:
-        """Effectivity bound gamma_UB / alpha_LB at one parameter."""
-        return self.gamma_ub(mu) / self.alpha_lb(mu)
 
     def gamma_greedy(self, block_count: int) -> float:
         """Weak-greedy parameter: min over the box of alpha_LB/gamma_UB.
@@ -324,13 +322,16 @@ def estimate_sweep(
     model: ReducedModel,
     weights: np.ndarray,
     rows: Optional[np.ndarray] = None,
+    pool=None,
 ) -> np.ndarray:
     """Vectorized error estimates for a (T, P) array of parameter weights.
 
     Rows run in the fewest near-equal blocks within `SWEEP_BLOCK_BYTES` (set by
-    T, n, P and the budget only).  A block of r rows forms its matrices
-    (``ReducedModel.matrix``, bitwise as in rb.solve_rom), LU-solves them, O(r n^3),
-    and takes a residual product, O(r (P n)^2), whose bits may depend on r.
+    T, n, P and the budget only), one `pool` task each (inline without a
+    pool), so values never depend on the worker count.  A block of r rows
+    forms its matrices (``ReducedModel.matrix``, bitwise as in rb.solve_rom),
+    LU-solves them, O(r n^3), and takes a residual product, O(r (P n)^2),
+    whose bits may depend on r.
 
     With a boolean `rows` mask of length T only the masked rows are
     estimated; the others read NaN.  A block without a masked row is
@@ -349,13 +350,17 @@ def estimate_sweep(
         raise DimensionError(f"rows must be a boolean mask of {t_count} entries")
     norms = np.where(rows, data.load_dual_norm, np.nan)
     n = model.basis_size
-    for start, stop in _row_blocks(t_count, n, p_count) if n else []:
+
+    def sweep_block(bounds: tuple[int, int]) -> None:
+        start, stop = bounds
         take = np.flatnonzero(rows[start:stop])
         if take.size:
             block = weights[start:stop][take]
             y = np.zeros((stop - start, p_count * n))
             y[take] = _residual_weights(block, _rom_coefficients_batch(model, block))
             norms[start + take] = _dual_norms(data, y)[take]
+
+    (pool or WorkerPool()).map(sweep_block, _row_blocks(t_count, n, p_count) if n else [])
     return norms / weights.min(axis=1)
 
 

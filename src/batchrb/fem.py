@@ -79,7 +79,6 @@ __all__ = [
     "solve_fom_block",
     "x_inner",
     "x_norm",
-    "x_norms",
     "projection_distances",
 ]
 
@@ -296,9 +295,7 @@ class Condensation:
         dense = np.zeros((len(weights), size * size))
         dense[:, self.positions] = (self.schur @ weights.T).T
         stack = dense.reshape(len(weights), size, size).transpose(0, 2, 1)
-        # numpy's LAPACK, not scipy's: each wheel bundles its own threaded
-        # OpenBLAS, and a scipy call between numpy's products makes both
-        # thread pools contend for the CPUs.
+        # numpy's LAPACK: its gufunc factors the whole stack in one call.
         try:
             return np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
@@ -532,12 +529,7 @@ def _condense(
         touched = np.unique(coupled.indices)
         lu = splu(columns[dofs].tocsc())
         b = coupled[touched].tocsr()  # A_p[L_p, I_p]
-        # One right-hand side at a time: a many-column SuperLU solve makes
-        # small threaded BLAS-3 calls, which stall when the BLAS threads have
-        # gone idle, as they have when a system is assembled.
-        coupling = np.empty((dofs.size, touched.size))
-        for j, row in enumerate(b.toarray()):
-            coupling[:, j] = lu.solve(row)
+        coupling = lu.solve(b.toarray().T)
         w = lu.solve(load[dofs])
         condensed_load[touched] -= b @ w
         rows.append(np.repeat(touched, touched.size))
@@ -755,12 +747,6 @@ def x_inner(u: np.ndarray, v: np.ndarray, system: AffineSystem) -> float:
 def x_norm(u: np.ndarray, system: AffineSystem) -> float:
     """X-norm sqrt(<u, u>_X); round-off negatives are clamped to zero."""
     return float(np.sqrt(max(x_inner(u, u, system), 0.0)))
-
-
-def x_norms(columns: np.ndarray, system: AffineSystem) -> np.ndarray:
-    """X-norm of every column of a (dof_count, k) matrix; negatives clamp to zero."""
-    squares = np.einsum("ij,ij->j", columns, system.gram @ columns)
-    return np.sqrt(np.clip(squares, 0.0, None))
 
 
 class ColumnBlocks:

@@ -18,9 +18,9 @@ The weak driver's error source is the residual estimator (reduced model plus
 offline estimator data); the strong driver's is the table of true projection
 residuals of precomputed snapshots.  With b = 1 the weak driver is exactly
 the classical weak greedy.  Selection happens before any parallel work,
-estimator sweeps run on a fixed single-threaded path and the strong
-driver's residual table on fixed column blocks, so traces are independent
-of the worker count.
+and the weak driver's estimator sweeps run on fixed row blocks and the
+strong driver's residual table on fixed column blocks, one pool task each,
+so traces are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -222,14 +222,15 @@ class _EstimatorSweep:
     The cut: provisional values of the rows with the largest bounds, each
     less its floor term (which covers their gathered-versus-blocked
     round-off), bound the b-th exact value outside `excluded` from below; one
-    masked `estimate_sweep` evaluates every row whose bound reaches the cut.
+    masked `estimate_sweep` evaluates every row whose bound reaches the cut,
+    its row blocks as `pool` tasks.
     """
 
     #: Least number of rows that get provisional values (4 b for larger b).
     PROVISIONAL_ROWS = 64
 
-    def __init__(self, system: AffineSystem, training_set: list[ParameterPoint]):
-        self.system = system
+    def __init__(self, system: AffineSystem, training_set: list[ParameterPoint], pool=None):
+        self.system, self.pool = system, pool
         self.weights = np.array([mu.weights for mu in training_set])
         self.solver = est_mod.RieszSolver(system)
         basis = rb.ReducedBasis.empty(system.dof_count)
@@ -248,7 +249,7 @@ class _EstimatorSweep:
     def sweep(self, batch_size: int, excluded: np.ndarray) -> tuple[np.ndarray, int]:
         """Estimates (bounds in rows not evaluated) and the evaluated row count."""
         rows = self._rows(batch_size, excluded)
-        values = est_mod.estimate_sweep(self.data, self.model, self.weights, rows)
+        values = est_mod.estimate_sweep(self.data, self.model, self.weights, rows, self.pool)
         bound = np.where(rows, self._slope * values + self._floor, np.inf)
         np.minimum(self._bound, bound, out=self._bound)
         return np.where(rows, values, self._bound), int(rows.sum())
@@ -432,10 +433,10 @@ def run_batch_greedy(
     """Run the weak batch greedy until tolerance, basis cap, exhaustion or
     stagnation.
 
-    The error source is the residual estimator; the b full-order snapshots of
-    a batch are solved on the worker pool.  Raises :class:`GreedyError`
-    carrying the offending parameter and the partial trace if a full-order
-    solve fails.
+    The error source is the residual estimator; its sweeps' row blocks and
+    the b full-order solves of a batch run on the worker pool.  Raises
+    :class:`GreedyError` carrying the offending parameter and the partial
+    trace if a full-order solve fails.
     """
     if solver is None:
         solver = solve_fom
@@ -445,8 +446,6 @@ def run_batch_greedy(
             f"training parameters have {p_size} weights, "
             f"system has {system.block_count} blocks"
         )
-    source = _EstimatorSweep(system, config.training_set)
-    gamma_weak = source.data.bounds.gamma_greedy(system.block_count)
 
     def solve_one(mu: ParameterPoint) -> Snapshot:
         try:
@@ -457,6 +456,8 @@ def run_batch_greedy(
             raise GreedyError(f"at mu={mu.weights}: {exc}", parameter=mu) from exc
 
     with WorkerPool(config.worker_count) as pool:
+        source = _EstimatorSweep(system, config.training_set, pool)
+        gamma_weak = source.data.bounds.gamma_greedy(system.block_count)
         basis, trace = _run_greedy(
             system, config, source, lambda mus: pool.map(solve_one, mus), gamma_weak
         )

@@ -1,15 +1,59 @@
-"""Deterministic worker pool for independent tasks: solves and column blocks."""
+"""Deterministic worker pool for independent tasks: solves, row and column blocks.
+
+All parallelism comes from this pool: importing it sets every loaded
+OpenBLAS to one thread for the whole process, overriding
+``OPENBLAS_NUM_THREADS``.  Pool threads over threaded BLAS oversubscribe
+the CPUs, and a GEMM's bits depend on the BLAS thread count.
+"""
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy  # noqa: F401  (loads numpy's OpenBLAS)
+import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
 from .errors import ConfigurationError
 
 #: Columns per task of a column-independent computation.  Fixed, so the split
 #: and with it every result never depends on the worker count.
 COLUMN_BLOCK = 64
+
+
+def _loaded_openblas() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process (Linux only)."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return []
+    return sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1]})
+
+
+def _one_blas_thread(paths) -> str:
+    """Set each OpenBLAS in `paths` to one thread; describe what was done.
+
+    `openblas_set_num_threads_local` sets the count for the whole process
+    and returns the previous one.  threadpoolctl (scikit-learn) is the
+    published form of this control; it is not a dependency here.
+    """
+    done = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        done.append(f"{Path(path).name} {setter(1)} -> 1")
+    found = ", ".join(Path(path).name for path in paths) or "none"
+    why = f"unchanged: no openblas_set_num_threads_local in the OpenBLAS found ({found})"
+    return "; ".join(done) or why
+
+
+#: "library previous -> 1" per OpenBLAS set at import, or why none was.
+BLAS_THREADS = _one_blas_thread(_loaded_openblas())
 
 
 def _available_cpus() -> int:

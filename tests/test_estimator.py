@@ -9,6 +9,7 @@ from scipy.sparse.linalg import splu
 
 from batchrb import bench, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, DimensionError, DomainError, NumericError
+from batchrb.pool import WorkerPool
 
 TRAIN = [
     fem.ParameterPoint(w)
@@ -53,7 +54,7 @@ class TestBounds:
     def test_kappa(self):
         bounds = estimator.EffectivityBounds()
         mu = fem.ParameterPoint((0.2, 0.8, 0.5, 0.4))
-        assert bounds.kappa(mu) == pytest.approx(4.0, rel=1e-15)
+        assert bounds.gamma_ub(mu) / bounds.alpha_lb(mu) == pytest.approx(4.0, rel=1e-15)
 
 
 def direct_representers(system, vectors):
@@ -157,7 +158,7 @@ class TestEstimate:
             u_rb = rb.reconstruct(sub, rb.solve_rom(sub_model, mu))
             err = fem.x_norm(u - u_rb, system)
             delta = estimator.estimate(sub_data, sub_model, mu)
-            kappa = data.bounds.kappa(mu)
+            kappa = data.bounds.gamma_ub(mu) / data.bounds.alpha_lb(mu)
             assert err <= delta + 1e-8
             assert delta <= kappa * err + 1e-8
 
@@ -415,6 +416,21 @@ class TestBlockSweep:
             blocks = estimator._row_blocks(count, model.basis_size, model.block_count)
             touched = [mask[start:stop].sum() for start, stop in blocks]
             assert solved == [r for r in touched if r]
+
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_pooled_sweep_bitwise_equal_to_inline(self, monkeypatch, sweep_run, rows):
+        """Row blocks as pool tasks read the inline sweep's bits, masked or not."""
+        model = sweep_run[2][1]
+        data = model.estimator_data
+        force_rows(monkeypatch, model, rows)
+        count = len(self.WEIGHTS)
+        assert len(estimator._row_blocks(count, model.basis_size, model.block_count)) > 1
+        mask = np.random.default_rng(rows).random(count) < 0.3
+        with WorkerPool(2) as pool:
+            for rows_mask in (None, mask):
+                inline = estimator.estimate_sweep(data, model, self.WEIGHTS, rows_mask)
+                pooled = estimator.estimate_sweep(data, model, self.WEIGHTS, rows_mask, pool)
+                assert pooled.tobytes() == inline.tobytes()
 
     def test_mask_must_be_boolean_per_row(self, setup):
         system, basis, model, data = setup

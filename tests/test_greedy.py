@@ -296,6 +296,34 @@ class TestWorkerInvariance:
         ]
 
 
+    def test_pooled_sweep_blocks_independent_of_worker_count(self, monkeypatch, system):
+        """Sweeps in many row blocks on 1 and 2 workers give bitwise equal traces."""
+        monkeypatch.setattr(estimator, "SWEEP_BLOCK_BYTES", 16 << 10)
+        assert len(estimator._row_blocks(256, 4, 4)) > 1
+        sweep = estimator.estimate_sweep
+        workers_seen = set()
+
+        def recording(*args):
+            workers_seen.add(args[4].workers)
+            return sweep(*args)
+
+        monkeypatch.setattr(estimator, "estimate_sweep", recording)
+        traces = []
+        for workers in (1, 2):
+            config = greedy.GreedyConfig(
+                training_set=grid_params(4), batch_size=3, tolerance=1e-6,
+                worker_count=workers,
+            )
+            traces.append(greedy.run_batch_greedy(system, config)[2])
+        one, two = traces
+        assert workers_seen == {1, min(2, pool_mod._available_cpus())}
+        assert one.selected_indices() == two.selected_indices()
+        assert one.amatrix.tobytes() == two.amatrix.tobytes()
+        for a, b in zip(one.iterations, two.iterations, strict=True):
+            assert (a.max_estimate, a.evaluated) == (b.max_estimate, b.evaluated)
+            assert [s.estimate for s in a.selections] == [s.estimate for s in b.selections]
+
+
 class TestDegenerateTrainingSets:
     def test_collinear_snapshots_discarded(self, system):
         diagonal = [fem.ParameterPoint.uniform(4, c) for c in np.linspace(0.1, 1, 9)]
@@ -576,15 +604,21 @@ class TestStrongGreedy:
             assert sigma[n] == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
+def x_norms(columns, system):
+    """X-norm of every column of a (dof_count, k) matrix; negatives clamp to zero."""
+    squares = np.einsum("ij,ij->j", columns, system.gram @ columns)
+    return np.sqrt(np.clip(squares, 0.0, None))
+
+
 def naive_peel_norms(basis, snapshot_list, system):
     """Residual X-norms of every snapshot after each peel, n = 0..basis.size;
     every peel forms its own product M_X R."""
     residual = np.column_stack([s.coefficients for s in snapshot_list])
-    norms = [fem.x_norms(residual, system)]
+    norms = [x_norms(residual, system)]
     for j in range(basis.size):
         v = basis.vectors[:, j]
         residual = residual - np.outer(v, v @ (system.gram @ residual))
-        norms.append(fem.x_norms(residual, system))
+        norms.append(x_norms(residual, system))
     return norms
 
 
@@ -670,7 +704,7 @@ class TestProjectionDistances:
         sigma0 = peel[0].max()
         assert dist.shape == peel.shape == (basis.size + 1, len(snapshots))
         assert np.abs(dist - peel).max() <= 1e-13 * sigma0
-        assert np.array_equal(dist[0], fem.x_norms(matrix, system16))
+        assert np.array_equal(dist[0], x_norms(matrix, system16))
         direct = basis.vectors.T @ (system16.gram @ matrix)
         assert np.allclose(coeffs, direct, rtol=0, atol=1e-13 * sigma0)
         sigma = greedy.true_sigma(basis, snapshots, system16)

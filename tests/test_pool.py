@@ -1,9 +1,12 @@
 """Tests for the worker pool and its fixed-width column blocks."""
 
+import ctypes
 import os
+from pathlib import Path
 
 import pytest
 
+from batchrb import pool as pool_mod
 from batchrb.errors import ConfigurationError
 from batchrb.pool import COLUMN_BLOCK, WorkerPool, map_column_blocks
 
@@ -41,3 +44,40 @@ class TestColumnBlocks:
         assert sum(blocks, []) == columns
         if pool is not None:
             pool.shutdown()
+
+
+def loaded_openblas_threads():
+    """{library name: thread count} of every OpenBLAS mapped into the process."""
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    counts = {}
+    for path in {line.split()[-1] for line in maps if "openblas" in line.split()[-1]}:
+        library = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[Path(path).name] = getter()
+                break
+    return counts
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+    def test_every_loaded_openblas_runs_one_thread(self):
+        counts = loaded_openblas_threads()
+        if not counts:
+            assert pool_mod.BLAS_THREADS.startswith("unchanged: no openblas_set_num")
+        for name, threads in counts.items():
+            assert threads == 1, name
+            assert f"{name} " in pool_mod.BLAS_THREADS and " -> 1" in pool_mod.BLAS_THREADS
+
+    def test_fallback_says_why(self):
+        why = "unchanged: no openblas_set_num_threads_local in the OpenBLAS found"
+        assert pool_mod._one_blas_thread([]) == f"{why} (none)"
+        missing = pool_mod._one_blas_thread(["/nonexistent/libopenblas-test.so"])
+        assert missing == f"{why} (libopenblas-test.so)"
