@@ -392,11 +392,11 @@ def run_experiment(config: ExperimentConfig):
     the first test points.  One worker pool serves the other reference
     solves and, in oracle mode, the training solves, each one task per
     64-point column block of `fem.solve_fom_block`; the oracle keeps the
-    training snapshots as those blocks, and the strong run's residual
-    table, the POD width and true sigma read them in the same column
-    blocks, with results that never depend on the worker count.  The wall
-    time of each harness phase is logged at INFO, and the bulk solves also
-    log their count, their blocks and the time per solve.
+    training snapshots as those blocks and spans them once by
+    `rb.snapshot_basis` for the strong run (whose sigma is its trace's
+    maxima) and the POD width; no result depends on the worker count.  The
+    wall time of each harness phase is logged at INFO, and the bulk solves
+    also log their count, their blocks and the time per solve.
     """
     logger.info("BLAS threads: %s", BLAS_THREADS)
     logger.info(
@@ -437,22 +437,18 @@ def run_experiment(config: ExperimentConfig):
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
             snapshots = _solve_on_pool(pool, system, training, "training solves")
-            # The strong run goes before the width: the other way round, the
-            # job's peak RSS was 179-184 MB against 154-158 MB (nx=64, 5^4
-            # points, 2 workers), the weak runs setting the peak either way.
+            with _logged_phase("snapshot basis"):
+                spanned = rb.snapshot_basis(snapshots, system, pool)
             strong_config = greedy.GreedyConfig(
                 training_set=training, batch_size=1, tolerance=config.tolerance,
                 max_basis_size=config.max_basis_size,
             )
             with _logged_phase("strong run"):
-                strong_basis, strong_trace = greedy.run_strong_greedy(
-                    system, strong_config, snapshots, pool
-                )
+                _, strong_trace = greedy.run_strong_greedy(system, strong_config, spanned)
+            # b = 1 sweeps every basis size, so its maxima are its sigma.
+            strong_sigma = np.array([rec.max_estimate for rec in strong_trace.iterations])
             with _logged_phase("width"):
-                width = theory.pod_width_upper_bound(snapshots, system, pool=pool)
-            with _logged_phase("strong run: true sigma"):
-                strong_sigma = greedy.true_sigma(strong_basis, snapshots, system, pool)
-            del strong_basis  # not held through the weak runs, which set the peak
+                width = theory.pod_width_upper_bound(spanned, system)
         fom_cache = {
             mu: (snapshot, fem.x_norm(snapshot.coefficients, system))
             for mu, snapshot in references.items()

@@ -192,9 +192,8 @@ class Mesh:
 class AffineSystem:
     """Assembled affine decomposition A(mu) = sum_p mu_p A_p plus load and Gram.
 
-    All component matrices share one sparsity pattern (stored zeros allowed),
-    so A(mu) is formed by a single dense combination of the stacked data
-    arrays — cheap and bitwise deterministic.  `solve_fom_block` solves
+    All component matrices share one sparsity pattern (stored zeros
+    allowed); A(mu) itself is never formed.  `solve_fom_block` solves
     through the block-interior condensation built with the system and checks
     its residuals with the components side by side, [A_1 ... A_P] without
     stored zeros; the estimator's Riesz solves with M_X go through the
@@ -209,7 +208,6 @@ class AffineSystem:
     dof_count: int
     mesh: Mesh
     rhs_value: float
-    _stacked: np.ndarray = field(repr=False)  # (P, nnz) data on the shared pattern
     _condensation: Condensation = field(repr=False)  # A(mu) u = f on the interface
     _operator: sparse.csr_matrix = field(repr=False)  # [A_1 ... A_P], (dof, P dof)
     _fingerprint: str = field(default="", repr=False)
@@ -217,21 +215,6 @@ class AffineSystem:
     @property
     def block_count(self) -> int:
         return len(self.components)
-
-    def matrix(self, weights) -> sparse.csc_matrix:
-        """A(mu) for a ParameterPoint or a length-P weight sequence."""
-        if isinstance(weights, ParameterPoint):
-            weights = weights.as_array()
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.block_count,):
-            raise DimensionError(
-                f"expected {self.block_count} weights, got shape {w.shape}"
-            )
-        pattern = self.components[0]
-        data = w @ self._stacked
-        return sparse.csc_matrix(
-            (data, pattern.indices, pattern.indptr), shape=pattern.shape
-        )
 
     @property
     def fingerprint(self) -> str:
@@ -650,7 +633,6 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         dof_count=n_dof,
         mesh=mesh,
         rhs_value=float(rhs_value),
-        _stacked=stacked,
         _condensation=_condense(mesh, components, stacked, load),
         _operator=operator,
         _fingerprint=digest.hexdigest(),
@@ -792,12 +774,6 @@ class ColumnBlocks:
             return self._vectors[t]
         k, j = divmod(t, self.slices[0].stop)
         return self._blocks[k][:, j].copy()
-
-    def matrix(self) -> np.ndarray:
-        """Every column in one new C-ordered (dof, T) array."""
-        if self._blocks is None:
-            return np.column_stack(self._vectors)
-        return np.concatenate(self._blocks, axis=1)
 
 
 def projection_distances(vectors, columns, system: AffineSystem, pool=None):

@@ -16,11 +16,11 @@ Both drivers run one loop; one iteration with batch size b is:
 
 The weak driver's error source is the residual estimator (reduced model plus
 offline estimator data); the strong driver's is the table of true projection
-residuals of precomputed snapshots.  With b = 1 the weak driver is exactly
-the classical weak greedy.  Selection happens before any parallel work,
-and the weak driver's estimator sweeps run on fixed row blocks and the
-strong driver's residual table on fixed column blocks, one pool task each,
-so traces are independent of the worker count.
+residuals of precomputed snapshots, held in the coordinates of their
+X-orthonormal snapshot basis (`rb.snapshot_basis`).  With b = 1 the weak
+driver is exactly the classical weak greedy.  Selection happens before any
+parallel work, and the weak driver's estimator sweeps run on fixed row
+blocks, one pool task each, so traces are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from . import rb
 from .errors import ConfigurationError, DimensionError, GreedyError
 from .fem import (
     AffineSystem,
-    ColumnBlocks,
     ParameterPoint,
     Snapshot,
     projection_distances,
@@ -280,43 +279,31 @@ class _EstimatorSweep:
 
 
 class _ResidualTable:
-    """Strong-greedy error source: projection residuals of known snapshots.
+    """Strong-greedy error source: projection residuals in the coordinates of
+    a snapshot basis f_t = Q a_t + r_t (:class:`rb.SnapshotBasis`).
 
-    Serves the strong run only.  The residual columns are held in the fixed
-    column blocks of `pool.column_blocks`, copies of the `ColumnBlocks`
-    given, and a sweep is one `pool` task per block (inline without a pool).
-    The task first peels the basis vectors added since the last sweep off
-    the block explicitly, one at a time, the first of them with the block's
-    M_X R kept from that sweep, so each sweep-and-peel costs one sparse
-    product.  Then it forms the block's M_X R and column squares.  The split
-    never depends on the worker count, so neither do the values.
+    The r x T table R starts as A; a sweep returns sqrt(rho_t**2 +
+    ||R_t||**2), and an update peels each new basis vector v off R as
+    c = (M_X Q)^T v, R -= c (c^T R).  Since v lies in span(Q) up to the
+    remainders, the values are the residual X-norms up to
+    O(DROP_TOL_DEFAULT ||f||_X).  O(r T) per vector and sweep.
     """
 
-    def __init__(self, system: AffineSystem, columns: ColumnBlocks, pool=None):
-        self.gram = system.gram
-        self.pool = pool or WorkerPool()
-        self.residuals = [columns.block(k) for k in range(len(columns.slices))]
-        self.products = [None] * len(self.residuals)  # M_X R at the last sweep
-        self.basis = rb.ReducedBasis.empty(system.dof_count)
+    def __init__(self, system: AffineSystem, snapshots: rb.SnapshotBasis):
+        self.weighted = system.gram @ snapshots.vectors  # M_X Q
+        self.table = snapshots.coeffs.copy()
+        self.floor = snapshots.remainders**2
         self.size = 0  # basis vectors peeled so far
 
-    def _sweep_block(self, k: int) -> np.ndarray:
-        residual, product = self.residuals[k], self.products[k]
-        for j in range(self.size, self.basis.size):
-            v = self.basis.vectors[:, j]
-            coeffs = v @ (self.gram @ residual if product is None else product)
-            product = None
-            residual -= np.outer(v, coeffs)
-        product = self.products[k] = self.gram @ residual
-        return np.einsum("ij,ij->j", residual, product)
-
     def sweep(self, batch_size: int, excluded: np.ndarray) -> tuple[np.ndarray, int]:
-        squares = np.concatenate(self.pool.map(self._sweep_block, range(len(self.residuals))))
-        self.size = self.basis.size
-        return np.sqrt(np.clip(squares, 0.0, None)), squares.size
+        squares = self.floor + np.einsum("ij,ij->j", self.table, self.table)
+        return np.sqrt(squares), squares.size
 
     def update(self, basis: rb.ReducedBasis) -> None:
-        self.basis = basis  # peeled off at the next sweep
+        for j in range(self.size, basis.size):
+            c = self.weighted.T @ basis.vectors[:, j]
+            self.table -= np.outer(c, c @ self.table)
+        self.size = basis.size
 
 
 def _run_greedy(
@@ -469,15 +456,13 @@ def run_strong_greedy(
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Batch greedy steered by true projection errors over precomputed snapshots.
 
-    `snapshots` maps every training point to its Snapshot, or holds the
-    training snapshots in training-set order in any other form
-    `fem.ColumnBlocks` takes, such as the column blocks of the experiment's
-    bulk solves.  The error source is the residual table of the training
-    snapshots, whose fixed column blocks are `pool` tasks (inline without a
-    pool), so the run is bitwise independent of the worker count and of the
-    form the snapshots came in.  Phase timings: solve covers the snapshot
-    lookups, evaluate the error sweep with the residual-table downdate,
-    reduce nothing.
+    `snapshots` is a :class:`rb.SnapshotBasis` of the training snapshots, or
+    maps every training point to its Snapshot, or holds the snapshots in
+    training-set order in any other form `fem.ColumnBlocks` takes (spanned
+    by :func:`rb.snapshot_basis` on `pool`).  The error source is the
+    residual table in the basis's coordinates, so the run never depends on
+    the worker count or the form given.  Phase timings: solve covers the
+    snapshot lookups, evaluate the sweeps, reduce the peels.
     """
     training = config.training_set
     if isinstance(snapshots, Mapping):
@@ -488,17 +473,18 @@ def run_strong_greedy(
                 f"first: {missing[0].weights}"
             )
         snapshots = [snapshots[mu] for mu in training]
-    columns = ColumnBlocks(snapshots)
+    if not isinstance(snapshots, rb.SnapshotBasis):
+        snapshots = rb.snapshot_basis(snapshots, system, pool)
+    columns = snapshots.columns
     if columns.count != len(training):
         raise ConfigurationError(
             f"{columns.count} snapshots for {len(training)} training points"
         )
     index = {mu: t for t, mu in enumerate(training)}
-    table = _ResidualTable(system, columns, pool)
     return _run_greedy(
         system,
         config,
-        table,
+        _ResidualTable(system, snapshots),
         lambda mus: [Snapshot(columns.column(index[mu]), mu) for mu in mus],
         1.0,
     )
@@ -509,14 +495,10 @@ def true_sigma(
 ) -> np.ndarray:
     """Worst X-norm projection error onto each basis prefix.
 
-    sigma[n] = max over snapshots of || f - P_{V_n} f ||_X for the nested
-    prefixes V_n, n = 0..basis.size: the column maxima of
-    :func:`fem.projection_distances`, one explicit remainder per snapshot
-    plus its coefficient tail, each with O(eps ||f||_X) absolute error.
-    Fixed-width column blocks of snapshots are `pool` tasks (inline without
-    a pool), so sigma is bitwise independent of the worker count.
-
-    `snapshots` is in any form `fem.ColumnBlocks` takes.
+    sigma[n] = max over snapshots of || f - P_{V_n} f ||_X, n = 0..basis.size:
+    the column maxima of :func:`fem.projection_distances` over `snapshots`,
+    in any form `fem.ColumnBlocks` takes, with its column blocks on `pool`,
+    so sigma is bitwise independent of the worker count.
     """
     return projection_distances(basis.vectors, snapshots, system, pool)[0].max(axis=1)
 

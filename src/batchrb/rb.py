@@ -6,6 +6,8 @@ records the expansion coefficients of every incoming snapshot with respect to
 the updated basis; these rows form the lower-triangular matrix consumed by the
 convergence-theory checks.  The one Galerkin projection, :func:`extend_model`,
 projects only the vectors a basis gained; :func:`reduce` grows the empty model.
+:func:`snapshot_basis` spans a whole snapshot set by the same extension, for
+the oracle's width and strong run.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, DimensionError, NumericError
-from .fem import AffineSystem, ParameterPoint, Snapshot
+from .fem import AffineSystem, ColumnBlocks, ParameterPoint, Snapshot, projection_distances
 
 __all__ = [
     "BasisVectorOrigin",
     "ReducedBasis",
     "ReducedModel",
     "ExtensionRecord",
+    "SnapshotBasis",
     "extend",
+    "snapshot_basis",
     "reduce",
     "extend_model",
     "prefix_model",
@@ -149,22 +153,9 @@ def extend(
     accepted vector, so a snapshot costs two sparse products with M_X.
     Members whose remainder norm falls below ``DROP_TOL_DEFAULT`` times their
     incoming X-norm are discarded and reported with ``accepted=False``; a
-    snapshot with a non-finite X-norm raises ``NumericError``.
-
-    Parameters
-    ----------
-    basis : ReducedBasis
-    snapshots : sequence of Snapshot
-    system : AffineSystem
-        Supplies the X-inner-product Gram matrix.
-    iteration : int
-        Provenance bookkeeping: greedy iteration index.  The batch rank of a
-        snapshot is its position in `snapshots`.
-
-    Returns
-    -------
-    (ReducedBasis, list[ExtensionRecord])
-        The extended basis and one record per incoming snapshot.
+    snapshot with a non-finite X-norm raises ``NumericError``.  Returns the
+    extended basis, whose provenance records `iteration` and each snapshot's
+    position in `snapshots` (its batch rank), and one record per snapshot.
     """
     gram = system.gram
     n = basis.size
@@ -202,6 +193,43 @@ def extend(
         records.append(ExtensionRecord(snap.parameter, True, row, incoming, rnorm))
 
     return ReducedBasis(np.ascontiguousarray(v[:, :n]), provenance), records
+
+
+@dataclass(frozen=True)
+class SnapshotBasis:
+    """An X-orthonormal basis Q, (dof_count, r), of the snapshots f_t in `columns`,
+    with ``coeffs`` A = Q^T M_X F, the ``remainders`` rho_t = ||f_t - Q a_t||_X
+    and the direct ``norms`` ||f_t||_X.  The drop rule of :func:`extend` gives
+    rho_t <= DROP_TOL_DEFAULT ||f_t||_X, up to round-off."""
+
+    columns: ColumnBlocks
+    vectors: np.ndarray
+    coeffs: np.ndarray
+    remainders: np.ndarray
+    norms: np.ndarray
+
+
+def snapshot_basis(snapshots, system: AffineSystem, pool=None) -> SnapshotBasis:
+    """Span snapshots, in any form `fem.ColumnBlocks` takes, by :func:`extend`.
+
+    One extension per fixed column block, in column order, so Q's bits depend
+    on that split and never on the worker count; then one
+    :func:`fem.projection_distances` call on `pool` gives A, the remainders
+    and the norms.  O(r dof) per snapshot; a non-finite column raises
+    NumericError.
+    """
+    columns = ColumnBlocks(snapshots)
+    basis = ReducedBasis.empty(system.dof_count)
+    for cols in columns.slices:
+        batch = []
+        for t in range(columns.count)[cols]:
+            f = columns.column(t)
+            if not np.isfinite(f).all():
+                raise NumericError(f"non-finite snapshot in column {t}")
+            batch.append(Snapshot(f, None))
+        basis, _ = extend(basis, batch, system)
+    dist, coeffs = projection_distances(basis.vectors, columns, system, pool)
+    return SnapshotBasis(columns, basis.vectors, coeffs, dist[-1], dist[0])
 
 
 def reduce(basis: ReducedBasis, system: AffineSystem) -> ReducedModel:

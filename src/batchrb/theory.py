@@ -12,9 +12,10 @@ for the weakness constant of the selection rule, the run satisfies
 
 together with product, square-root-width, and rate bounds derived from them.
 This module evaluates those bounds numerically.  Exact widths are replaced by
-the computable POD surrogate ``d_up >= d_n``, so every check is a one-sided
-necessary condition: a failure indicates an implementation bug, never a
-counterexample.
+the computable POD surrogate ``d_up >= d_n``, from the SVD of the snapshots'
+coordinates in one X-orthonormal basis (`rb.snapshot_basis`), so every check
+is a one-sided necessary condition: a failure indicates an implementation
+bug, never a counterexample.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, InsufficientDataError
-from .fem import ColumnBlocks, projection_distances
+from .rb import SnapshotBasis, snapshot_basis
 
 #: Additive slack for the coefficient-matrix properties, applied after
 #: normalizing by sigma_0 so the tolerance is scale-free.
@@ -44,11 +45,6 @@ DECAY_FLOOR = 1e-10
 
 #: Largest number K of consecutive sigmas in a checked product bound.
 PRODUCT_MAX_K = 6
-
-# Relative eigenvalue threshold for usable POD modes.  The correlation
-# matrix squares the conditioning of the snapshot set, so eigenvalues below
-# roughly machine precision times the largest one are pure noise.
-_RANK_CUTOFF = 1e-14
 
 
 @dataclass(frozen=True)
@@ -73,20 +69,12 @@ class WidthSurrogate:
 
     ``d_up[n]`` is the worst X-norm distance of any training snapshot to the
     span of the first ``n`` POD modes, hence an upper bound for the width of
-    the discrete set.  ``pod_eigs`` holds the nonincreasing eigenvalues of
-    the X-weighted snapshot correlation matrix.
+    the discrete set.  ``rank`` is the number of modes, the size of the
+    snapshot basis.
     """
 
     d_up: np.ndarray
-    pod_eigs: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        """Number of numerically significant correlation eigenvalues."""
-        eigs = self.pod_eigs
-        if eigs.size == 0 or eigs[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(eigs > eigs[0] * _RANK_CUTOFF))
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -120,54 +108,28 @@ class CheckReport:
 def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
     """Certified width upper bounds from POD of the snapshot set.
 
-    Eigendecomposes the X-weighted correlation matrix (method of snapshots),
-    forms the POD modes in eigenvalue order, explicitly re-orthonormalized,
-    and measures ``d_up[n]`` as the worst X-distance of a snapshot to the
-    span of the leading ``n`` modes: the column maxima of
-    :func:`fem.projection_distances`, one explicit remainder per snapshot
-    plus its coefficient tail, each with O(eps ||f||_X) absolute error.
-    Fixed-width column blocks are `pool` tasks (inline without a pool), so
-    ``d_up`` is bitwise independent of the worker count.  `all_snapshots`
-    is in any form `fem.ColumnBlocks` takes.
+    Takes a :class:`rb.SnapshotBasis`, or builds one on `pool` from any form
+    `fem.ColumnBlocks` takes.  With f_t = Q a_t + r_t and the SVD A = U S W^T,
+    the modes QU are X-orthonormal and ``d_up[n]**2`` is the largest
+    ``rho_t**2 + sum_{j >= n} (S W^T)_{jt}**2``, accumulated from the last
+    mode back: the worst X-distance of a snapshot to the leading n modes, up
+    to O(eps ||f||_X).  ``d_up[0]`` is the largest direct X-norm.
     """
-    snapshots = ColumnBlocks(all_snapshots)
-    columns = snapshots.matrix()
-    gram = system.gram
-    count = columns.shape[1]
-
-    corr = columns.T @ (gram @ columns)
-    corr = 0.5 * (corr + corr.T)
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-
-    # Build M-orthonormal modes, stopping at the numerical rank.
-    modes = []
-    weighted_modes = []
-    for i in range(count):
-        if eigvals[0] <= 0.0 or eigvals[i] <= eigvals[0] * _RANK_CUTOFF:
-            break
-        w = columns @ (eigvecs[:, i] / np.sqrt(eigvals[i]))
-        for _ in range(2):
-            for u, mu in zip(modes, weighted_modes):
-                w = w - u * float(mu @ w)
-        mw = gram @ w
-        norm = math.sqrt(max(float(w @ mw), 0.0))
-        if norm <= 1e-6:  # eigenvector degenerated into the earlier span
-            break
-        w = w / norm
-        modes.append(w)
-        weighted_modes.append(gram @ w)
-
-    vectors = np.column_stack(modes) if modes else np.empty((columns.shape[0], 0))
-    del columns
-    dist, _ = projection_distances(vectors, snapshots, system, pool)
+    basis = all_snapshots
+    if not isinstance(basis, SnapshotBasis):
+        basis = snapshot_basis(basis, system, pool)
+    rank, count = basis.coeffs.shape
+    _, singular, wt = np.linalg.svd(basis.coeffs, full_matrices=False)
+    squares = np.empty((rank + 1, count))
+    squares[0] = basis.remainders**2
+    squares[1:] = (singular[::-1, None] * wt[::-1]) ** 2
+    squares = np.cumsum(squares, axis=0)[::-1]
     d_up = np.empty(count + 1)
-    d_up[: len(modes) + 1] = dist.max(axis=1)
+    d_up[: rank + 1] = np.sqrt(squares.max(axis=1))
+    d_up[0] = basis.norms.max()
     # Beyond the available modes the projection space stops growing.
-    d_up[len(modes) + 1 :] = d_up[len(modes)]
-    return WidthSurrogate(d_up=d_up, pod_eigs=eigvals)
+    d_up[rank + 1 :] = d_up[rank]
+    return WidthSurrogate(d_up=d_up, rank=rank)
 
 
 def empirical_gamma(trace, sigma) -> float:

@@ -631,21 +631,24 @@ def unsplit_distances(monkeypatch, basis, snapshot_list, system):
 
 
 class TestResidualTableReference:
-    """The strong run's residual table reuses a sweep's M_X R for the next
-    peel; results stay bitwise equal to peeling with a fresh product every
-    time.  true_sigma is the column maxima of the projection distances."""
+    """The strong run's residual table lives in the snapshot basis's
+    coordinates; its values are the full-space residual norms of the run's
+    own basis up to round-off.  true_sigma is the column maxima of the
+    projection distances."""
 
     @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_strong_trace_bitwise(self, system, training, snapshots, batch_size):
+    def test_strong_trace_matches_naive_peel(self, system, training, snapshots, batch_size):
         config = greedy.GreedyConfig(
             training_set=training, batch_size=batch_size, tolerance=1e-6
         )
         basis, trace = greedy.run_strong_greedy(system, config, snapshots)
         norms = naive_peel_norms(basis, [snapshots[mu] for mu in training], system)
+        sigma0 = norms[0].max()
         for rec in trace.iterations:
-            assert rec.max_estimate == norms[rec.basis_size].max()
+            assert abs(rec.max_estimate - norms[rec.basis_size].max()) <= 1e-13 * sigma0
             for sel in rec.selections:
-                assert sel.estimate == norms[rec.basis_size][sel.param_index]
+                value = norms[rec.basis_size][sel.param_index]
+                assert abs(sel.estimate - value) <= 1e-13 * sigma0
 
     def test_true_sigma_bitwise(self, monkeypatch, system, training, snapshots):
         config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
@@ -710,18 +713,13 @@ class TestProjectionDistances:
         sigma = greedy.true_sigma(basis, snapshots, system16)
         assert np.abs(sigma - peel.max(axis=1)).max() <= 1e-13 * sigma0
 
-    def test_width_matches_explicit_peel(self, monkeypatch, system16, run16):
+    def test_width_matches_explicit_peel(self, system16, run16):
         snapshots, _, _ = run16
-        seen = []
-        original = fem.projection_distances
-
-        def recording(vectors, columns, system, pool=None):
-            seen.append(vectors)
-            return original(vectors, columns, system, pool)
-
-        monkeypatch.setattr(theory, "projection_distances", recording)
-        width = theory.pod_width_upper_bound(snapshots, system16)
-        (modes,) = seen
+        spanned = rb.snapshot_basis(snapshots, system16)
+        width = theory.pod_width_upper_bound(spanned, system16)
+        assert width.d_up.tobytes() == theory.pod_width_upper_bound(snapshots, system16).d_up.tobytes()
+        u, _, _ = np.linalg.svd(spanned.coeffs, full_matrices=False)
+        modes = spanned.vectors @ u
         assert modes.shape[1] == width.rank
         modes_basis = SimpleNamespace(vectors=modes, size=modes.shape[1])
         expected = [n.max() for n in naive_peel_norms(modes_basis, snapshots, system16)]
@@ -779,33 +777,10 @@ class TestProjectionDistances:
         assert peak - base <= bound
 
 
-class _FullPeel:
-    """The strong error source on one unsplit residual matrix: the reference
-    that the column-blocked residual table must match bit for bit."""
-
-    def __init__(self, system, snapshots):
-        self.gram = system.gram
-        self.residual = np.column_stack([s.coefficients for s in snapshots])
-        self.product = None
-        self.size = 0
-
-    def sweep(self, batch_size, excluded):
-        self.product = self.gram @ self.residual
-        squares = np.einsum("ij,ij->j", self.residual, self.product)
-        return np.sqrt(np.clip(squares, 0.0, None)), squares.size
-
-    def update(self, basis):
-        for j in range(self.size, basis.size):
-            v = basis.vectors[:, j]
-            product = self.gram @ self.residual if self.product is None else self.product
-            self.product = None
-            self.residual -= np.outer(v, v @ product)
-        self.size = basis.size
-
-
 class TestStrongPeelColumnBlocks:
-    """The strong greedy holds its residual table in column blocks, one pool
-    task each per sweep; its run is bitwise that of one unsplit table."""
+    """The strong greedy spans its snapshots over fixed column blocks, the
+    distances one pool task each; its run is bitwise the same at every
+    worker count."""
 
     @pytest.fixture(scope="class")
     def snapshots625(self, system):
@@ -813,14 +788,11 @@ class TestStrongPeelColumnBlocks:
 
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bytes_equal_to_full_matrix_peel(self, system, snapshots625, b, workers):
+    def test_bytes_equal_to_inline_run(self, system, snapshots625, b, workers):
         training = list(snapshots625)
         assert len(training) > 2 * pool_mod.COLUMN_BLOCK
         config = greedy.GreedyConfig(training_set=training, batch_size=b, tolerance=1e-9)
-        source = _FullPeel(system, [snapshots625[mu] for mu in training])
-        ref_basis, ref = greedy._run_greedy(
-            system, config, source, lambda mus: [snapshots625[mu] for mu in mus], 1.0
-        )
+        ref_basis, ref = greedy.run_strong_greedy(system, config, snapshots625)
         with pool_mod.WorkerPool(workers) as pool:
             basis, trace = greedy.run_strong_greedy(system, config, snapshots625, pool)
         assert basis.size == ref_basis.size > 10
@@ -849,6 +821,33 @@ class TestStrongPeelColumnBlocks:
                 (s.param_index, s.estimate) for s in b.selections
             ]
         assert blocked.amatrix.tobytes() == unblocked.amatrix.tobytes()
+
+
+class TestStrongRunMemory:
+    """The strong run holds its table in snapshot-basis coordinates: r x T
+    and dof x r arrays, never a dof x T copy of the snapshots."""
+
+    def test_peak_below_one_snapshot_copy(self, system16):
+        training = bench.build_training_set(2, 2, 5)
+        snaps = [fem.solve_fom(system16, mu) for mu in training]
+        spanned = rb.snapshot_basis(snaps, system16)
+        rank, count = spanned.coeffs.shape
+        bound = 4 * rank * count * 8 + 6 * system16.dof_count * (rank + 1) * 8
+        assert system16.dof_count * count * 8 > bound  # a copy would not fit
+        config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=1e-9)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            basis, _ = greedy.run_strong_greedy(system16, config, spanned)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert basis.size > 10
+        assert peak - base <= bound
 
 
 class TestSolvedColumnBlocks:

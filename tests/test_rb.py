@@ -129,6 +129,39 @@ def test_non_finite_snapshot_rejected(system, bad):
         rb.extend(rb.ReducedBasis.empty(system.dof_count), batch, system)
 
 
+class TestSnapshotBasis:
+    """rb.snapshot_basis: one X-orthonormal basis Q of a snapshot set with
+    its coordinates A = Q^T M_X F and remainders rho."""
+
+    @pytest.fixture(scope="class")
+    def snaps(self, system):
+        points = bench.build_training_set(2, 2, 3)
+        return [fem.solve_fom(system, mu) for mu in points]
+
+    def test_remainders_within_drop_tolerance(self, system, snaps):
+        spanned = rb.snapshot_basis(snaps, system)
+        columns = np.column_stack([s.coefficients for s in snaps])
+        norms = np.sqrt(np.einsum("ij,ij->j", columns, system.gram @ columns))
+        assert 0 < spanned.vectors.shape[1] < len(snaps)
+        assert spanned.coeffs.shape == (spanned.vectors.shape[1], len(snaps))
+        assert np.allclose(norms, spanned.norms, rtol=1e-14, atol=0)
+        assert np.all(spanned.remainders <= rb.DROP_TOL_DEFAULT * spanned.norms * (1 + 1e-6))
+        gram = spanned.vectors.T @ (system.gram @ spanned.vectors)
+        assert np.abs(gram - np.eye(spanned.vectors.shape[1])).max() <= 1e-14
+        residual = columns - spanned.vectors @ spanned.coeffs
+        rho = np.sqrt(np.einsum("ij,ij->j", residual, system.gram @ residual))
+        assert np.allclose(rho, spanned.remainders, rtol=0, atol=1e-14 * norms.max())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_column_raises(self, system, snaps, bad):
+        poisoned = [s.coefficients for s in snaps]
+        poisoned[5] = poisoned[5].copy()
+        poisoned[5][3] = bad
+        with pytest.raises(NumericError, match="column 5"):
+            rb.snapshot_basis(poisoned, system)
+
+
 class CountingGram:
     """M_X behind a proxy that counts the products formed with it."""
 
@@ -175,7 +208,8 @@ def test_reduce_single_vector_oracle(system):
     model = rb.reduce(basis, system)
     v = basis.vectors[:, 0]
     mu = MUS[3]
-    expected = (v @ system.load) / (v @ (system.matrix(mu) @ v))
+    energy = sum(w * (v @ (component @ v)) for w, component in zip(mu.weights, system.components))
+    expected = (v @ system.load) / energy
     assert rb.solve_rom(model, mu) == pytest.approx([expected], rel=1e-12)
 
 

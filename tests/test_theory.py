@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchrb import fem, greedy, theory
+from batchrb import fem, greedy, rb, theory
 from batchrb import pool as pool_mod
 from batchrb.errors import DimensionError, DomainError, InsufficientDataError
 
@@ -39,8 +39,13 @@ def snapshots(system, training):
 
 
 @pytest.fixture(scope="module")
-def width(snapshots, system):
-    return theory.pod_width_upper_bound(snapshots, system)
+def spanned(snapshots, system):
+    return rb.snapshot_basis(snapshots, system)
+
+
+@pytest.fixture(scope="module")
+def width(spanned, system):
+    return theory.pod_width_upper_bound(spanned, system)
 
 
 @pytest.fixture(scope="module")
@@ -64,41 +69,46 @@ class TestWidthSurrogate:
         # "first n modes" is only well defined where the spectrum has a gap:
         # inside a tied eigenvalue cluster the mode basis is an arbitrary
         # rotation, so compare against the oracle at gap indices only
-        eigs = width.pod_eigs
+        columns = np.column_stack([s.coefficients for s in snapshots.values()])
+        gram_dense = system.gram.toarray()
+        chol = np.linalg.cholesky(gram_dense)
+        eigs = np.linalg.svd(chol.T @ columns, compute_uv=False) ** 2
         ns = [
             n
             for n in range(min(width.rank + 1, 17))
             if n == 0 or eigs[n - 1] > eigs[n] * (1 + 1e-6)
         ]
         assert len(ns) >= 10  # the filter must not hollow out the check
-        columns = np.column_stack([s.coefficients for s in snapshots.values()])
-        gram_dense = system.gram.toarray()
         expected = pod_errors_dense(columns, gram_dense, ns)
         scale = width.d_up[0]
         for n, value in zip(ns, expected):
             assert width.d_up[n] == pytest.approx(value, rel=1e-6, abs=1e-10 * scale)
 
-    def test_eigenvalues_match_dense_spectrum(self, snapshots, system, width):
+    def test_eigenvalues_match_dense_spectrum(self, snapshots, system, spanned, width):
+        # The squared singular values of A = Q^T M_X F are the POD eigenvalues;
+        # the dense spectrum beyond the basis size is covered by the remainders.
         columns = np.column_stack([s.coefficients for s in snapshots.values()])
         chol = np.linalg.cholesky(system.gram.toarray())
-        singular = np.linalg.svd(chol.T @ columns, compute_uv=False)
-        expected = singular**2
-        top = width.pod_eigs[: expected.size]
-        assert np.allclose(top, expected, rtol=1e-8, atol=1e-10 * expected[0])
-        assert np.all(width.pod_eigs >= 0.0)
-        assert np.all(np.diff(width.pod_eigs) <= 0.0)
+        expected = np.linalg.svd(chol.T @ columns, compute_uv=False) ** 2
+        eigs = np.linalg.svd(spanned.coeffs, compute_uv=False) ** 2
+        assert eigs.size == width.rank == spanned.vectors.shape[1]
+        assert np.allclose(eigs, expected[: eigs.size], rtol=1e-8, atol=1e-10 * expected[0])
+        tail = expected[eigs.size :].sum()
+        assert tail <= np.sum(spanned.remainders**2) + 1e-10 * expected[0]
 
     def test_nonincreasing(self, width):
         d = width.d_up
         for a, b in zip(d, d[1:]):
             assert b <= a * (1 + 1e-12) + 1e-14 * d[0]
 
-    def test_mean_square_eigenvalue_identity(self, snapshots, width):
-        # sum of squared residuals over the set after n modes = eigenvalue tail,
-        # so the worst residual dominates the root-mean-square tail
+    def test_mean_square_eigenvalue_identity(self, snapshots, spanned, width):
+        # sum of squared residuals over the set after n modes = remainders plus
+        # eigenvalue tail, so the worst residual dominates the root-mean-square
         count = len(snapshots)
-        for n in range(min(12, width.d_up.size)):
-            tail = math.sqrt(max(np.sum(width.pod_eigs[n:]), 0.0) / count)
+        eigs = np.linalg.svd(spanned.coeffs, compute_uv=False) ** 2
+        floor = np.sum(spanned.remainders**2)
+        for n in range(width.rank + 1):
+            tail = math.sqrt((floor + np.sum(eigs[n:])) / count)
             assert width.d_up[n] >= tail * (1 - 1e-10)
 
     def test_rank_one_family(self, system):
@@ -150,23 +160,21 @@ class TestWidthSurrogate:
 
 
 class TestWidthColumnBlocks:
-    """The d_up peel runs over fixed-width column blocks, one pool task each;
-    the surrogate is bitwise that of the unsplit table at every worker count."""
+    """The snapshot basis and its distances run over fixed-width column
+    blocks, the distances one pool task each; the surrogate is bitwise the
+    same at every worker count and from a given snapshot basis."""
 
     @pytest.mark.parametrize("count", [1, 17, pool_mod.COLUMN_BLOCK, 81])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bitwise_at_every_block_split(
-        self, monkeypatch, system, training, snapshots, count, workers
-    ):
+    def test_bitwise_at_every_block_split(self, system, training, snapshots, count, workers):
         snapshot_list = [snapshots[mu] for mu in training[:count]]
         with pool_mod.WorkerPool(workers) as pool:
             blocked = theory.pod_width_upper_bound(snapshot_list, system, pool=pool)
-        with monkeypatch.context() as patch:
-            patch.setattr(pool_mod, "COLUMN_BLOCK", len(training))
-            unblocked = theory.pod_width_upper_bound(snapshot_list, system)
+        inline = theory.pod_width_upper_bound(snapshot_list, system)
+        given = theory.pod_width_upper_bound(rb.snapshot_basis(snapshot_list, system), system)
         assert blocked.d_up.shape == (count + 1,)
-        assert blocked.d_up.tobytes() == unblocked.d_up.tobytes()
-        assert blocked.pod_eigs.tobytes() == unblocked.pod_eigs.tobytes()
+        assert blocked.d_up.tobytes() == inline.d_up.tobytes() == given.d_up.tobytes()
+        assert blocked.rank == inline.rank == given.rank
 
 
 class TestEmpiricalGamma:
