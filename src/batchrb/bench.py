@@ -80,7 +80,7 @@ class ExperimentConfig:
         if self.test_count < 1:
             raise ConfigurationError(f"test_count={self.test_count} must be positive")
         sizes = tuple(int(b) for b in self.batch_sizes)
-        if not sizes or any(b < 1 for b in sizes):
+        if not sizes or min(sizes) < 1 or sizes != tuple(self.batch_sizes):
             raise ConfigurationError(f"invalid batch sizes {self.batch_sizes!r}")
         object.__setattr__(self, "batch_sizes", sizes)
         if not self.tolerance > 0:

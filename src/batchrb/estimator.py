@@ -3,10 +3,11 @@
 For an affinely decomposed coercive form, the X-norm error of the reduced
 solution is bounded by
 
-    Delta_n(mu) = ||r_n(mu)||_{X'} / alpha_LB(mu),
+    Delta_n(mu) = ||r_n(mu)||_{X'} / alpha_LB(mu),  alpha_LB(mu) = min_p mu_p,
 
-where the residual's Riesz representer is a combination of precomputed
-representers: z(mu) = z_f - sum_{j,p} mu_p c_j z_(p,j), one for the load and
+the thermal block's min-theta coercivity bound.  The residual's Riesz
+representer is a combination of precomputed representers:
+z(mu) = z_f - sum_{j,p} mu_p c_j z_(p,j), one for the load and
 one per (component, basis vector) pair.  Offline, the representers are
 factored Z = Q R with X-orthonormal Q and upper-triangular R (Buhr, Engwer,
 Ohlberger & Rave 2014; Casenave, Ern & Lelievre 2014), so online
@@ -26,33 +27,24 @@ weak greedy masks out rows a bound rules out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
-from .fem import (
-    MU_MAX_DEFAULT,
-    MU_MIN_DEFAULT,
-    AffineSystem,
-    ParameterPoint,
-    solve_fom_block,
-)
+from .fem import AffineSystem, ParameterPoint, solve_fom_block
 from .pool import WorkerPool
-from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel, solve_rom
+from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel
 
 __all__ = [
-    "EffectivityBounds",
     "EstimatorData",
     "RieszSolver",
-    "RieszDiagnostic",
     "build_estimator",
     "estimate",
     "estimate_sweep",
     "prefix_data",
-    "check_riesz",
 ]
 
 #: Residual dual norm, relative to ||f||_{X'}, below which the online
@@ -64,44 +56,6 @@ CANCELLATION_RATIO = 1e-12
 
 #: Bytes of per-row temporaries that one row block of `estimate_sweep` holds.
 SWEEP_BLOCK_BYTES = 2 << 20
-
-
-@dataclass(frozen=True)
-class EffectivityBounds:
-    """Coercivity/continuity bounds for the min-theta thermal block.
-
-    With X = H^1_0 seminorm and unit-sum components, the coercivity constant
-    is bounded below by min_p mu_p and the continuity constant above by
-    max_p mu_p, both exact for this problem class.
-    """
-
-    mu_min: float = MU_MIN_DEFAULT
-    mu_max: float = MU_MAX_DEFAULT
-
-    def __post_init__(self):
-        if not 0 < self.mu_min <= self.mu_max:
-            raise ConfigurationError(
-                f"need 0 < mu_min <= mu_max, got [{self.mu_min}, {self.mu_max}]"
-            )
-
-    def alpha_lb(self, mu: ParameterPoint) -> float:
-        return min(mu.weights)
-
-    def gamma_ub(self, mu: ParameterPoint) -> float:
-        return max(mu.weights)
-
-    def gamma_greedy(self, block_count: int) -> float:
-        """Weak-greedy parameter: min over the box of alpha_LB/gamma_UB.
-
-        For two or more blocks the minimum is attained at a corner holding
-        both extremes, giving mu_min/mu_max (0.1 on the default box); with a
-        single block the ratio is identically 1.
-        """
-        if block_count < 1:
-            raise DomainError(f"block_count must be positive, got {block_count}")
-        if block_count == 1:
-            return 1.0
-        return self.mu_min / self.mu_max
 
 
 @dataclass
@@ -120,7 +74,6 @@ class EstimatorData:
     Q: Optional[np.ndarray]  # (dof_count, 1 + P n)
     R: np.ndarray  # (1 + P n, 1 + P n)
     block_count: int
-    bounds: EffectivityBounds = field(default_factory=EffectivityBounds)
 
     @property
     def basis_size(self) -> int:
@@ -208,9 +161,8 @@ def build_estimator(
     product).  One whose remainder is at most ``rb.DROP_TOL_DEFAULT`` times
     its incoming X-norm is dropped: every snapshot in the basis makes one
     combination of representers vanish exactly, and normalizing its
-    round-off remainder would destroy the orthogonality of Q.  The bounds
-    are those of `previous`, or the default box.  The result is also
-    attached to ``model.estimator_data``.
+    round-off remainder would destroy the orthogonality of Q.  The result
+    is also attached to ``model.estimator_data``.
     """
     if model.basis_size != basis.size:
         raise DimensionError(
@@ -218,7 +170,6 @@ def build_estimator(
         )
     if solver is None:
         solver = RieszSolver(system)
-    bounds = previous.bounds if previous is not None else EffectivityBounds()
 
     gram = system.gram
     if previous is None:
@@ -262,7 +213,7 @@ def build_estimator(
             q[:, k] = z / remainder
             r[k, k] = remainder
 
-    data = EstimatorData(Q=q, R=r, block_count=system.block_count, bounds=bounds)
+    data = EstimatorData(Q=q, R=r, block_count=system.block_count)
     model.estimator_data = data
     return data
 
@@ -391,54 +342,5 @@ def prefix_data(data: EstimatorData, n: int) -> EstimatorData:
         Q=None if data.Q is None else data.Q[:, :count],
         R=data.R[:count, :count].copy(),
         block_count=data.block_count,
-        bounds=data.bounds,
     )
 
-
-@dataclass(frozen=True)
-class RieszDiagnostic:
-    """Offline/online residual norm versus direct recomputation at one mu."""
-
-    dual_norm_offline: float
-    dual_norm_direct: float
-    relative_deviation: float
-    cancellation: bool
-
-
-def check_riesz(
-    data: EstimatorData,
-    model: ReducedModel,
-    basis: ReducedBasis,
-    system: AffineSystem,
-    mu: ParameterPoint,
-    solver: Optional[RieszSolver] = None,
-) -> RieszDiagnostic:
-    """Verify the online residual norm ||R [1, -y]||_2 against a direct one.
-
-    The direct path forms the representer of r = f - A(mu) u_rb, u_rb = V c,
-    in the full-order space by linearity, z = z_f - sum_p mu_p M_X^-1 A_p
-    u_rb, with `solver` (a new `RieszSolver` when None), and measures its X
-    norm.  Both carry absolute round-off of a few machine epsilons times
-    ||f||_{X'}, so their relative deviation grows as the residual shrinks.
-    `cancellation` is set when the online norm is below `CANCELLATION_RATIO`
-    times ||f||_{X'}, where relative deviations of 1e-3 and more are
-    expected.
-    """
-    if data.online_only:
-        raise ConfigurationError("direct residual check needs full-order Riesz data")
-    coeffs = solve_rom(model, mu)
-    u_rb = basis.vectors @ coeffs
-    solver = solver or RieszSolver(system)
-    z = solver.load - solver.representers(u_rb[:, None]) @ mu.as_array()
-    direct = float(np.sqrt(max(z @ (system.gram @ z), 0.0)))
-
-    y = _residual_weights(mu.as_array()[None, :], coeffs[None, :])
-    offline = float(_dual_norms(data, y)[0])
-    cancellation = offline < CANCELLATION_RATIO * data.load_dual_norm
-    deviation = abs(offline - direct) / max(direct, 1e-300)
-    return RieszDiagnostic(
-        dual_norm_offline=offline,
-        dual_norm_direct=direct,
-        relative_deviation=deviation,
-        cancellation=cancellation,
-    )

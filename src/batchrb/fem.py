@@ -5,9 +5,10 @@ sub-blocks, each carrying one scalar diffusion weight.  The bilinear form is
 
     a_mu(u, v) = sum_p  mu_p * (grad u, grad v)_{L2(Omega_p)},
 
-discretized with continuous piecewise-linear elements on a structured
-triangulation (each grid cell split along its bottom-left/top-right
-diagonal) and homogeneous Dirichlet conditions on the whole boundary.  The
+with the load f = 1, discretized with continuous piecewise-linear elements
+on a structured triangulation (each grid cell split along its
+bottom-left/top-right diagonal) and homogeneous Dirichlet conditions on the
+whole boundary.  The
 reference inner product is the H^1_0 seminorm, whose Gram matrix is the
 unit-coefficient stiffness matrix M_X = sum_p A_p.
 
@@ -207,7 +208,6 @@ class AffineSystem:
     gram: sparse.csc_matrix
     dof_count: int
     mesh: Mesh
-    rhs_value: float
     _condensation: Condensation = field(repr=False)  # A(mu) u = f on the interface
     _operator: sparse.csr_matrix = field(repr=False)  # [A_1 ... A_P], (dof, P dof)
     _fingerprint: str = field(default="", repr=False)
@@ -539,26 +539,21 @@ def _condense(
     )
 
 
-def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
+def assemble(mesh: Mesh) -> AffineSystem:
     """Assemble the affine component matrices, load vector, and Gram matrix.
 
     Each component A_p collects the stiffness contributions of the triangles
     in sub-block p only; rows/columns of DOFs whose support misses that block
-    are zero.  The load is the P1 discretization of the constant right-hand
-    side `rhs_value`.  All matrices are restricted to interior DOFs
-    (homogeneous Dirichlet).  The block interiors are eliminated here, once
-    for all mu, for `solve_fom` (see `_condense`).
+    are zero.  The load is the P1 discretization of f = 1.  All matrices are
+    restricted to interior DOFs (homogeneous Dirichlet).  The block
+    interiors are eliminated here, once for all mu, for `solve_fom` (see
+    `_condense`).
 
     Raises
     ------
-    DomainError
-        If `rhs_value` is not finite.
     ConfigurationError
         If one dense interface matrix would exceed INTERFACE_MAX_BYTES.
     """
-    if not np.isfinite(rhs_value):
-        raise DomainError(f"rhs_value must be finite, got {rhs_value}")
-
     k_local, area = _element_quantities(mesh)
     n_vert = mesh.vertices.shape[0]
     n_dof = mesh.dof_count
@@ -612,7 +607,7 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
     # Load: integral of each interior hat function is area/3 per triangle.
     load_full = np.zeros(n_vert)
     np.add.at(load_full, tris.ravel(), np.repeat(area / 3.0, 3))
-    load = rhs_value * load_full[~mesh.boundary]
+    load = load_full[~mesh.boundary]
 
     digest = hashlib.sha256()
     digest.update(
@@ -620,7 +615,6 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
             [mesh.nx, mesh.ny, mesh.px, mesh.py, n_dof], dtype=np.int64
         ).tobytes()
     )
-    digest.update(np.float64(rhs_value).tobytes())
     digest.update(pat.indptr.astype(np.int64).tobytes())
     digest.update(pat.indices.astype(np.int64).tobytes())
     digest.update(stacked.tobytes())
@@ -632,7 +626,6 @@ def assemble(mesh: Mesh, rhs_value: float = 1.0) -> AffineSystem:
         gram=gram,
         dof_count=n_dof,
         mesh=mesh,
-        rhs_value=float(rhs_value),
         _condensation=_condense(mesh, components, stacked, load),
         _operator=operator,
         _fingerprint=digest.hexdigest(),

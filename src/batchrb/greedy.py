@@ -16,11 +16,12 @@ Both drivers run one loop; one iteration with batch size b is:
 
 The weak driver's error source is the residual estimator (reduced model plus
 offline estimator data); the strong driver's is the table of true projection
-residuals of precomputed snapshots, held in the coordinates of their
-X-orthonormal snapshot basis (`rb.snapshot_basis`).  With b = 1 the weak
-driver is exactly the classical weak greedy.  Selection happens before any
-parallel work, and the weak driver's estimator sweeps run on fixed row
-blocks, one pool task each, so traces are independent of the worker count.
+residuals of precomputed snapshots, held in the coordinates of the
+X-orthonormal snapshot basis it is given (an `rb.SnapshotBasis`).  With
+b = 1 the weak driver is exactly the classical weak greedy.  Selection
+happens before any parallel work, and the weak driver's estimator sweeps run
+on fixed row blocks, one pool task each, so traces are independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -138,7 +139,6 @@ class GreedyTrace:
     """Per-iteration records plus the expansion matrix of accepted snapshots."""
 
     batch_size: int
-    gamma_weak: float
     iterations: list[IterationRecord] = field(default_factory=list)
     amatrix_rows: list[np.ndarray] = field(default_factory=list)
     stop_reason: str = ""
@@ -211,12 +211,12 @@ class _EstimatorSweep:
 
     with kappa = gamma_UB(mu) / alpha_LB(mu).  Proof: A(mu) is symmetric and
     coercive, so the Galerkin solution on the nested spaces V_m in V_n is the
-    energy-best one and the energy error e_n cannot grow with n.  With true
-    coercivity and continuity bounds alpha_LB <= alpha and gamma <= gamma_UB
-    (`EffectivityBounds`), sqrt(alpha) ||e||_mu <= ||r||_{X'} <=
-    sqrt(gamma) ||e||_mu, hence Delta_n <= sqrt(kappa) Delta_m for m < n.  The
-    relative factor and the floor term cover the round-off of both computed
-    estimates, each a few machine epsilons times ||f||_{X'} / alpha.
+    energy-best one and the energy error e_n cannot grow with n.  The X-norm
+    bounds alpha_LB = min_p mu_p <= alpha and gamma <= gamma_UB = max_p mu_p
+    give sqrt(alpha) ||e||_mu <= ||r||_{X'} <= sqrt(gamma) ||e||_mu, hence
+    Delta_n <= sqrt(kappa) Delta_m for m < n.  The relative factor and the
+    floor term cover the round-off of both computed estimates, each a few
+    machine epsilons times ||f||_{X'} / alpha.
 
     The cut: provisional values of the rows with the largest bounds, each
     less its floor term (which covers their gathered-versus-blocked
@@ -311,7 +311,6 @@ def _run_greedy(
     config: GreedyConfig,
     source,
     fetch: Callable[[list[ParameterPoint]], Sequence[Snapshot]],
-    gamma_weak: float,
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Evaluate, stop check, select, fetch snapshots, extend, update; repeat.
 
@@ -324,7 +323,7 @@ def _run_greedy(
     candidate is left, or when every member of a batch is rejected
     ("stagnated").
     """
-    trace = GreedyTrace(batch_size=config.batch_size, gamma_weak=gamma_weak)
+    trace = GreedyTrace(batch_size=config.batch_size)
     basis = rb.ReducedBasis.empty(system.dof_count)
     excluded = np.zeros(len(config.training_set), dtype=bool)
     err0_max: Optional[float] = None
@@ -444,37 +443,24 @@ def run_batch_greedy(
 
     with WorkerPool(config.worker_count) as pool:
         source = _EstimatorSweep(system, config.training_set, pool)
-        gamma_weak = source.data.bounds.gamma_greedy(system.block_count)
         basis, trace = _run_greedy(
-            system, config, source, lambda mus: pool.map(solve_one, mus), gamma_weak
+            system, config, source, lambda mus: pool.map(solve_one, mus)
         )
     return basis, source.model, trace
 
 
 def run_strong_greedy(
-    system: AffineSystem, config: GreedyConfig, snapshots, pool=None
+    system: AffineSystem, config: GreedyConfig, snapshots: rb.SnapshotBasis
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Batch greedy steered by true projection errors over precomputed snapshots.
 
-    `snapshots` is a :class:`rb.SnapshotBasis` of the training snapshots, or
-    maps every training point to its Snapshot, or holds the snapshots in
-    training-set order in any other form `fem.ColumnBlocks` takes (spanned
-    by :func:`rb.snapshot_basis` on `pool`).  The error source is the
-    residual table in the basis's coordinates, so the run never depends on
-    the worker count or the form given.  Phase timings: solve covers the
-    snapshot lookups, evaluate the sweeps, reduce the peels.
+    `snapshots` is the :class:`rb.SnapshotBasis` of the training snapshots,
+    in training-set order.  The error source is the residual table in the
+    basis's coordinates, so the run never depends on the worker count.
+    Phase timings: solve covers the snapshot lookups, evaluate the sweeps,
+    reduce the peels.
     """
     training = config.training_set
-    if isinstance(snapshots, Mapping):
-        missing = [mu for mu in training if mu not in snapshots]
-        if missing:
-            raise ConfigurationError(
-                f"{len(missing)} training points without snapshots, "
-                f"first: {missing[0].weights}"
-            )
-        snapshots = [snapshots[mu] for mu in training]
-    if not isinstance(snapshots, rb.SnapshotBasis):
-        snapshots = rb.snapshot_basis(snapshots, system, pool)
     columns = snapshots.columns
     if columns.count != len(training):
         raise ConfigurationError(
@@ -486,7 +472,6 @@ def run_strong_greedy(
         config,
         _ResidualTable(system, snapshots),
         lambda mus: [Snapshot(columns.column(index[mu]), mu) for mu in mus],
-        1.0,
     )
 
 

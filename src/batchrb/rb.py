@@ -47,7 +47,7 @@ __all__ = [
 DROP_TOL_DEFAULT = 1e-10
 
 ARTIFACT_FORMAT = "batchrb-rom"
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -362,11 +362,7 @@ def save_artifact(model: ReducedModel, basis: ReducedBasis, path) -> Path:
     }
     data = model.estimator_data
     if data is not None:
-        payload["estimator"] = {
-            "R": _encode_array(data.R),
-            "mu_min": data.bounds.mu_min,
-            "mu_max": data.bounds.mu_max,
-        }
+        payload["estimator"] = {"R": _encode_array(data.R)}
     path = Path(path)
     path.write_text(json.dumps(payload))
     return path
@@ -379,16 +375,27 @@ def load_artifact(
 
     If `system` is given, its content hash must match the one stored in the
     artifact.  The returned model supports online operations (solve_rom,
-    estimate); operations needing full-order data are unavailable.
+    estimate); operations needing full-order data are unavailable.  A file
+    that is not JSON, or lacks a field, raises ConfigurationError naming it.
     """
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != ARTIFACT_FORMAT:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"artifact {path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
         raise ConfigurationError(f"not a {ARTIFACT_FORMAT} artifact: {path}")
     if payload.get("version") != ARTIFACT_VERSION:
         raise ConfigurationError(
             f"artifact version {payload.get('version')} unsupported "
             f"(expected {ARTIFACT_VERSION}); rebuild it with save_artifact"
         )
+    try:
+        return _read_payload(payload, path, system)
+    except KeyError as exc:
+        raise ConfigurationError(f"artifact {path} has no field {exc.args[0]!r}") from exc
+
+
+def _read_payload(payload: dict, path, system: Optional[AffineSystem]):
     if system is not None and system.fingerprint != payload["system_fingerprint"]:
         raise ConfigurationError(
             "artifact was built for a different assembled system "
@@ -416,15 +423,9 @@ def load_artifact(
         system_fingerprint=payload["system_fingerprint"],
     )
     if est:
-        from .estimator import EffectivityBounds, EstimatorData
+        from .estimator import EstimatorData
 
-        bounds = EffectivityBounds(mu_min=est["mu_min"], mu_max=est["mu_max"])
-        model.estimator_data = EstimatorData(
-            Q=None,
-            R=arrays["R"],
-            block_count=p,
-            bounds=bounds,
-        )
+        model.estimator_data = EstimatorData(Q=None, R=arrays["R"], block_count=p)
     if len(payload["provenance"]) != n:
         raise ConfigurationError(
             f"artifact {path} holds {len(payload['provenance'])} provenance entries "

@@ -105,10 +105,10 @@ class CheckReport:
         }
 
 
-def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
+def pod_width_upper_bound(all_snapshots, system) -> WidthSurrogate:
     """Certified width upper bounds from POD of the snapshot set.
 
-    Takes a :class:`rb.SnapshotBasis`, or builds one on `pool` from any form
+    Takes a :class:`rb.SnapshotBasis`, or builds one inline from any form
     `fem.ColumnBlocks` takes.  With f_t = Q a_t + r_t and the SVD A = U S W^T,
     the modes QU are X-orthonormal and ``d_up[n]**2`` is the largest
     ``rho_t**2 + sum_{j >= n} (S W^T)_{jt}**2``, accumulated from the last
@@ -117,7 +117,7 @@ def pod_width_upper_bound(all_snapshots, system, pool=None) -> WidthSurrogate:
     """
     basis = all_snapshots
     if not isinstance(basis, SnapshotBasis):
-        basis = snapshot_basis(basis, system, pool)
+        basis = snapshot_basis(basis, system)
     rank, count = basis.coeffs.shape
     _, singular, wt = np.linalg.svd(basis.coeffs, full_matrices=False)
     squares = np.empty((rank + 1, count))

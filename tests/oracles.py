@@ -5,9 +5,12 @@ dense factorizations, no incremental bookkeeping beyond what the algorithm
 itself requires) so package results can be checked against them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from batchrb import estimator, fem, rb
+from batchrb.errors import ConfigurationError
 
 
 def classical_weak_greedy(system, training_set, tolerance, max_basis_size=150):
@@ -64,3 +67,43 @@ def pod_errors_dense(snapshot_matrix, gram_dense, n_values):
         residual = weighted - basis @ (basis.T @ weighted)
         out.append(float(np.linalg.norm(residual, axis=0).max()))
     return out
+
+
+@dataclass(frozen=True)
+class RieszDiagnostic:
+    """Offline/online residual norm versus direct recomputation at one mu."""
+
+    dual_norm_offline: float
+    dual_norm_direct: float
+    relative_deviation: float
+    cancellation: bool
+
+
+def check_riesz(data, model, basis, system, mu, solver=None):
+    """The estimator's online residual norm ||R [1, -y]||_2 against a direct one.
+
+    The direct path forms the representer of r = f - A(mu) u_rb, u_rb = V c,
+    in the full-order space by linearity, z = z_f - sum_p mu_p M_X^-1 A_p
+    u_rb, with `solver` (a new `estimator.RieszSolver` when None), and
+    measures its X norm.  Both carry absolute round-off of a few machine
+    epsilons times ||f||_{X'}, so their relative deviation grows as the
+    residual shrinks.  `cancellation` is set when the online norm is below
+    `estimator.CANCELLATION_RATIO` times ||f||_{X'}, where relative
+    deviations of 1e-3 and more are expected.
+    """
+    if data.online_only:
+        raise ConfigurationError("direct residual check needs full-order Riesz data")
+    coeffs = rb.solve_rom(model, mu)
+    u_rb = basis.vectors @ coeffs
+    solver = solver or estimator.RieszSolver(system)
+    z = solver.load - solver.representers(u_rb[:, None]) @ mu.as_array()
+    direct = float(np.sqrt(max(z @ (system.gram @ z), 0.0)))
+
+    y = estimator._residual_weights(mu.as_array()[None, :], coeffs[None, :])
+    offline = float(estimator._dual_norms(data, y)[0])
+    return RieszDiagnostic(
+        dual_norm_offline=offline,
+        dual_norm_direct=direct,
+        relative_deviation=abs(offline - direct) / max(direct, 1e-300),
+        cancellation=offline < estimator.CANCELLATION_RATIO * data.load_dual_norm,
+    )

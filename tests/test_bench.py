@@ -231,6 +231,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             bench.ExperimentConfig(**kwargs)
 
+    def test_non_integer_batch_sizes_rejected(self):
+        """As GreedyConfig does, rather than truncating 1.5 to 1."""
+        with pytest.raises(ConfigurationError, match="invalid batch sizes"):
+            bench.ExperimentConfig(batch_sizes=(1.5, 2))
+        assert bench.ExperimentConfig(batch_sizes=[1.0, 4]).batch_sizes == (1, 4)
+
     def test_lock_round_trip(self, tmp_path):
         config = bench.ExperimentConfig(
             px=3, py=1, nx=12, ny=20, train_per_dim=4, test_count=17, seed=9,

@@ -11,6 +11,8 @@ from batchrb import bench, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, DimensionError, DomainError, NumericError
 from batchrb.pool import WorkerPool
 
+from oracles import check_riesz
+
 TRAIN = [
     fem.ParameterPoint(w)
     for w in [
@@ -33,28 +35,30 @@ def setup():
 
 
 class TestBounds:
-    def test_coercivity_is_min_weight(self):
+    """The estimator divides by the min-theta coercivity bound min_p mu_p."""
+
+    def test_coercivity_is_min_weight(self, setup):
+        system, *_ = setup
+        empty = rb.ReducedBasis.empty(system.dof_count)
+        model = rb.reduce(empty, system)
+        data = estimator.build_estimator(model, empty, system)
         mu = fem.ParameterPoint((0.3, 0.9, 0.15, 0.7))
-        bounds = estimator.EffectivityBounds()
-        assert bounds.alpha_lb(mu) == 0.15
-        assert bounds.gamma_ub(mu) == 0.9
+        assert estimator.estimate(data, model, mu) == data.load_dual_norm / 0.15
+        sweep = estimator.estimate_sweep(data, model, np.array([mu.weights]))
+        assert sweep[0] == data.load_dual_norm / 0.15
 
-    def test_gamma_greedy_default_box(self):
-        bounds = estimator.EffectivityBounds()
-        assert bounds.gamma_greedy(4) == pytest.approx(0.1, rel=1e-15)
-        assert bounds.gamma_greedy(2) == pytest.approx(0.1, rel=1e-15)
-        assert bounds.gamma_greedy(1) == 1.0
-
-    def test_invalid_box_rejected(self):
-        with pytest.raises(ConfigurationError):
-            estimator.EffectivityBounds(mu_min=0.5, mu_max=0.1)
-        with pytest.raises(ConfigurationError):
-            estimator.EffectivityBounds(mu_min=0.0, mu_max=1.0)
-
-    def test_kappa(self):
-        bounds = estimator.EffectivityBounds()
+    def test_kappa(self, setup):
+        """With the continuity bound max_p mu_p, kappa(mu) = 4 bounds the
+        effectivity Delta / err from above."""
+        system, basis, model, data = setup
         mu = fem.ParameterPoint((0.2, 0.8, 0.5, 0.4))
-        assert bounds.gamma_ub(mu) / bounds.alpha_lb(mu) == pytest.approx(4.0, rel=1e-15)
+        assert max(mu.weights) / min(mu.weights) == pytest.approx(4.0, rel=1e-15)
+        sub = basis.prefix(1)
+        sub_model = rb.reduce(sub, system)
+        sub_data = estimator.build_estimator(sub_model, sub, system)
+        u = fem.solve_fom(system, mu).coefficients
+        err = fem.x_norm(u - rb.reconstruct(sub, rb.solve_rom(sub_model, mu)), system)
+        assert err <= estimator.estimate(sub_data, sub_model, mu) <= 4.0 * err
 
 
 def direct_representers(system, vectors):
@@ -158,7 +162,7 @@ class TestEstimate:
             u_rb = rb.reconstruct(sub, rb.solve_rom(sub_model, mu))
             err = fem.x_norm(u - u_rb, system)
             delta = estimator.estimate(sub_data, sub_model, mu)
-            kappa = data.bounds.gamma_ub(mu) / data.bounds.alpha_lb(mu)
+            kappa = max(mu.weights) / min(mu.weights)
             assert err <= delta + 1e-8
             assert delta <= kappa * err + 1e-8
 
@@ -457,7 +461,7 @@ class TestRieszCheck:
         rng = np.random.default_rng(8)
         for _ in range(10):
             mu = fem.ParameterPoint(tuple(rng.uniform(0.1, 1.0, 4)))
-            diag = estimator.check_riesz(sub_data, sub_model, sub, system, mu)
+            diag = check_riesz(sub_data, sub_model, sub, system, mu)
             assert not diag.cancellation
             assert diag.relative_deviation <= 1e-6
 
@@ -467,31 +471,29 @@ class TestRieszCheck:
         sub_model = rb.prefix_model(model, 2)
         sub_data = estimator.prefix_data(data, 2)
         points = [TRAIN[0], fem.ParameterPoint((0.3, 0.9, 0.5, 0.7))]
-        fresh = [estimator.check_riesz(sub_data, sub_model, sub, system, mu) for mu in points]
+        fresh = [check_riesz(sub_data, sub_model, sub, system, mu) for mu in points]
         solver = estimator.RieszSolver(system)
         # A passed solver is used as it is: no new factorization of M_X.
         monkeypatch.setattr(estimator, "RieszSolver", None)
         reused = [
-            estimator.check_riesz(sub_data, sub_model, sub, system, mu, solver=solver)
+            check_riesz(sub_data, sub_model, sub, system, mu, solver=solver)
             for mu in points
         ]
         assert reused == fresh
 
     def test_cancellation_flagged_when_converged(self, setup):
         system, basis, model, data = setup
-        diag = estimator.check_riesz(data, model, basis, system, TRAIN[0])
+        diag = check_riesz(data, model, basis, system, TRAIN[0])
         assert diag.cancellation
         assert diag.dual_norm_offline <= estimator.CANCELLATION_RATIO * data.load_dual_norm
         assert diag.dual_norm_direct <= estimator.CANCELLATION_RATIO * data.load_dual_norm
 
     def test_online_only_data_rejected(self, setup):
         system, basis, model, data = setup
-        online = estimator.EstimatorData(
-            Q=None, R=data.R, block_count=data.block_count, bounds=data.bounds
-        )
+        online = estimator.EstimatorData(Q=None, R=data.R, block_count=data.block_count)
         assert online.online_only
         with pytest.raises(ConfigurationError):
-            estimator.check_riesz(online, model, basis, system, TRAIN[0])
+            check_riesz(online, model, basis, system, TRAIN[0])
         with pytest.raises(ConfigurationError):
             estimator.build_estimator(model, basis, system, previous=online)
 
@@ -643,7 +645,7 @@ class TestStableForm:
             sub_data = estimator.prefix_data(data, n)
             sub_model, sub = rb.prefix_model(model, n), basis.prefix(n)
             for mu in points:
-                diag = estimator.check_riesz(sub_data, sub_model, sub, system, mu)
+                diag = check_riesz(sub_data, sub_model, sub, system, mu)
                 gap = abs(diag.dual_norm_offline - diag.dual_norm_direct)
                 assert gap <= 1e-14 * load, (n, mu)
                 if diag.dual_norm_direct >= 1e-8 * load:

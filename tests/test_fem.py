@@ -122,15 +122,15 @@ class TestAssembly:
 
         The five-point P1 stencil on this mesh has diagonal 4 independent of
         h, each sub-block contributing exactly 1 (two 45-degree corners or
-        one right-angle corner of the criss-cross triangles).  The load is
-        rhs * h^2 for the interior hat function.
+        one right-angle corner of the criss-cross triangles).  The load of
+        f = 1 is h^2 for the interior hat function.
         """
         mesh = fem.build_mesh(2, 2, 2, 2)
-        system = fem.assemble(mesh, rhs_value=3.0)
+        system = fem.assemble(mesh)
         assert system.dof_count == 1
         total = affine_matrix(system, fem.ParameterPoint.uniform(4)).toarray()
         assert np.allclose(total, [[4.0]], rtol=0, atol=1e-14)
-        assert system.load == pytest.approx([3.0 * 0.25], abs=1e-15)
+        assert system.load == pytest.approx([0.25], abs=1e-15)
         for comp in system.components:
             assert np.allclose(comp.toarray(), [[1.0]], rtol=0, atol=1e-14)
 
@@ -203,10 +203,10 @@ class TestAssembly:
         assert affine_matrix(system, np.ones(4)).nnz == indices.size
 
     def test_fingerprint_tracks_content(self):
-        a = fem.assemble(fem.build_mesh(4, 4, 2, 2), rhs_value=1.0)
-        b = fem.assemble(fem.build_mesh(4, 4, 2, 2), rhs_value=1.0)
-        c = fem.assemble(fem.build_mesh(4, 4, 2, 2), rhs_value=2.0)
-        d = fem.assemble(fem.build_mesh(4, 4, 4, 4), rhs_value=1.0)
+        a = fem.assemble(fem.build_mesh(4, 4, 2, 2))
+        b = fem.assemble(fem.build_mesh(4, 4, 2, 2))
+        c = fem.assemble(fem.build_mesh(4, 6, 2, 2))
+        d = fem.assemble(fem.build_mesh(4, 4, 4, 4))
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
         assert a.fingerprint != d.fingerprint

@@ -399,7 +399,7 @@ class TestArtifact:
         basis, _ = basis_and_records
         model = rb.reduce(basis, system)
         path = rb.save_artifact(model, basis, tmp_path / "rom.json")
-        other = fem.assemble(fem.build_mesh(8, 8, 2, 2), rhs_value=2.0)
+        other = fem.assemble(fem.build_mesh(8, 6, 2, 2))
         with pytest.raises(ConfigurationError, match="different assembled system"):
             rb.load_artifact(path, system=other)
 
@@ -521,5 +521,38 @@ class TestArtifact:
             "mu_max": 1.0,
         }
         path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="version 1 unsupported .expected 2"):
+        with pytest.raises(ConfigurationError, match="version 1 unsupported .expected 3"):
+            rb.load_artifact(path, system=system)
+
+    def test_version_2_rejected(self, system, greedy_model, tmp_path):
+        """A file of version 2 also stored the estimator's mu box."""
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, greedy_model.basis_size)),
+            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(greedy_model.basis_size)],
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        assert set(payload["estimator"]) == {"R"}
+        payload["version"] = 2
+        payload["estimator"].update(mu_min=0.1, mu_max=1.0)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ConfigurationError, match="version 2 unsupported .expected 3.; rebuild it"
+        ):
+            rb.load_artifact(path, system=system)
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "rom.json"
+        path.write_text("not json {")
+        with pytest.raises(ConfigurationError, match=f"artifact {re.escape(str(path))} is not JSON"):
+            rb.load_artifact(path)
+
+    def test_missing_field_rejected(self, system, basis_and_records, tmp_path):
+        basis, _ = basis_and_records
+        path = rb.save_artifact(rb.reduce(basis, system), basis, tmp_path / "rom.json")
+        payload = json.loads(path.read_text())
+        del payload["block_count"]
+        path.write_text(json.dumps(payload))
+        message = f"artifact {path} has no field 'block_count'"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             rb.load_artifact(path, system=system)

@@ -49,9 +49,9 @@ def width(spanned, system):
 
 
 @pytest.fixture(scope="module")
-def strong_b1(system, training, snapshots):
+def strong_b1(system, training, snapshots, spanned):
     config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=1e-6)
-    basis, trace = greedy.run_strong_greedy(system, config, snapshots)
+    basis, trace = greedy.run_strong_greedy(system, config, spanned)
     sigma = greedy.true_sigma(basis, snapshots, system)
     return basis, trace, sigma
 
@@ -169,7 +169,9 @@ class TestWidthColumnBlocks:
     def test_bitwise_at_every_block_split(self, system, training, snapshots, count, workers):
         snapshot_list = [snapshots[mu] for mu in training[:count]]
         with pool_mod.WorkerPool(workers) as pool:
-            blocked = theory.pod_width_upper_bound(snapshot_list, system, pool=pool)
+            blocked = theory.pod_width_upper_bound(
+                rb.snapshot_basis(snapshot_list, system, pool), system
+            )
         inline = theory.pod_width_upper_bound(snapshot_list, system)
         given = theory.pod_width_upper_bound(rb.snapshot_basis(snapshot_list, system), system)
         assert blocked.d_up.shape == (count + 1,)
@@ -217,7 +219,6 @@ class TestPropertyChecks:
     def test_P1_detects_violation(self):
         trace = greedy.GreedyTrace(
             batch_size=1,
-            gamma_weak=1.0,
             amatrix_rows=[np.array([1.0]), np.array([0.5, 0.4])],
         )
         report = theory.check_P1(trace, [1.0, 0.9, 0.2], gamma=1.0)
@@ -243,7 +244,6 @@ class TestPropertyChecks:
     def test_P2_detects_violation(self):
         trace = greedy.GreedyTrace(
             batch_size=1,
-            gamma_weak=1.0,
             amatrix_rows=[np.array([1.0]), np.array([0.9, 0.8])],
         )
         report = theory.check_P2(trace, [1.0, 0.5])
