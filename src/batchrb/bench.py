@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import fem, greedy, rb, theory
+from . import estimator, fem, greedy, rb, theory
 from .errors import ConfigurationError, NumericError
 from .pool import BLAS_THREADS, WorkerPool, map_column_blocks
 
@@ -53,6 +53,21 @@ SUMMARY_COLUMNS = [
     "err_final",
 ]
 
+#: ExperimentConfig fields that take integers (ny may also be None).
+_INTEGER_FIELDS = (
+    "px", "py", "nx", "ny", "train_per_dim", "test_count", "seed", "worker_count",
+    "max_basis_size", "training_cap",
+)
+
+
+def _integer(value) -> Optional[int]:
+    """`value` as an int if it equals one (3.0 gives 3), else None."""
+    try:
+        return int(value) if int(value) == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings for one experiment run."""
@@ -73,14 +88,21 @@ class ExperimentConfig:
     training_cap: int = TRAINING_CAP_DEFAULT
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "ny":
+                continue
+            if _integer(value) is None:
+                raise ConfigurationError(f"{name}={value!r} must be an integer")
+            object.__setattr__(self, name, _integer(value))
         if self.train_per_dim < 2:
             raise ConfigurationError(
                 f"train_per_dim={self.train_per_dim} must be at least 2"
             )
         if self.test_count < 1:
             raise ConfigurationError(f"test_count={self.test_count} must be positive")
-        sizes = tuple(int(b) for b in self.batch_sizes)
-        if not sizes or min(sizes) < 1 or sizes != tuple(self.batch_sizes):
+        sizes = tuple(_integer(b) for b in self.batch_sizes)
+        if not sizes or None in sizes or min(sizes) < 1:
             raise ConfigurationError(f"invalid batch sizes {self.batch_sizes!r}")
         object.__setattr__(self, "batch_sizes", sizes)
         if not self.tolerance > 0:
@@ -164,25 +186,28 @@ def _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes, pool=N
     of size n = sizes[k], relative to ||f||_X.  With A = V^T M_X f and the
     distances d_n of :func:`fem.projection_distances` (one call for all
     sizes, on `pool`), f - V_n c_n splits into X-orthogonal parts and
-    ||f - V_n c_n||_X = hypot(d_n, ||A_{:n} - c_n||).  Both parts carry
+    ||f - V_n c_n||_X = hypot(d_n, ||A_{:n} - c_n||).  Every c_n comes from
+    one :func:`estimator.prefix_coefficients` table over the test weights,
+    O(T N^3) for all sizes, and no per-size solve.  Both parts carry
     O(eps ||f||_X) absolute error, as the explicit difference does, and
     nothing cancels.  Size 0 gives the exact value 1 (the reduced solution
     is zero).  `fom_cache` maps every test point to its full-order snapshot
     and that snapshot's X-norm.
     """
-    for mu in test_set:
-        if fom_cache[mu][1] <= 0.0:
+    norms = np.array([fom_cache[mu][1] for mu in test_set])
+    for mu, norm in zip(test_set, norms):
+        if norm <= 0.0:
             raise NumericError(f"full-order solution at {mu} has zero norm")
     columns = [fom_cache[mu][0].coefficients for mu in test_set]
     dist, coeffs = fem.projection_distances(basis.vectors, columns, system, pool)
     errors = np.ones((len(sizes), len(test_set)))
-    for row, n in zip(errors, sizes):
-        if n == 0:
-            continue
-        sub_model = rb.prefix_model(model, n)
-        for t, mu in enumerate(test_set):
-            gap = np.linalg.norm(coeffs[:n, t] - rb.solve_rom(sub_model, mu))
-            row[t] = math.hypot(dist[n, t], gap) / fom_cache[mu][1]
+    rows = [(row, n) for row, n in zip(errors, sizes) if n]
+    if rows:
+        weights = np.array([mu.weights for mu in test_set])
+        for (start, stop), table in estimator.prefix_coefficients(model, weights):
+            for row, n in rows:
+                gap = np.linalg.norm(coeffs[:n, start:stop].T - table[:, n - 1, :n], axis=1)
+                row[start:stop] = np.hypot(dist[n, start:stop], gap) / norms[start:stop]
     return errors
 
 
@@ -190,8 +215,9 @@ def evaluate_test_error(basis, model, system, test_set, fom_cache=None):
     """Relative X-norm Galerkin errors over a test set.
 
     Returns ``(errors, max_error)`` with one entry per test parameter, by the
-    error-decay rows' code path: the projection distance to the basis and
-    the coefficient gap ||V^T M_X f - c|| combine by hypot, each with
+    error-decay rows' code path (:func:`_prefix_test_errors` at the one size
+    ``basis.size``, O(T N^3)): the projection distance to the basis and the
+    coefficient gap ||V^T M_X f - c|| combine by hypot, each with
     O(eps ||f||_X) absolute error, as the explicit difference has.  An empty
     basis yields the exact value 1 for every parameter (the reduced solution
     is zero).  Pass ``fom_cache`` (a dict mapping a parameter to its

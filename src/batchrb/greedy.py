@@ -37,7 +37,7 @@ import numpy as np
 
 from . import estimator as est_mod
 from . import rb
-from .errors import ConfigurationError, DimensionError, GreedyError
+from .errors import ConfigurationError, DimensionError, DomainError, GreedyError
 from .fem import (
     AffineSystem,
     ParameterPoint,
@@ -491,27 +491,53 @@ def true_sigma(
 def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.ndarray:
     """Estimator max over a training set for each nested basis prefix.
 
-    proxy[n] = max_mu Delta_n(mu) for n = 0..model.basis_size, evaluated by
-    slicing the reduced model and the offline estimator tables down to the
-    first n basis vectors.  At the sizes where the greedy loop swept
-    (multiples of the batch size), this reproduces the recorded
-    per-iteration maxima exactly, so with the run's `trace` those maxima are
-    taken as they are and only the sizes in between, which a batch run never
-    evaluates live, are swept.
+    proxy[n] = max_mu Delta_n(mu) for n = 0..model.basis_size, the maximum of
+    ``estimate_sweep`` on the first n basis vectors.  The sizes a run's
+    `trace` recorded (where the loop swept: multiples of the batch size) keep
+    their recorded maxima bitwise; size 0 is max ||f||_{X'} / min_p mu_p.
+    Every other size takes its coefficients from one
+    :func:`estimator.prefix_coefficients` table per row block, O(T N^3) once,
+    and its residual norms from the leading block of R, O(T (1 + P n)^2)
+    each with half the flops by skipping R's zero lower part, so it agrees
+    with a sweep to round-off (a few machine epsilons times Delta_0).  When
+    the trace holds every size (b = 1), nothing is factored.
 
     `model` must carry estimator data (as left behind by the greedy loop);
-    `weights` is a (T, P) array of training weights.
+    `weights` is a (T, P) array of positive training weights.
     """
     data = model.estimator_data
     if data is None:
         raise ConfigurationError("model carries no estimator data")
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    p_count = weights.shape[1]
+    est_mod._check_sizes(data, model, p_count)
+    if np.any(weights <= 0):
+        raise DomainError("all parameter weights must be positive")
+    alpha, size = weights.min(axis=1), model.basis_size
+    proxy = np.zeros(size + 1)
+    proxy[0] = (data.load_dual_norm / alpha).max()
     recorded = {r.basis_size: r.max_estimate for r in (trace.iterations if trace else [])}
-    for n in range(model.basis_size + 1):
-        if n not in recorded:
-            sub_data, sub_model = est_mod.prefix_data(data, n), rb.prefix_model(model, n)
-            recorded[n] = float(est_mod.estimate_sweep(sub_data, sub_model, weights).max())
-    return np.array([recorded[n] for n in range(model.basis_size + 1)])
+    # Sizes go in fixed runs of at most N^2 / (1 + P N), so a run's residual
+    # vectors hold at most one table's entries per row.  A run shares one
+    # product with R's leading block for its largest size: C[t, m-1, m:] = 0,
+    # so a smaller size's residual gains only exact zeros.  A run without a
+    # missing size is skipped and the others keep their shape, so no value
+    # depends on which sizes the trace recorded.
+    bounds = [*range(1, size + 1, max(1, size * size // (1 + p_count * size))), size + 1]
+    runs = [(a, b) for a, b in zip(bounds, bounds[1:]) if not recorded.keys() >= set(range(a, b))]
+    if runs:
+        for (start, stop), table in est_mod.prefix_coefficients(model, weights):
+            block, scale = weights[start:stop], alpha[start:stop, None]
+            for first, end in runs:
+                last, k = end - 1, 1 + p_count * (end - 1)
+                coeffs = table[:, first - 1 : last, :last].reshape(-1, last)
+                y = est_mod._residual_weights(np.repeat(block, end - first, axis=0), coeffs)
+                norms = est_mod._panel_dual_norms(data.R[:k, :k], y)
+                worst = (norms.reshape(len(block), -1) / scale).max(axis=0)
+                proxy[first:end] = np.maximum(proxy[first:end], worst)
+    for n, value in recorded.items():
+        proxy[n] = value
+    return proxy
 
 
 def export_trace(trace: GreedyTrace, path) -> Path:

@@ -237,6 +237,26 @@ class TestConfig:
             bench.ExperimentConfig(batch_sizes=(1.5, 2))
         assert bench.ExperimentConfig(batch_sizes=[1.0, 4]).batch_sizes == (1, 4)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "px", "py", "nx", "ny", "train_per_dim", "test_count", "seed",
+            "worker_count", "max_basis_size", "training_cap",
+        ],
+    )
+    @pytest.mark.parametrize("value", [2.5, "3", float("nan"), float("inf")])
+    def test_non_integer_fields_rejected(self, name, value):
+        """Each integer field names itself in a ConfigurationError, as batch
+        sizes do, instead of failing later with an untyped TypeError."""
+        with pytest.raises(ConfigurationError, match=f"^{name}=.* must be an integer"):
+            bench.ExperimentConfig(**{name: value})
+        assert type(getattr(bench.ExperimentConfig(**{name: 3.0}), name)) is int
+
+    @pytest.mark.parametrize("sizes", ["1,2", (1, "x"), (1, None), (1, float("inf"))])
+    def test_non_numeric_batch_sizes_rejected(self, sizes):
+        with pytest.raises(ConfigurationError, match="invalid batch sizes"):
+            bench.ExperimentConfig(batch_sizes=sizes)
+
     def test_lock_round_trip(self, tmp_path):
         config = bench.ExperimentConfig(
             px=3, py=1, nx=12, ny=20, train_per_dim=4, test_count=17, seed=9,
@@ -562,6 +582,39 @@ class TestOracleWorkerInvariance:
             bench.run_experiment(config)
             outputs.append({name: (Path(config.out) / name).read_bytes() for name in names})
         assert outputs[0] == outputs[1]
+
+
+class TestThreeByThreeOracle:
+    """The 3x3 thermal block through the CLI: 2^9 points, b = 1 and 4, where the
+    b = 4 proxy fills 36 sizes between the swept ones from the prefix table."""
+
+    def test_checks_pass_and_proxy_keeps_swept_maxima(self, tmp_path):
+        out = tmp_path / "three"
+        code = cli.main(
+            [
+                "--px", "3", "--py", "3", "--nx", "12", "--train-per-dim", "2",
+                "--batch-sizes", "1,4", "--workers", "2", "--test-count", "20",
+                "--seed", "3", "--oracle", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads((out / "theory_report.json").read_text())
+        checks = [check for run in report["runs"] for check in run["checks"]]
+        assert checks and all(check["status"] == "pass" for check in checks)
+        _, summary = read_csv(out / "summary.csv")
+        assert [int(row[0]) for row in summary] == [1, 4]
+        for b in (1, 4):
+            header, trace = read_csv(out / f"trace_b{b}.csv")
+            n_col, est_col = header.index("n"), header.index("est_value")
+            maxima = {}
+            for row in trace:
+                n = int(row[n_col])
+                maxima[n] = max(maxima.get(n, -math.inf), float(row[est_col]))
+            _, decay = read_csv(out / f"errdecay_b{b}.csv")
+            est = {int(row[0]): float(row[1]) for row in decay}
+            assert len(est) == max(maxima) + 1
+            for n, value in maxima.items():
+                assert est[n] == value, (b, n)
 
 
 class TestCli:

@@ -452,6 +452,48 @@ class TestBlockSweep:
         assert tiny_basis.vectors.tobytes() == basis.vectors.tobytes()
 
 
+class TestPrefixCoefficients:
+    """One Cholesky factor per row gives the coefficients of every basis prefix."""
+
+    CORNERS = np.array(
+        [[0.1, 1.0, 1.0, 0.1], [1.0, 0.1, 0.1, 1.0], [0.1, 0.1, 0.1, 1.0], [1.0, 1.0, 1.0, 0.1]]
+    )
+
+    def check(self, model, weights):
+        tables = list(estimator.prefix_coefficients(model, weights))
+        assert tables[0][0][0] == 0 and tables[-1][0][1] == len(weights)
+        n = model.basis_size
+        for (start, stop), table in tables:
+            assert table.shape == (stop - start, n, n)
+            for w, rows in zip(weights[start:stop], table):
+                matrix = model.matrix(w)
+                for m in range(1, n + 1):
+                    reference = np.linalg.solve(matrix[:m, :m], model.load[:m])
+                    gap = np.linalg.norm(rows[m - 1, :m] - reference)
+                    assert gap <= 1e-13 * np.linalg.norm(reference)
+                    assert not rows[m - 1, m:].any()
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_random_weights_match_per_size_solves(self, monkeypatch, sweep_run, rows):
+        model = sweep_run[2][1]
+        if rows:
+            force_rows(monkeypatch, model, rows)
+        self.check(model, TestBlockSweep.WEIGHTS[:40])
+
+    def test_box_corners_match_per_size_solves(self, sweep_run):
+        """Weights at the box corners, where max mu / min mu = 10."""
+        self.check(sweep_run[2][1], self.CORNERS)
+
+    def test_one_row(self, sweep_run):
+        self.check(sweep_run[2][1], self.CORNERS[2:3])
+
+    def test_indefinite_operator_names_block(self, sweep_run):
+        model = sweep_run[2][1]
+        weights = np.array([[0.5, 0.5, 0.5, 0.5], [-1.0, 0.5, 0.5, 0.5]])
+        with pytest.raises(NumericError, match=r"2-row block from mu=\(0\.5"):
+            list(estimator.prefix_coefficients(model, weights))
+
+
 class TestRieszCheck:
     def test_offline_matches_direct(self, setup):
         system, basis, model, data = setup

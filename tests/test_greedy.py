@@ -16,6 +16,7 @@ from batchrb import pool as pool_mod
 from batchrb.errors import (
     ConfigurationError,
     DimensionError,
+    DomainError,
     GreedyError,
     InsufficientDataError,
     NumericError,
@@ -223,11 +224,13 @@ class TestSigmaProxy:
         basis, model, trace = run_b3
         weights = np.array([mu.weights for mu in training])
         dense = greedy.sigma_proxy(model, weights)
-        assert dense.shape == (basis.size + 1,)
-        # At the sizes the loop actually swept, slicing the final tables must
-        # reproduce the recorded maxima bit for bit.
+        reused = greedy.sigma_proxy(model, weights, trace)
+        assert dense.shape == reused.shape == (basis.size + 1,)
+        # With the trace, the sizes the loop swept keep the recorded maxima
+        # bit for bit; without it, the prefix table agrees to round-off.
         for rec in trace.iterations:
-            assert dense[rec.basis_size] == rec.max_estimate
+            assert reused[rec.basis_size] == rec.max_estimate
+            assert abs(dense[rec.basis_size] - rec.max_estimate) <= 1e-14 * dense[0]
 
     def test_initial_value_is_empty_basis_sweep(self, run_b3, training):
         _, model, _ = run_b3
@@ -249,18 +252,62 @@ class TestSigmaProxy:
         dense = greedy.sigma_proxy(model, weights)
         counts = count_calls(monkeypatch, ["estimator.estimate_sweep"])
         reused = greedy.sigma_proxy(model, weights, trace)
-        assert reused.tobytes() == dense.tobytes()
         swept = {rec.basis_size for rec in trace.iterations}
-        assert counts["estimator.estimate_sweep"] == basis.size + 1 - len(swept)
+        between = [n for n in range(basis.size + 1) if n not in swept]
+        assert between
+        assert reused[between].tobytes() == dense[between].tobytes()
+        assert counts["estimator.estimate_sweep"] == 0
 
     def test_single_batch_run_needs_no_sweep(self, monkeypatch, system, training):
         config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=2e-3)
         basis, model, trace = greedy.run_batch_greedy(system, config)
         weights = np.array([mu.weights for mu in training])
+        recorded = np.array([rec.max_estimate for rec in trace.iterations])
+        counts = count_calls(
+            monkeypatch, ["estimator.estimate_sweep", "estimator.prefix_coefficients"]
+        )
+        assert greedy.sigma_proxy(model, weights, trace).tobytes() == recorded.tobytes()
+        assert counts == {"estimator.estimate_sweep": 0, "estimator.prefix_coefficients": 0}
+
+    def test_every_size_matches_prefix_sweep(self, run_b3, training):
+        basis, model, _ = run_b3
+        data = model.estimator_data
+        weights = np.array([mu.weights for mu in training])
         dense = greedy.sigma_proxy(model, weights)
-        counts = count_calls(monkeypatch, ["estimator.estimate_sweep"])
-        assert greedy.sigma_proxy(model, weights, trace).tobytes() == dense.tobytes()
-        assert counts["estimator.estimate_sweep"] == 0
+        for n in range(basis.size + 1):
+            sub_data, sub_model = estimator.prefix_data(data, n), rb.prefix_model(model, n)
+            reference = estimator.estimate_sweep(sub_data, sub_model, weights).max()
+            assert abs(dense[n] - reference) <= 1e-14 * dense[0]
+
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_non_positive_weights_rejected(self, run_b3, training, value):
+        _, model, trace = run_b3
+        weights = np.array([mu.weights for mu in training])
+        weights[5, 2] = value
+        for run_trace in (None, trace):
+            with pytest.raises(DomainError, match="positive"):
+                greedy.sigma_proxy(model, weights, run_trace)
+
+    def test_memory_below_one_prefix_table(self):
+        """T = 4,096 rows at N = 19: one (T, N, N) table holds 11.8 MB."""
+        t_count, n, p = 4096, 19, 4
+        rng = np.random.default_rng(37)
+        factors = rng.standard_normal((p, n, n))
+        model = rb.ReducedModel(
+            components=factors @ factors.transpose(0, 2, 1) + n * np.eye(n),
+            load=rng.standard_normal(n),
+        )
+        r = np.triu(rng.standard_normal((1 + p * n, 1 + p * n)))
+        model.estimator_data = estimator.EstimatorData(Q=None, R=r, block_count=p)
+        weights = rng.uniform(0.1, 1.0, (t_count, p))
+        tracemalloc.start()
+        try:
+            proxy = greedy.sigma_proxy(model, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proxy.shape == (n + 1,) and np.isfinite(proxy).all()
+        assert peak < 8 * t_count * n * n
 
 
 class TestClassicalEquivalence:
