@@ -53,13 +53,6 @@ SUMMARY_COLUMNS = [
     "err_final",
 ]
 
-#: ExperimentConfig fields that take integers (ny may also be None).
-_INTEGER_FIELDS = (
-    "px", "py", "nx", "ny", "train_per_dim", "test_count", "seed", "worker_count",
-    "max_basis_size", "training_cap",
-)
-
-
 def _integer(value) -> Optional[int]:
     """`value` as an int if it equals one (3.0 gives 3), else None."""
     try:
@@ -88,13 +81,12 @@ class ExperimentConfig:
     training_cap: int = TRAINING_CAP_DEFAULT
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if value is None and name == "ny":
-                continue
-            if _integer(value) is None:
-                raise ConfigurationError(f"{name}={value!r} must be an integer")
-            object.__setattr__(self, name, _integer(value))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" or (f.type == "Optional[int]" and value is not None):
+                if _integer(value) is None:
+                    raise ConfigurationError(f"{f.name}={value!r} must be an integer")
+                object.__setattr__(self, f.name, _integer(value))
         if self.train_per_dim < 2:
             raise ConfigurationError(
                 f"train_per_dim={self.train_per_dim} must be at least 2"

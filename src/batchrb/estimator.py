@@ -288,18 +288,6 @@ def _dual_norms(data: EstimatorData, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ta,ta->t", residual, residual))
 
 
-def _panel_dual_norms(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`_dual_norms` for an upper-triangular R block `r`, by row panels of 64:
-    panel [a, a + 64) reads R's columns from a on only, skipping the zero lower
-    part, about half the product's flops when 1 + P n >> 64."""
-    squares = np.zeros(len(y))
-    for a in range(0, r.shape[0], 64):
-        lo = max(a, 1)
-        residual = r[a : a + 64, 0] - y[:, lo - 1 :] @ r[a : a + 64, lo:].T
-        squares += np.einsum("ta,ta->t", residual, residual)
-    return np.sqrt(squares)
-
-
 def _residual_weights(weights: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """y[t, j P + p] = mu_p c_j for (T, P) weights and (T, n) coefficients."""
     return (coeffs[:, :, None] * weights[:, None, :]).reshape(weights.shape[0], -1)

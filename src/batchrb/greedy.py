@@ -497,9 +497,9 @@ def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.n
     their recorded maxima bitwise; size 0 is max ||f||_{X'} / min_p mu_p.
     Every other size takes its coefficients from one
     :func:`estimator.prefix_coefficients` table per row block, O(T N^3) once,
-    and its residual norms from the leading block of R, O(T (1 + P n)^2)
-    each with half the flops by skipping R's zero lower part, so it agrees
-    with a sweep to round-off (a few machine epsilons times Delta_0).  When
+    and its residual norms from the sweep's ``_dual_norms`` on the leading
+    block of R, O(T (1 + P n)^2) each, so it agrees with a sweep to
+    round-off (a few machine epsilons times Delta_0).  When
     the trace holds every size (b = 1), nothing is factored.
 
     `model` must carry estimator data (as left behind by the greedy loop);
@@ -530,9 +530,11 @@ def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.n
             block, scale = weights[start:stop], alpha[start:stop, None]
             for first, end in runs:
                 last, k = end - 1, 1 + p_count * (end - 1)
+                # A view of R's leading block: prefix_data would copy it per block.
+                leading = est_mod.EstimatorData(None, data.R[:k, :k], p_count)
                 coeffs = table[:, first - 1 : last, :last].reshape(-1, last)
                 y = est_mod._residual_weights(np.repeat(block, end - first, axis=0), coeffs)
-                norms = est_mod._panel_dual_norms(data.R[:k, :k], y)
+                norms = est_mod._dual_norms(leading, y)
                 worst = (norms.reshape(len(block), -1) / scale).max(axis=0)
                 proxy[first:end] = np.maximum(proxy[first:end], worst)
     for n, value in recorded.items():
