@@ -17,6 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from numbers import Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,25 +34,6 @@ TRAINING_CAP_DEFAULT = 1_000_000
 
 #: Number of full-order solves averaged for the t_full measurement.
 FULL_SOLVE_SAMPLES = 10
-
-SUMMARY_COLUMNS = [
-    "batchsizes",
-    "num_ext",
-    "num_iter",
-    "t_solve",
-    "t_evaluate",
-    "t_extend",
-    "t_reduce",
-    "t_other",
-    "t_offline",
-    "t_online",
-    "t_online_n",
-    "t_offline_n",
-    "k_star",
-    "stop_reason",
-    "num_rejected",
-    "err_final",
-]
 
 def _integer(value) -> Optional[int]:
     """`value` as an int if it equals one (3.0 gives 3), else None."""
@@ -87,6 +69,10 @@ class ExperimentConfig:
                 if _integer(value) is None:
                     raise ConfigurationError(f"{f.name}={value!r} must be an integer")
                 object.__setattr__(self, f.name, _integer(value))
+            elif f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ConfigurationError(f"{f.name}={value!r} must be a real number")
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ConfigurationError(f"{f.name}={value!r} must be true or false")
         if self.train_per_dim < 2:
             raise ConfigurationError(
                 f"train_per_dim={self.train_per_dim} must be at least 2"
@@ -171,7 +157,7 @@ def build_test_set(px, py, count, seed):
     return [fem.ParameterPoint(row) for row in draws]
 
 
-def _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes, pool=None):
+def _prefix_test_errors(basis, model, system, weights, references, norms, sizes, pool=None):
     """Relative X-norm Galerkin errors on basis prefixes: (len(sizes), T).
 
     Row k holds the errors of the reduced solutions c_n of the prefix model
@@ -183,19 +169,17 @@ def _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes, pool=N
     O(T N^3) for all sizes, and no per-size solve.  Both parts carry
     O(eps ||f||_X) absolute error, as the explicit difference does, and
     nothing cancels.  Size 0 gives the exact value 1 (the reduced solution
-    is zero).  `fom_cache` maps every test point to its full-order snapshot
-    and that snapshot's X-norm.
+    is zero).  Row t of the (T, P) array `weights` is a test point, f_t =
+    `references[t]` its full-order solution and `norms[t]` that solution's
+    X-norm.
     """
-    norms = np.array([fom_cache[mu][1] for mu in test_set])
-    for mu, norm in zip(test_set, norms):
+    for point, norm in zip(weights, norms):
         if norm <= 0.0:
-            raise NumericError(f"full-order solution at {mu} has zero norm")
-    columns = [fom_cache[mu][0].coefficients for mu in test_set]
-    dist, coeffs = fem.projection_distances(basis.vectors, columns, system, pool)
-    errors = np.ones((len(sizes), len(test_set)))
+            raise NumericError(f"full-order solution at weights {point.tolist()} has zero norm")
+    dist, coeffs = fem.projection_distances(basis.vectors, references, system, pool)
+    errors = np.ones((len(sizes), len(weights)))
     rows = [(row, n) for row, n in zip(errors, sizes) if n]
     if rows:
-        weights = np.array([mu.weights for mu in test_set])
         for (start, stop), table in estimator.prefix_coefficients(model, weights):
             for row, n in rows:
                 gap = np.linalg.norm(coeffs[:n, start:stop].T - table[:, n - 1, :n], axis=1)
@@ -221,8 +205,11 @@ def evaluate_test_error(basis, model, system, test_set, fom_cache=None):
         if mu not in fom_cache:
             snapshot = fem.solve_fom(system, mu)
             fom_cache[mu] = (snapshot, fem.x_norm(snapshot.coefficients, system))
+    weights = np.array([mu.weights for mu in test_set])
+    references = [fom_cache[mu][0].coefficients for mu in test_set]
+    norms = np.array([fom_cache[mu][1] for mu in test_set])
     sizes = [basis.size]
-    errors = _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes)[0]
+    errors = _prefix_test_errors(basis, model, system, weights, references, norms, sizes)[0]
     return errors.tolist(), float(errors.max())
 
 
@@ -237,16 +224,28 @@ def break_even(t_offline, t_full, t_online):
     return math.ceil(t_offline / (t_full - t_online))
 
 
-def _error_decay_rows(basis, model, system, test_set, proxy, fom_cache, pool):
-    """Per-prefix rows (n, max training estimate, max relative test error).
+#: summary.csv in column order: each column's name and its value for a run
+#: `s`, whose times are normalized against the reference run `ref`.
+_SUMMARY_TABLE = (
+    ("batchsizes", lambda s, ref: s.batch_size),
+    ("num_ext", lambda s, ref: s.num_ext),
+    ("num_iter", lambda s, ref: s.num_iter),
+    ("t_solve", lambda s, ref: s.t_solve),
+    ("t_evaluate", lambda s, ref: s.t_evaluate),
+    ("t_extend", lambda s, ref: s.t_extend),
+    ("t_reduce", lambda s, ref: s.t_reduce),
+    ("t_other", lambda s, ref: s.t_other),
+    ("t_offline", lambda s, ref: s.t_offline),
+    ("t_online", lambda s, ref: s.t_online),
+    ("t_online_n", lambda s, ref: s.t_online / ref.t_online),
+    ("t_offline_n", lambda s, ref: s.t_offline / ref.t_offline),
+    ("k_star", lambda s, ref: s.k_star),
+    ("stop_reason", lambda s, ref: s.stop_reason),
+    ("num_rejected", lambda s, ref: s.num_rejected),
+    ("err_final", lambda s, ref: s.err_final),
+)
 
-    `fom_cache` must already hold every test point: the reference solves run
-    on the pool before any error is evaluated, never here.  The column
-    blocks of the projection distances run on `pool`.
-    """
-    sizes = range(basis.size + 1)
-    errors = _prefix_test_errors(basis, model, system, test_set, fom_cache, sizes, pool)
-    return [(n, float(proxy[n]), float(row.max())) for n, row in zip(sizes, errors)]
+SUMMARY_COLUMNS = [name for name, _ in _SUMMARY_TABLE]
 
 
 def _write_csv(path, header, rows):
@@ -267,31 +266,8 @@ def _format_value(value):
 
 def write_summary(summaries: Sequence[RunSummary], path) -> Path:
     """Emit summary.csv with times normalized against the b=1 row."""
-    reference = next(
-        (s for s in summaries if s.batch_size == 1), summaries[0]
-    )
-    rows = []
-    for s in summaries:
-        rows.append(
-            [
-                s.batch_size,
-                s.num_ext,
-                s.num_iter,
-                repr(s.t_solve),
-                repr(s.t_evaluate),
-                repr(s.t_extend),
-                repr(s.t_reduce),
-                repr(s.t_other),
-                repr(s.t_offline),
-                repr(s.t_online),
-                repr(s.t_online / reference.t_online),
-                repr(s.t_offline / reference.t_offline),
-                _format_value(s.k_star),
-                s.stop_reason,
-                s.num_rejected,
-                repr(s.err_final),
-            ]
-        )
+    ref = next((s for s in summaries if s.batch_size == 1), summaries[0])
+    rows = [[_format_value(value(s, ref)) for _, value in _SUMMARY_TABLE] for s in summaries]
     return _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
@@ -413,8 +389,11 @@ def run_experiment(config: ExperimentConfig):
     training snapshots as those blocks and spans them once by
     `rb.snapshot_basis` for the strong run (whose sigma is its trace's
     maxima) and the POD width; no result depends on the worker count.  The
-    wall time of each harness phase is logged at INFO, and the bulk solves
-    also log their count, their blocks and the time per solve.
+    test references are plain arrays in test-set order, the serial solutions
+    first, each with one X-norm, and every size's test errors come from them
+    without a further solve.  The wall time of each harness phase is logged
+    at INFO, and the bulk solves also log their count, their blocks and the
+    time per solve.
     """
     logger.info("BLAS threads: %s", BLAS_THREADS)
     logger.info(
@@ -429,14 +408,15 @@ def run_experiment(config: ExperimentConfig):
     )
     training_weights = np.array([mu.weights for mu in training])
     test_set = build_test_set(config.px, config.py, config.test_count, config.seed)
+    test_weights = np.array([mu.weights for mu in test_set])
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # Full-order reference timing (serial), reusing the solutions for error
-    # evaluation; the other test points are solved on the pool.
+    # Full-order reference timing (serial); these solutions are the first
+    # error references, and the pool solves the other test points.
     timing_set = test_set[: min(FULL_SOLVE_SAMPLES, len(test_set))]
     start = time.perf_counter()
-    references = {mu: fem.solve_fom(system, mu) for mu in timing_set}
+    references = [fem.solve_fom(system, mu).coefficients for mu in timing_set]
     t_full = (time.perf_counter() - start) / len(timing_set)
     logger.info("t_full = %.4g s (mean over %d solves)", t_full, len(timing_set))
 
@@ -449,9 +429,9 @@ def run_experiment(config: ExperimentConfig):
         blocks = _solve_on_pool(pool, system, rest, "reference solves")
         # A copy of each column, not a row of one array: BLAS dot products
         # round differently at other alignments, and these feed the norms.
-        columns = (block[:, j].copy() for block in blocks for j in range(block.shape[1]))
-        references.update((mu, fem.Snapshot(u, mu)) for mu, u in zip(rest, columns))
+        references += [block[:, j].copy() for block in blocks for j in range(block.shape[1])]
         del blocks
+        norms = np.array([fem.x_norm(u, system) for u in references])
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
             snapshots = _solve_on_pool(pool, system, training, "training solves")
@@ -467,10 +447,6 @@ def run_experiment(config: ExperimentConfig):
             strong_sigma = np.array([rec.max_estimate for rec in strong_trace.iterations])
             with _logged_phase("width"):
                 width = theory.pod_width_upper_bound(spanned, system)
-        fom_cache = {
-            mu: (snapshot, fem.x_norm(snapshot.coefficients, system))
-            for mu, snapshot in references.items()
-        }
         for b in config.batch_sizes:
             greedy_config = greedy.GreedyConfig(
                 training_set=training,
@@ -498,10 +474,11 @@ def run_experiment(config: ExperimentConfig):
             with _logged_phase("b=%d: sigma proxy", b):
                 proxy = greedy.sigma_proxy(model, training_weights, trace)
             with _logged_phase("b=%d: test errors", b):
-                rows = _error_decay_rows(
-                    basis, model, system, test_set, proxy, fom_cache, pool
-                )
-            err_final = rows[-1][2]
+                worst = _prefix_test_errors(
+                    basis, model, system, test_weights, references, norms,
+                    range(basis.size + 1), pool,
+                ).max(axis=1)
+            err_final = float(worst[-1])
             summary = RunSummary(
                 batch_size=b,
                 num_ext=trace.extension_count,
@@ -530,7 +507,7 @@ def run_experiment(config: ExperimentConfig):
             _write_csv(
                 out / f"errdecay_b{b}.csv",
                 ["n", "est", "err"],
-                [(n, repr(est), repr(err)) for n, est, err in rows],
+                [(n, repr(float(proxy[n])), repr(float(err))) for n, err in enumerate(worst)],
             )
             greedy.export_trace(trace, out / f"trace_b{b}.csv")
 

@@ -549,6 +549,13 @@ def export_trace(trace: GreedyTrace, path) -> Path:
     The final stop-check sweep is included with an empty param_id so the
     estimator-max sequence is recoverable from the file.
     """
+    rows = []
+    for rec in trace.iterations:
+        t = rec.timings
+        timings = [repr(t.solve), repr(t.evaluate), repr(t.extend), repr(t.reduce)]
+        picks = [(s.param_index, repr(s.estimate), int(s.accepted)) for s in rec.selections]
+        for pick in picks or [("", repr(rec.max_estimate), "")]:
+            rows.append([rec.iteration, rec.basis_size, *pick, *timings])
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -565,28 +572,5 @@ def export_trace(trace: GreedyTrace, path) -> Path:
                 "t_reduce",
             ]
         )
-        for rec in trace.iterations:
-            timing_cells = [
-                repr(rec.timings.solve),
-                repr(rec.timings.evaluate),
-                repr(rec.timings.extend),
-                repr(rec.timings.reduce),
-            ]
-            if not rec.selections:
-                writer.writerow(
-                    [rec.iteration, rec.basis_size, "", repr(rec.max_estimate), ""]
-                    + timing_cells
-                )
-                continue
-            for sel in rec.selections:
-                writer.writerow(
-                    [
-                        rec.iteration,
-                        rec.basis_size,
-                        sel.param_index,
-                        repr(sel.estimate),
-                        int(sel.accepted),
-                    ]
-                    + timing_cells
-                )
+        writer.writerows(rows)
     return path

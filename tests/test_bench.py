@@ -225,11 +225,23 @@ class TestConfig:
             {"max_basis_size": 0},
             {"seed": -1},
             {"tolerance": float("nan")},
+            {"tolerance": "1e-3"},
+            {"tolerance": None},
+            {"tolerance": True},
+            {"oracle": "no"},
+            {"oracle": 1},
+            {"oracle": None},
         ],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            bench.ExperimentConfig(**kwargs)
+    def test_validation(self, kwargs, tmp_path):
+        (name,) = kwargs
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match=name.replace("_", "[_ ]")):
+            bench.ExperimentConfig(out=str(out), **kwargs)
+        assert not out.exists()
+
+    def test_infinite_tolerance_accepted(self):
+        assert bench.ExperimentConfig(tolerance=float("inf")).tolerance == float("inf")
 
     def test_non_integer_batch_sizes_rejected(self):
         """As GreedyConfig does, rather than truncating 1.5 to 1."""
@@ -322,16 +334,32 @@ class TestRunExperiment:
         for name in expected:
             assert (out / name).is_file(), name
 
-    def test_summary_columns_and_rows(self, experiment):
+    def test_summary_columns_and_rows(self, experiment, tmp_path):
         config, summaries = experiment
         header, rows = read_csv(Path(config.out) / "summary.csv")
-        assert header == bench.SUMMARY_COLUMNS
+        assert header == bench.SUMMARY_COLUMNS == [
+            "batchsizes", "num_ext", "num_iter", "t_solve", "t_evaluate",
+            "t_extend", "t_reduce", "t_other", "t_offline", "t_online",
+            "t_online_n", "t_offline_n", "k_star", "stop_reason",
+            "num_rejected", "err_final",
+        ]
         assert len(rows) == 2
-        for row, summary in zip(rows, summaries):
-            assert int(row[0]) == summary.batch_size
-            assert int(row[1]) == summary.num_ext
-            assert int(row[2]) == summary.num_iter
-            assert float(row[9]) == summary.t_online
+        ref = summaries[0]
+        assert ref.batch_size == 1
+        for row, s in zip(rows, summaries):
+            cells = dict(zip(header, row))
+            assert len(row) == len(header)
+            assert cells.pop("batchsizes") == str(s.batch_size)
+            assert cells.pop("t_online_n") == repr(s.t_online / ref.t_online)
+            assert cells.pop("t_offline_n") == repr(s.t_offline / ref.t_offline)
+            assert cells.pop("k_star") == ("" if s.k_star is None else str(s.k_star))
+            for name in ("num_ext", "num_iter", "stop_reason", "num_rejected"):
+                assert cells.pop(name) == str(getattr(s, name)), name
+            for name, cell in cells.items():
+                assert cell == repr(getattr(s, name)), name
+        unknown = dataclasses.replace(ref, k_star=None)
+        _, (row,) = read_csv(bench.write_summary([unknown], tmp_path / "summary.csv"))
+        assert row[header.index("k_star")] == ""
 
     def test_summary_carries_stop_reason(self, experiment):
         config, summaries = experiment
@@ -465,23 +493,32 @@ class TestReferenceSolves:
     def test_test_set_solved_before_error_evaluation(self, tmp_path, monkeypatch):
         # t_full times the first FULL_SOLVE_SAMPLES test points serially; the
         # pool solves the rest up front, so error evaluation solves nothing.
-        calls, misses = [], []
-        prefix_errors = bench._prefix_test_errors
+        serial, calls = [], []
+        solve_fom, prefix_errors = fem.solve_fom, bench._prefix_test_errors
 
-        def checked(basis, model, system, test_set, fom_cache, sizes, pool=None):
-            calls.append(len(test_set))
-            misses.extend(mu for mu in test_set if mu not in fom_cache)
-            return prefix_errors(basis, model, system, test_set, fom_cache, sizes, pool)
+        def counting_solve(system, mu):
+            serial.append(mu)
+            return solve_fom(system, mu)
 
+        def checked(basis, model, system, weights, references, norms, sizes, pool=None):
+            calls.append((weights.copy(), len(references), len(norms)))
+            return prefix_errors(basis, model, system, weights, references, norms, sizes, pool)
+
+        monkeypatch.setattr(fem, "solve_fom", counting_solve)
         monkeypatch.setattr(bench, "_prefix_test_errors", checked)
         config = bench.ExperimentConfig(
             px=2, py=2, nx=8, train_per_dim=3,
             test_count=bench.FULL_SOLVE_SAMPLES + 5, seed=3,
-            batch_sizes=(2,), tolerance=1e-2, worker_count=2, out=str(tmp_path),
+            batch_sizes=(1, 2), tolerance=1e-2, worker_count=2, out=str(tmp_path),
         )
         bench.run_experiment(config)
-        assert calls == [config.test_count]
-        assert misses == []
+        test_set = bench.build_test_set(2, 2, config.test_count, config.seed)
+        assert serial == test_set[: bench.FULL_SOLVE_SAMPLES]
+        expected = np.array([mu.weights for mu in test_set])
+        assert len(calls) == len(config.batch_sizes)
+        for weights, references, norms in calls:
+            assert np.array_equal(weights, expected)
+            assert references == norms == config.test_count
 
 
 class TestBulkSolves:
@@ -648,6 +685,44 @@ class TestCli:
         reloaded = bench.load_config(out / "config.lock")
         assert reloaded.test_count == 2  # flag wins
         assert reloaded.nx == 8  # file survives
+
+    def test_zero_basis_run_at_unit_tolerance(self, tmp_path):
+        """At --tol 1 the first sweep already meets the tolerance: every run
+        stops for it with an empty basis, and every file is still written."""
+        names = ["theory_report.json", "errdecay_b1.csv", "errdecay_b2.csv"]
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}" / "zero"
+            code = cli.main(
+                [
+                    "--px", "2", "--py", "2", "--nx", "8", "--train-per-dim", "2",
+                    "--batch-sizes", "1,2", "--test-count", "5", "--tol", "1",
+                    "--oracle", "--workers", str(workers), "--out", str(out),
+                ]
+            )
+            assert code == 0
+            header, summary = read_csv(out / "summary.csv")
+            assert [row[0] for row in summary] == ["1", "2"]
+            for row in summary:
+                cells = dict(zip(header, row))
+                assert (cells["stop_reason"], cells["num_ext"]) == ("tolerance", "0")
+            for b in (1, 2):
+                header, decay = read_csv(out / f"errdecay_b{b}.csv")
+                assert header == ["n", "est", "err"]
+                assert len(decay) == 1 and decay[0][0] == "0" and float(decay[0][2]) == 1.0
+                _, trace = read_csv(out / f"trace_b{b}.csv")
+                assert [row[:5] for row in trace] == [["0", "0", "", decay[0][1], ""]]
+            assert bench.load_config(out / "config.lock").tolerance == 1.0
+            report = json.loads((out / "theory_report.json").read_text())
+            checks = [check for run in report["runs"] for check in run["checks"]]
+            assert len(checks) == 15
+            assert {check["status"] for check in checks} == {"insufficient-data"}
+            # The t_* columns and k_star (from the times) vary run to run.
+            outputs.append(
+                {name: (out / name).read_bytes() for name in names}
+                | {"summary": [row[:3] + row[13:] for row in summary]}
+            )
+        assert outputs[0] == outputs[1]
 
     def test_rejects_malformed_batch_sizes(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

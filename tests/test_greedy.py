@@ -794,11 +794,15 @@ class TestProjectionDistances:
                 expected[n, t] = fem.x_norm(f - approx, system16) / fem.x_norm(f, system16)
             assert np.abs(np.array(errors) - expected[n]).max() <= 1e-13
         assert np.all(expected[0] == 1.0)
-        proxy = np.zeros(basis.size + 1)
-        rows = bench._error_decay_rows(basis, model, system16, test_set, proxy, cache, None)
-        worst = np.array([err for _, _, err in rows])
-        assert worst[0] == 1.0
-        assert np.abs(worst - expected.max(axis=1)).max() <= 1e-13
+        weights = np.array([mu.weights for mu in test_set])
+        references = [cache[mu][0].coefficients for mu in test_set]
+        norms = np.array([cache[mu][1] for mu in test_set])
+        sizes = range(basis.size + 1)
+        rows = bench._prefix_test_errors(
+            basis, model, system16, weights, references, norms, sizes
+        )
+        assert np.all(rows[0] == 1.0)
+        assert np.abs(rows - expected).max() <= 1e-13
 
     def test_non_orthonormal_vectors_raise(self, system16, run16):
         snapshots, basis, _ = run16
