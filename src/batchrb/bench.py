@@ -120,7 +120,7 @@ class RunSummary:
     t_offline: float
     t_online: float
     t_full: float
-    k_star: Optional[int]
+    k_star: Optional[int]  # None without a break-even or a basis
     err_final: float
     stop_reason: str
     num_rejected: int  # selections whose snapshot the extension dropped
@@ -491,7 +491,7 @@ def run_experiment(config: ExperimentConfig):
                 t_offline=t_offline,
                 t_online=t_online,
                 t_full=t_full,
-                k_star=break_even(t_offline, t_full, t_online),
+                k_star=break_even(t_offline, t_full, t_online) if trace.extension_count else None,
                 err_final=err_final,
                 stop_reason=trace.stop_reason,
                 num_rejected=len(trace.selected_indices()) - trace.extension_count,
@@ -526,7 +526,7 @@ def run_experiment(config: ExperimentConfig):
             "runs": report_runs,
         }
         (out / "theory_report.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
+            json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8"
         )
 
     write_summary(summaries, out / "summary.csv")

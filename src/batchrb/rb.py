@@ -12,9 +12,8 @@ the oracle's width and strong run.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,7 +46,7 @@ __all__ = [
 DROP_TOL_DEFAULT = 1e-10
 
 ARTIFACT_FORMAT = "batchrb-rom"
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -315,128 +314,92 @@ def reconstruct(basis: ReducedBasis, coefficients: np.ndarray) -> np.ndarray:
     return basis.vectors @ c
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr)
-    return {
-        "shape": list(arr.shape),
-        "dtype": str(arr.dtype),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(obj: dict, name: str = "array") -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    dtype, shape = np.dtype(obj["dtype"]), tuple(obj["shape"])
-    if len(raw) != math.prod(shape) * dtype.itemsize:
-        raise ConfigurationError(
-            f"{name} holds {len(raw) / dtype.itemsize:g} values, "
-            f"its shape field {shape} needs {math.prod(shape)}"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-
-
 def save_artifact(model: ReducedModel, basis: ReducedBasis, path) -> Path:
-    """Write the online artifact: reduced operators, provenance, estimator factor.
+    """Write the online artifact, one ``.npz`` archive of plain arrays: the 0-d
+    ``format``, ``version`` and ``system_fingerprint``, ``reduced_components``
+    (P, n, n), ``reduced_load`` (n,), the provenance as ``weights`` (n, P) and
+    ``origins`` (n, 2: iteration, batch rank), and the estimator's triangular
+    factor ``R`` if the model carries one.  Full-order vectors are not stored."""
+    provenance = basis.provenance
+    estimator = {} if model.estimator_data is None else {"R": model.estimator_data.R}
+    with Path(path).open("wb") as handle:  # np.savez appends .npz to a name without it
+        np.savez(
+            handle, format=ARTIFACT_FORMAT, version=ARTIFACT_VERSION,
+            system_fingerprint=model.system_fingerprint,
+            reduced_components=model.components, reduced_load=model.load,
+            weights=np.reshape([o.parameter.weights for o in provenance], (-1, model.block_count)),
+            origins=np.array([(o.iteration, o.batch_rank) for o in provenance], int).reshape(-1, 2),
+            **estimator,
+        )
+    return Path(path)
 
-    The artifact carries everything needed for online solves and error
-    estimates (reduced matrices, load, the estimator's triangular factor R)
-    plus the system content hash; full-order vectors are not stored.
-    """
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
-        "block_count": model.block_count,
-        "basis_size": model.basis_size,
-        "system_fingerprint": model.system_fingerprint,
-        "provenance": [
-            {
-                "weights": list(origin.parameter.weights),
-                "iteration": origin.iteration,
-                "batch_rank": origin.batch_rank,
-            }
-            for origin in basis.provenance
-        ],
-        "reduced_components": _encode_array(model.components),
-        "reduced_load": _encode_array(model.load),
-        "estimator": None,
-    }
-    data = model.estimator_data
-    if data is not None:
-        payload["estimator"] = {"R": _encode_array(data.R)}
-    path = Path(path)
-    path.write_text(json.dumps(payload))
-    return path
+
+def _read_archive(path) -> dict:
+    """Every array of the ``.npz`` archive at `path`, read without pickles."""
+    key = None
+    try:
+        with open(path, "rb") as handle:
+            if zipfile.is_zipfile(handle):  # JSON artifacts (version 3 or older) are not
+                handle.seek(0)
+                with np.load(handle, allow_pickle=False) as archive:
+                    arrays = {}
+                    for key in archive.files:  # a member not named .npy reads as bytes
+                        arrays[key] = np.asarray(archive[key])
+                    return arrays
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        where = "" if key is None else f" array {key!r}"
+        raise ConfigurationError(f"artifact {path}{where} is unreadable: {exc}") from exc
+    raise ConfigurationError(
+        f"artifact {path} is not a .npz archive; rebuild it with save_artifact"
+    )
 
 
 def load_artifact(
     path, system: Optional[AffineSystem] = None
 ) -> tuple[ReducedModel, list[BasisVectorOrigin]]:
-    """Read an artifact written by :func:`save_artifact`.
-
-    If `system` is given, its content hash must match the one stored in the
-    artifact.  The returned model supports online operations (solve_rom,
-    estimate); operations needing full-order data are unavailable.  A file
-    that is not JSON, or lacks a field, raises ConfigurationError naming it.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigurationError(f"artifact {path} is not JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
+    """Read an artifact of :func:`save_artifact` for online use (solve_rom,
+    estimate); a given `system` must match its content hash.  A file that is
+    not an archive, an unreadable, object or missing array, another format or
+    version, a foreign system, or an array of the wrong shape (against P and n
+    of ``reduced_components``) or kind, or with non-finite entries, raises
+    ConfigurationError naming the file and, where there is one, the array."""
+    arrays = _read_archive(path)
+    for key in ("format", "version", "system_fingerprint", "reduced_components",
+                "reduced_load", "weights", "origins"):
+        if key not in arrays:
+            raise ConfigurationError(f"artifact {path} has no array {key!r}")
+    version, fingerprint = arrays["version"].tolist(), str(arrays["system_fingerprint"])
+    if arrays["format"].tolist() != ARTIFACT_FORMAT:
         raise ConfigurationError(f"not a {ARTIFACT_FORMAT} artifact: {path}")
-    if payload.get("version") != ARTIFACT_VERSION:
+    if version != ARTIFACT_VERSION:
         raise ConfigurationError(
-            f"artifact version {payload.get('version')} unsupported "
+            f"artifact {path} has version {version} unsupported "
             f"(expected {ARTIFACT_VERSION}); rebuild it with save_artifact"
         )
-    try:
-        return _read_payload(payload, path, system)
-    except KeyError as exc:
-        raise ConfigurationError(f"artifact {path} has no field {exc.args[0]!r}") from exc
-
-
-def _read_payload(payload: dict, path, system: Optional[AffineSystem]):
-    if system is not None and system.fingerprint != payload["system_fingerprint"]:
+    if system is not None and system.fingerprint != fingerprint:
         raise ConfigurationError(
-            "artifact was built for a different assembled system "
-            f"(hash {payload['system_fingerprint'][:12]}... vs "
-            f"{system.fingerprint[:12]}...)"
+            f"artifact {path} was built for a different assembled system "
+            f"(hash {fingerprint[:12]}... vs {system.fingerprint[:12]}...)"
         )
-    est = payload.get("estimator") or {}
-    p, n = int(payload["block_count"]), int(payload["basis_size"])
-    shapes = {"reduced_components": (p, n, n), "reduced_load": (n,)}
-    arrays = {k: _decode_array(payload[k], f"{k} of artifact {path}") for k in shapes}
-    if est:
-        shapes["R"] = (1 + p * n, 1 + p * n)
-        arrays["R"] = _decode_array(est["R"], f"R of artifact {path}")
-    for key, array in arrays.items():
-        if array.shape != shapes[key]:
+    shape = arrays["reduced_components"].shape
+    if len(shape) != 3:
+        raise ConfigurationError(f"artifact {path} holds reduced_components of shape {shape}")
+    p, n = shape[:2]
+    shapes = {"reduced_components": (p, n, n), "reduced_load": (n,), "weights": (n, p),
+              "origins": (n, 2), "R": (1 + p * n, 1 + p * n)}
+    for key in [key for key in shapes if key in arrays]:
+        array, kind = arrays[key], np.integer if key == "origins" else np.floating
+        if array.shape != shapes[key] or not np.issubdtype(array.dtype, kind):
             raise ConfigurationError(
-                f"artifact {path} holds {key} of shape {array.shape}, "
-                f"expected {shapes[key]}"
+                f"artifact {path} holds {key} of shape {array.shape} and type {array.dtype}, "
+                f"expected {shapes[key]} and {kind.__name__}"
             )
         if not np.isfinite(array).all():
             raise ConfigurationError(f"artifact {path} holds non-finite entries in {key}")
-    model = ReducedModel(
-        components=arrays["reduced_components"],
-        load=arrays["reduced_load"],
-        system_fingerprint=payload["system_fingerprint"],
-    )
-    if est:
+    model = ReducedModel(arrays["reduced_components"], arrays["reduced_load"], fingerprint)
+    if "R" in arrays:
         from .estimator import EstimatorData
 
         model.estimator_data = EstimatorData(Q=None, R=arrays["R"], block_count=p)
-    if len(payload["provenance"]) != n:
-        raise ConfigurationError(
-            f"artifact {path} holds {len(payload['provenance'])} provenance entries "
-            f"for {n} basis vectors"
-        )
-    provenance = [
-        BasisVectorOrigin(
-            parameter=ParameterPoint(tuple(entry["weights"])),
-            iteration=int(entry["iteration"]),
-            batch_rank=int(entry["batch_rank"]),
-        )
-        for entry in payload["provenance"]
-    ]
-    return model, provenance
+    origins = zip(arrays["weights"].tolist(), arrays["origins"].tolist())
+    return model, [BasisVectorOrigin(ParameterPoint(tuple(w)), i, r) for w, (i, r) in origins]

@@ -97,10 +97,12 @@ class CheckReport:
         return self.status == "pass"
 
     def as_dict(self) -> dict:
+        """The report's JSON form; a non-finite margin (insufficient data) reads null."""
+        margin = float(self.worst_margin)
         return {
             "name": self.name,
             "status": self.status,
-            "worst_margin": float(self.worst_margin),
+            "worst_margin": margin if math.isfinite(margin) else None,
             "context": dict(self.context),
         }
 

@@ -706,6 +706,8 @@ class TestCli:
             for row in summary:
                 cells = dict(zip(header, row))
                 assert (cells["stop_reason"], cells["num_ext"]) == ("tolerance", "0")
+                # An empty basis breaks even never, whatever the times say.
+                assert cells["k_star"] == ""
             for b in (1, 2):
                 header, decay = read_csv(out / f"errdecay_b{b}.csv")
                 assert header == ["n", "est", "err"]
@@ -713,14 +715,21 @@ class TestCli:
                 _, trace = read_csv(out / f"trace_b{b}.csv")
                 assert [row[:5] for row in trace] == [["0", "0", "", decay[0][1], ""]]
             assert bench.load_config(out / "config.lock").tolerance == 1.0
-            report = json.loads((out / "theory_report.json").read_text())
+
+            def strict(constant):
+                raise ValueError(f"{constant} is not strict JSON")
+
+            text = (out / "theory_report.json").read_text()
+            report = json.loads(text, parse_constant=strict)
             checks = [check for run in report["runs"] for check in run["checks"]]
             assert len(checks) == 15
             assert {check["status"] for check in checks} == {"insufficient-data"}
-            # The t_* columns and k_star (from the times) vary run to run.
+            assert [check["worst_margin"] for check in checks] == [None] * 15
+            # The t_* columns vary run to run.
+            assert header[3:12] == [name for name in header if name.startswith("t_")]
             outputs.append(
                 {name: (out / name).read_bytes() for name in names}
-                | {"summary": [row[:3] + row[13:] for row in summary]}
+                | {"summary": [row[:3] + row[12:] for row in summary]}
             )
         assert outputs[0] == outputs[1]
 

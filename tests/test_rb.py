@@ -1,14 +1,21 @@
 """Tests for basis extension, Galerkin reduction, and artifact round-trips."""
 
+import base64
 import dataclasses
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from batchrb import bench, fem, greedy, rb
+from batchrb import bench, estimator, fem, greedy, rb
 from batchrb.errors import ConfigurationError, DimensionError, NumericError
 
 MUS = [
@@ -383,6 +390,62 @@ class TestLeanSolve:
             rb.solve_rom(indefinite, MUS[2])
 
 
+def save_online(system, model, tmp_path):
+    """Save `model` with a basis of its size and fixed provenance."""
+    n = model.basis_size
+    basis = rb.ReducedBasis(
+        np.zeros((system.dof_count, n)), [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)]
+    )
+    return rb.save_artifact(model, basis, tmp_path / "rom.npz")
+
+
+def read_arrays(path):
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+def rewrite(path, **changes):
+    """Write the archive at `path` again through np.savez with `changes`
+    applied: an array replaces the stored one, None deletes it."""
+    arrays = read_arrays(path)
+    for key, value in changes.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def encoded(array):
+    """An array as the JSON artifacts of versions 1-3 held it."""
+    data = base64.b64encode(np.ascontiguousarray(array).tobytes()).decode("ascii")
+    return {"shape": list(array.shape), "dtype": str(array.dtype), "data": data}
+
+
+def write_json_artifact(path, version, model, estimator=None):
+    """A JSON artifact as versions 1-3 wrote them."""
+    payload = {
+        "format": rb.ARTIFACT_FORMAT,
+        "version": version,
+        "block_count": model.block_count,
+        "basis_size": model.basis_size,
+        "system_fingerprint": model.system_fingerprint,
+        "provenance": [
+            {"weights": list(MUS[0].weights), "iteration": 0, "batch_rank": j}
+            for j in range(model.basis_size)
+        ],
+        "reduced_components": encoded(model.components),
+        "reduced_load": encoded(model.load),
+        "estimator": estimator,
+    }
+    path.write_text(json.dumps(payload))
+
+
+def not_an_archive(path):
+    return f"artifact {path} is not a .npz archive; rebuild it with save_artifact"
+
+
 class TestArtifact:
     def test_roundtrip_is_exact(self, system, basis_and_records, tmp_path):
         basis, _ = basis_and_records
@@ -395,6 +458,47 @@ class TestArtifact:
         mu = MUS[1]
         assert np.array_equal(rb.solve_rom(loaded, mu), rb.solve_rom(model, mu))
 
+    def test_archive_holds_plain_arrays(self, system, greedy_model, tmp_path):
+        """One .npz archive at the given name (np.savez would append .npz)."""
+        n = greedy_model.basis_size
+        basis = rb.ReducedBasis(
+            np.zeros((system.dof_count, n)), [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)]
+        )
+        path = rb.save_artifact(greedy_model, basis, tmp_path / "model-1.json")
+        assert path == tmp_path / "model-1.json"
+        assert [p.name for p in tmp_path.iterdir()] == ["model-1.json"]
+        arrays = read_arrays(path)
+        p, n = greedy_model.block_count, greedy_model.basis_size
+        assert {key: (a.shape, a.dtype.kind) for key, a in arrays.items()} == {
+            "format": ((), "U"),
+            "version": ((), "i"),
+            "system_fingerprint": ((), "U"),
+            "reduced_components": ((p, n, n), "f"),
+            "reduced_load": ((n,), "f"),
+            "weights": ((n, p), "f"),
+            "origins": ((n, 2), "i"),
+            "R": ((1 + p * n, 1 + p * n), "f"),
+        }
+        assert (arrays["format"].tolist(), arrays["version"].tolist()) == ("batchrb-rom", 4)
+        assert arrays["origins"].tolist() == [[0, j] for j in range(n)]
+
+    def test_empty_model_roundtrip(self, system, tmp_path):
+        basis = rb.ReducedBasis.empty(system.dof_count)
+        model = rb.reduce(basis, system)
+        path = rb.save_artifact(model, basis, tmp_path / "rom.npz")
+        loaded, provenance = rb.load_artifact(path, system=system)
+        assert loaded.components.shape == (4, 0, 0) and loaded.load.shape == (0,)
+        assert provenance == [] and loaded.estimator_data is None
+        assert rb.solve_rom(loaded, MUS[0]).shape == (0,)
+
+    def test_archive_without_R_loads_without_estimator(self, system, greedy_model, tmp_path):
+        path = save_online(system, greedy_model, tmp_path)
+        rewrite(path, R=None)
+        loaded, _ = rb.load_artifact(path, system=system)
+        assert loaded.estimator_data is None
+        x = rb.solve_rom(loaded, MUS[2])
+        assert x.tobytes() == rb.solve_rom(greedy_model, MUS[2]).tobytes()
+
     def test_fingerprint_mismatch_rejected(self, system, basis_and_records, tmp_path):
         basis, _ = basis_and_records
         model = rb.reduce(basis, system)
@@ -403,31 +507,34 @@ class TestArtifact:
         with pytest.raises(ConfigurationError, match="different assembled system"):
             rb.load_artifact(path, system=other)
 
-    def test_foreign_file_rejected(self, tmp_path):
-        bogus = tmp_path / "nope.json"
-        bogus.write_text('{"format": "something-else"}')
-        with pytest.raises(ConfigurationError, match="artifact"):
-            rb.load_artifact(bogus)
+    def test_foreign_file_rejected(self, system, basis_and_records, tmp_path):
+        basis, _ = basis_and_records
+        path = rb.save_artifact(rb.reduce(basis, system), basis, tmp_path / "rom.npz")
+        rewrite(path, format=np.array("something-else"))
+        message = f"not a batchrb-rom artifact: {path}"
+        with pytest.raises(ConfigurationError, match=re.escape(message) + "$"):
+            rb.load_artifact(path)
+        # A zip whose members are not .npy files: np.load reads them as bytes.
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name.removesuffix(".npy"), data)
+        with pytest.raises(ConfigurationError, match=re.escape(message) + "$"):
+            rb.load_artifact(path)
 
     @pytest.mark.parametrize("key", ["reduced_components", "reduced_load", "R"])
     def test_non_finite_arrays_rejected(self, system, greedy_model, tmp_path, key):
         """+inf at (0, 2) and (2, 0) of every component passes estimate's LU
         solve as a finite estimate, so loading rejects any non-finite entry."""
         assert greedy_model.estimator_data is not None
-        basis = rb.ReducedBasis(
-            np.zeros((system.dof_count, greedy_model.basis_size)),
-            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(greedy_model.basis_size)],
-        )
-        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
-        holder = payload["estimator"] if key == "R" else payload
-        array = rb._decode_array(holder[key])
+        path = save_online(system, greedy_model, tmp_path)
+        array = read_arrays(path)[key]
         if key == "reduced_components":
             array[:, 0, 2] = array[:, 2, 0] = np.inf
         else:
             array[-1] = np.nan
-        holder[key] = rb._encode_array(array)
-        path.write_text(json.dumps(payload))
+        rewrite(path, **{key: array})
         with pytest.raises(ConfigurationError, match=f"non-finite entries in {key}$"):
             rb.load_artifact(path, system=system)
 
@@ -438,121 +545,203 @@ class TestArtifact:
             ("fewer blocks", "reduced_components"),
             ("non-square components", "reduced_components"),
             ("small R", "R"),
+            ("wide origins", "origins"),
         ],
     )
     def test_mis_shaped_arrays_rejected(self, system, greedy_model, tmp_path, case, key):
-        """Shapes are checked against the payload's block_count and basis_size
-        at load, not left to fail in a LAPACK wrapper or an estimate."""
+        """Shapes are checked against P and n of the stored reduced_components
+        at load, not left to fail in a LAPACK wrapper or an estimate; `key`
+        is the array changed, the message names the first that disagrees."""
         p, n = greedy_model.block_count, greedy_model.basis_size
-        basis = rb.ReducedBasis(
-            np.zeros((system.dof_count, n)),
-            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)],
-        )
-        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
+        path = save_online(system, greedy_model, tmp_path)
+        stored = read_arrays(path)[key]
         if case == "long load":
-            payload["reduced_load"] = rb._encode_array(np.zeros(n + 2))
-            shapes = f"{(n + 2,)}, expected {(n,)}"
+            change, named, held, expected = np.zeros(n + 2), key, (n + 2,), (n,)
         elif case == "fewer blocks":
-            payload["block_count"] = p - 1
-            shapes = f"{(p, n, n)}, expected {(p - 1, n, n)}"
+            change, named, held, expected = stored[:-1], "weights", (n, p), (n, p - 1)
         elif case == "non-square components":
-            payload["reduced_components"] = rb._encode_array(greedy_model.components[:, :, 1:])
-            shapes = f"{(p, n, n - 1)}, expected {(p, n, n)}"
+            change, named, held, expected = stored[:, :, 1:], key, (p, n, n - 1), (p, n, n)
+        elif case == "small R":
+            change, named, held, expected = stored[:-1, :-1], key, (p * n,) * 2, (1 + p * n,) * 2
         else:
-            payload["estimator"]["R"] = rb._encode_array(greedy_model.estimator_data.R[:-1, :-1])
-            shapes = f"{(p * n, p * n)}, expected {(1 + p * n, 1 + p * n)}"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=re.escape(f"{key} of shape {shapes}")):
+            change, named, held, expected = np.zeros((n, 3), int), key, (n, 3), (n, 2)
+        rewrite(path, **{key: change})
+        message = f"{named} of shape {held} and type {read_arrays(path)[named].dtype}, "
+        message += f"expected {expected}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            rb.load_artifact(path, system=system)
+
+    def test_components_without_three_axes_rejected(self, system, greedy_model, tmp_path):
+        path = save_online(system, greedy_model, tmp_path)
+        rewrite(path, reduced_components=greedy_model.components[0])
+        n = greedy_model.basis_size
+        message = f"artifact {path} holds reduced_components of shape {(n, n)}"
+        with pytest.raises(ConfigurationError, match=re.escape(message) + "$"):
+            rb.load_artifact(path, system=system)
+
+    @pytest.mark.parametrize(
+        "key, dtype, kind",
+        [
+            ("reduced_components", str, "floating"),
+            ("reduced_components", np.int64, "floating"),
+            ("weights", str, "floating"),
+            ("origins", float, "integer"),
+        ],
+    )
+    def test_arrays_of_the_wrong_kind_rejected(
+        self, system, greedy_model, tmp_path, key, dtype, kind
+    ):
+        """The archive keeps each array's type: a float array must be floating
+        point and `origins` integer, even where the values would convert."""
+        path = save_online(system, greedy_model, tmp_path)
+        array = read_arrays(path)[key].astype(dtype)
+        rewrite(path, **{key: array})
+        message = f"artifact {path} holds {key} of shape {array.shape} and type {array.dtype}, "
+        message += f"expected {array.shape} and {kind}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            rb.load_artifact(path, system=system)
+
+    def test_object_array_rejected(self, system, greedy_model, tmp_path):
+        """np.load without pickles refuses an object array; the error names it."""
+        path = save_online(system, greedy_model, tmp_path)
+        rewrite(path, reduced_load=greedy_model.load.astype(object))
+        message = f"artifact {path} array 'reduced_load' is unreadable: Object arrays"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             rb.load_artifact(path, system=system)
 
     @pytest.mark.parametrize("key", ["reduced_components", "reduced_load", "R"])
     def test_shape_field_disagreeing_with_data_rejected(
         self, system, greedy_model, tmp_path, key
     ):
-        """A shape field that asks for more values than its data holds is a
-        typed error naming the array and both sizes, not a failed reshape."""
-        n = greedy_model.basis_size
-        basis = rb.ReducedBasis(
-            np.zeros((system.dof_count, n)),
-            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)],
-        )
-        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
-        holder = payload["estimator"] if key == "R" else payload
-        shape = holder[key]["shape"]
-        held = int(np.prod(shape))
-        shape[0] += 1
-        needed = int(np.prod(shape))
-        path.write_text(json.dumps(payload))
-        message = f"{key} of artifact {path} holds {held} values, "
-        message += f"its shape field {tuple(shape)} needs {needed}"
+        """A truncated member, whose .npy shape field asks for more values than
+        its data holds, is a typed error naming the array, not a failed reshape."""
+        path = save_online(system, greedy_model, tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        members[f"{key}.npy"] = members[f"{key}.npy"][:-8]
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        message = f"artifact {path} array {key!r} is unreadable: EOF"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            rb.load_artifact(path, system=system)
+
+    def test_corrupt_member_rejected(self, system, greedy_model, tmp_path):
+        """Flipped data bytes fail the member's CRC (zipfile.BadZipFile)."""
+        path = save_online(system, greedy_model, tmp_path)
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            member = archive.read("reduced_load.npy")  # stored, not compressed
+        raw[raw.index(member) + len(member) - 1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        message = f"artifact {path} array 'reduced_load' is unreadable: Bad CRC-32"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             rb.load_artifact(path, system=system)
 
     def test_short_provenance_rejected(self, system, greedy_model, tmp_path):
-        n = greedy_model.basis_size
-        basis = rb.ReducedBasis(
-            np.zeros((system.dof_count, n)),
-            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(n)],
-        )
-        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
-        payload["provenance"] = payload["provenance"][:-2]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(
-            ConfigurationError, match=f"holds {n - 2} provenance entries for {n} basis vectors"
-        ):
+        p, n = greedy_model.block_count, greedy_model.basis_size
+        path = save_online(system, greedy_model, tmp_path)
+        arrays = read_arrays(path)
+        rewrite(path, weights=arrays["weights"][:-2], origins=arrays["origins"][:-2])
+        message = f"holds weights of shape {(n - 2, p)} and type float64, expected {(n, p)}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             rb.load_artifact(path, system=system)
 
     def test_version_1_rejected(self, system, basis_and_records, tmp_path):
-        """A file with the squared-expansion Gram tables of version 1."""
+        """A JSON file with the squared-expansion Gram tables of version 1."""
         basis, _ = basis_and_records
-        model = rb.reduce(basis, system)
-        path = rb.save_artifact(model, basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
-        n, p = model.basis_size, model.block_count
-        payload["version"] = 1
-        payload["estimator"] = {
-            "g_ff": 1.0,
-            "g_fc": rb._encode_array(np.zeros((p, n))),
-            "g_cc": rb._encode_array(np.zeros((p, n, p, n))),
-            "mu_min": 0.1,
-            "mu_max": 1.0,
-        }
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="version 1 unsupported .expected 3"):
+        path = tmp_path / "rom.json"
+        write_json_artifact(path, 1, rb.reduce(basis, system), {"g_ff": 1.0})
+        with pytest.raises(ConfigurationError, match=re.escape(not_an_archive(path)) + "$"):
             rb.load_artifact(path, system=system)
 
     def test_version_2_rejected(self, system, greedy_model, tmp_path):
-        """A file of version 2 also stored the estimator's mu box."""
-        basis = rb.ReducedBasis(
-            np.zeros((system.dof_count, greedy_model.basis_size)),
-            [rb.BasisVectorOrigin(MUS[0], 0, j) for j in range(greedy_model.basis_size)],
-        )
-        path = rb.save_artifact(greedy_model, basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
-        assert set(payload["estimator"]) == {"R"}
-        payload["version"] = 2
-        payload["estimator"].update(mu_min=0.1, mu_max=1.0)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(
-            ConfigurationError, match="version 2 unsupported .expected 3.; rebuild it"
-        ):
+        """A JSON file of version 2 also stored the estimator's mu box."""
+        path = tmp_path / "rom.json"
+        estimator = {"R": encoded(greedy_model.estimator_data.R), "mu_min": 0.1, "mu_max": 1.0}
+        write_json_artifact(path, 2, greedy_model, estimator)
+        with pytest.raises(ConfigurationError, match=re.escape(not_an_archive(path)) + "$"):
             rb.load_artifact(path, system=system)
 
-    def test_non_json_file_rejected(self, tmp_path):
+    def test_version_3_rejected(self, system, greedy_model, tmp_path):
+        """The last JSON version, as its save_artifact wrote it."""
         path = tmp_path / "rom.json"
-        path.write_text("not json {")
-        with pytest.raises(ConfigurationError, match=f"artifact {re.escape(str(path))} is not JSON"):
+        write_json_artifact(path, 3, greedy_model, {"R": encoded(greedy_model.estimator_data.R)})
+        with pytest.raises(ConfigurationError, match=re.escape(not_an_archive(path)) + "$"):
+            rb.load_artifact(path, system=system)
+
+    @pytest.mark.parametrize("version", [3, 5])
+    def test_other_archive_version_rejected(self, system, greedy_model, tmp_path, version):
+        path = save_online(system, greedy_model, tmp_path)
+        rewrite(path, version=np.array(version))
+        message = f"artifact {path} has version {version} unsupported (expected 4); "
+        with pytest.raises(ConfigurationError, match=re.escape(message + "rebuild it")):
+            rb.load_artifact(path, system=system)
+
+    def test_non_archive_file_rejected(self, tmp_path):
+        """Text, an empty file, a bare zip signature and a bare .npy array."""
+        npy = io.BytesIO()
+        np.save(npy, np.zeros((4, 3, 3)))
+        path = tmp_path / "rom.npz"
+        for content in [b"not json {", b"", b"PK", npy.getvalue()]:
+            path.write_bytes(content)
+            with pytest.raises(ConfigurationError, match=re.escape(not_an_archive(path)) + "$"):
+                rb.load_artifact(path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        path = tmp_path / "absent.npz"
+        message = f"artifact {path} is unreadable: [Errno 2]"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             rb.load_artifact(path)
 
     def test_missing_field_rejected(self, system, basis_and_records, tmp_path):
+        """Every array but R is required; each missing one is named."""
         basis, _ = basis_and_records
-        path = rb.save_artifact(rb.reduce(basis, system), basis, tmp_path / "rom.json")
-        payload = json.loads(path.read_text())
-        del payload["block_count"]
-        path.write_text(json.dumps(payload))
-        message = f"artifact {path} has no field 'block_count'"
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            rb.load_artifact(path, system=system)
+        model = rb.reduce(basis, system)
+        required = ["format", "version", "system_fingerprint", "reduced_components",
+                    "reduced_load", "weights", "origins"]
+        for key in required:
+            path = rb.save_artifact(model, basis, tmp_path / f"no-{key}.npz")
+            rewrite(path, **{key: None})
+            message = f"artifact {path} has no array {key!r}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                rb.load_artifact(path, system=system)
+
+
+HANDOFF = """
+import sys
+import numpy as np
+from batchrb import estimator, fem, rb
+
+model, _ = rb.load_artifact(sys.argv[1])
+for weights in np.load(sys.argv[2]):
+    mu = fem.ParameterPoint(tuple(weights))
+    value = estimator.estimate(model.estimator_data, model, mu)
+    print(rb.solve_rom(model, mu).tobytes().hex(), np.float64(value).tobytes().hex())
+"""
+
+
+def test_online_handoff_across_processes_is_bitwise(system, tmp_path):
+    """A model saved here and loaded by a fresh interpreter, as an online
+    application loads it, solves and estimates bit for bit as the model in
+    memory: the hand-off that perfbench's online probe times."""
+    config = greedy.GreedyConfig(
+        training_set=bench.build_training_set(2, 2, 3), batch_size=1, tolerance=1e-6
+    )
+    basis, model, _ = greedy.run_batch_greedy(system, config)
+    assert model.basis_size >= 5 and model.estimator_data is not None
+    path = rb.save_artifact(model, basis, tmp_path / "model-1.json")
+    weights = np.random.default_rng(3).uniform(0.1, 1.0, (6, 4))
+    np.save(tmp_path / "points.npy", weights)
+    env = dict(os.environ, PYTHONPATH=str(Path(rb.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", HANDOFF, str(path), str(tmp_path / "points.npy")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    expected = []
+    for w in weights:
+        mu = fem.ParameterPoint(tuple(w))
+        x = rb.solve_rom(model, mu).tobytes().hex()
+        value = estimator.estimate(model.estimator_data, model, mu)
+        expected.append(f"{x} {np.float64(value).tobytes().hex()}")
+    assert done.stdout.splitlines() == expected
