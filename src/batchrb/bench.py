@@ -435,8 +435,11 @@ def run_experiment(config: ExperimentConfig):
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
             snapshots = _solve_on_pool(pool, system, training, "training solves")
-            with _logged_phase("snapshot basis"):
-                spanned = rb.snapshot_basis(snapshots, system, pool)
+            start = time.perf_counter()
+            spanned = rb.snapshot_basis(snapshots, system, pool)
+            logger.info("snapshot basis: %.3f s (r=%d, %d of %d columns extended)",
+                        time.perf_counter() - start, spanned.vectors.shape[1],
+                        spanned.extended, spanned.columns.count)
             strong_config = greedy.GreedyConfig(
                 training_set=training, batch_size=1, tolerance=config.tolerance,
                 max_basis_size=config.max_basis_size,

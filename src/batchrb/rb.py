@@ -7,7 +7,8 @@ the updated basis; these rows form the lower-triangular matrix consumed by the
 convergence-theory checks.  The one Galerkin projection, :func:`extend_model`,
 projects only the vectors a basis gained; :func:`reduce` grows the empty model.
 :func:`snapshot_basis` spans a whole snapshot set by the same extension, for
-the oracle's width and strong run.
+the oracle's width and strong run, after two block passes drop the columns the
+extension would drop: O(r dof) per column block plus O(r dof) per column left.
 """
 
 from __future__ import annotations
@@ -199,36 +200,55 @@ class SnapshotBasis:
     """An X-orthonormal basis Q, (dof_count, r), of the snapshots f_t in `columns`,
     with ``coeffs`` A = Q^T M_X F, the ``remainders`` rho_t = ||f_t - Q a_t||_X
     and the direct ``norms`` ||f_t||_X.  The drop rule of :func:`extend` gives
-    rho_t <= DROP_TOL_DEFAULT ||f_t||_X, up to round-off."""
+    rho_t <= DROP_TOL_DEFAULT ||f_t||_X, up to round-off.  ``extended`` counts
+    the columns that passed the block filter to :func:`extend`."""
 
     columns: ColumnBlocks
     vectors: np.ndarray
     coeffs: np.ndarray
     remainders: np.ndarray
     norms: np.ndarray
+    extended: int
 
 
 def snapshot_basis(snapshots, system: AffineSystem, pool=None) -> SnapshotBasis:
     """Span snapshots, in any form `fem.ColumnBlocks` takes, by :func:`extend`.
 
-    One extension per fixed column block, in column order, so Q's bits depend
-    on that split and never on the worker count; then one
-    :func:`fem.projection_distances` call on `pool` gives A, the remainders
-    and the norms.  O(r dof) per snapshot; a non-finite column raises
-    NumericError.
+    Each fixed column block, in column order, first takes two block passes
+    ``F -= V ((M_X V)^T F)`` against the current basis V.  A column whose
+    remainder is at most half of ``DROP_TOL_DEFAULT`` times its incoming X-norm
+    is dropped: :func:`extend` would drop it too, as its remainder only shrinks
+    against the larger basis extend sees, and the half covers round-off.  One
+    extension per block then takes the rest, so Q is bitwise what extending
+    every column gives; its bits depend on the fixed split and never on the
+    worker count.  One :func:`fem.projection_distances` call on `pool` gives
+    A, the remainders and the norms.  O(r dof) per block plus O(r dof) per
+    column extended; a column with a non-finite entry or X-norm raises
+    NumericError naming it.
     """
     columns = ColumnBlocks(snapshots)
-    basis = ReducedBasis.empty(system.dof_count)
-    for cols in columns.slices:
-        batch = []
-        for t in range(columns.count)[cols]:
-            f = columns.column(t)
-            if not np.isfinite(f).all():
-                raise NumericError(f"non-finite snapshot in column {t}")
-            batch.append(Snapshot(f, None))
-        basis, _ = extend(basis, batch, system)
+    gram = system.gram
+    basis, extended = ReducedBasis.empty(system.dof_count), 0
+    for k, cols in enumerate(columns.slices):
+        f = columns.block(k)
+        # M_X has a positive diagonal, so a non-finite entry gives a non-finite norm.
+        incoming = np.sqrt(np.clip(np.einsum("ij,ij->j", f, gram @ f), 0.0, None))
+        finite = np.isfinite(incoming)
+        if not finite.all():
+            raise NumericError(f"non-finite snapshot in column {cols.start + finite.argmin()}")
+        kept = range(columns.count)[cols]
+        v = basis.vectors
+        if v.shape[1]:
+            mv = gram @ v
+            for _ in range(2):
+                f -= v @ (mv.T @ f)
+            remainder = np.sqrt(np.clip(np.einsum("ij,ij->j", f, gram @ f), 0.0, None))
+            kept = cols.start + np.flatnonzero(remainder > 0.5 * DROP_TOL_DEFAULT * incoming)
+        if len(kept):
+            basis, _ = extend(basis, [Snapshot(columns.column(t), None) for t in kept], system)
+            extended += len(kept)
     dist, coeffs = projection_distances(basis.vectors, columns, system, pool)
-    return SnapshotBasis(columns, basis.vectors, coeffs, dist[-1], dist[0])
+    return SnapshotBasis(columns, basis.vectors, coeffs, dist[-1], dist[0], extended)
 
 
 def reduce(basis: ReducedBasis, system: AffineSystem) -> ReducedModel:
@@ -360,9 +380,10 @@ def load_artifact(
     """Read an artifact of :func:`save_artifact` for online use (solve_rom,
     estimate); a given `system` must match its content hash.  A file that is
     not an archive, an unreadable, object or missing array, another format or
-    version, a foreign system, or an array of the wrong shape (against P and n
-    of ``reduced_components``) or kind, or with non-finite entries, raises
-    ConfigurationError naming the file and, where there is one, the array."""
+    version, a foreign system, an array of the wrong shape (against P and n of
+    ``reduced_components``) or kind or with non-finite entries, or ``weights``
+    with a non-positive entry raises ConfigurationError naming the file and,
+    where there is one, the array."""
     arrays = _read_archive(path)
     for key in ("format", "version", "system_fingerprint", "reduced_components",
                 "reduced_load", "weights", "origins"):
@@ -396,6 +417,8 @@ def load_artifact(
             )
         if not np.isfinite(array).all():
             raise ConfigurationError(f"artifact {path} holds non-finite entries in {key}")
+        if key == "weights" and not (array > 0).all():
+            raise ConfigurationError(f"artifact {path} holds non-positive entries in weights")
     model = ReducedModel(arrays["reduced_components"], arrays["reduced_load"], fingerprint)
     if "R" in arrays:
         from .estimator import EstimatorData

@@ -558,6 +558,10 @@ class TestBulkSolves:
         pattern = r"{}: \d+\.\d{{3}} s \({} in {} blocks, \d+\.\d{{2}} ms each\)"
         assert re.search(pattern.format("reference solves", 5, 1), caplog.text)
         assert re.search(pattern.format("training solves", 81, 2), caplog.text)
+        # the first block's 64 columns always reach the per-column extension
+        line = re.search(r"snapshot basis: \d+\.\d{3} s \(r=(\d+), (\d+) of 81 columns extended\)",
+                         caplog.text)
+        assert 0 < int(line[1]) <= 64 <= int(line[2]) <= 81
 
 
 class TestReferenceQuantities:

@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 
 from batchrb import bench, estimator, fem, greedy, rb
+from batchrb import pool as pool_mod
 from batchrb.errors import ConfigurationError, DimensionError, NumericError
 
 MUS = [
@@ -159,14 +160,89 @@ class TestSnapshotBasis:
         rho = np.sqrt(np.einsum("ij,ij->j", residual, system.gram @ residual))
         assert np.allclose(rho, spanned.remainders, rtol=0, atol=1e-14 * norms.max())
 
+    @pytest.fixture(scope="class")
+    def system16(self):
+        return fem.assemble(fem.build_mesh(16, 16, 2, 2))
+
+    @pytest.fixture(scope="class")
+    def snaps625(self, system16):
+        """625 columns: ten fixed blocks, the last one short."""
+        return [fem.solve_fom(system16, mu).coefficients for mu in bench.build_training_set(2, 2, 5)]
+
+    @pytest.fixture(scope="class")
+    def crafted(self, system16, snaps625):
+        """A first block, then a copy of one of its columns and two columns
+        u + delta g, u in the span of the first block's basis and g X-orthogonal
+        to it: relative remainders 0.75 and 1.5 times DROP_TOL_DEFAULT."""
+        first = snaps625[:64]
+        columns = [fem.Snapshot(f, None) for f in first]
+        basis, _ = rb.extend(rb.ReducedBasis.empty(system16.dof_count), columns, system16)
+        q, gram = basis.vectors, system16.gram
+        rng = np.random.default_rng(11)
+        u = q @ rng.standard_normal(q.shape[1])
+        g = rng.standard_normal(system16.dof_count)
+        for _ in range(2):
+            g -= q @ (q.T @ (gram @ g))
+        g /= fem.x_norm(g, system16)
+        scale = rb.DROP_TOL_DEFAULT * fem.x_norm(u, system16)
+        return first + [snaps625[3], u + 0.75 * scale * g, u + 1.5 * scale * g], basis.size
+
+    @staticmethod
+    def assert_per_column_bits(snapshots, system):
+        """Assert snapshot_basis bitwise equal to the per-column algorithm it
+        filters for: every column through rb.extend, one call per fixed column
+        block, then the distances."""
+        columns = fem.ColumnBlocks(snapshots)
+        basis = rb.ReducedBasis.empty(system.dof_count)
+        for cols in pool_mod.column_blocks(columns.count):
+            batch = [fem.Snapshot(columns.column(t), None) for t in range(columns.count)[cols]]
+            basis, _ = rb.extend(basis, batch, system)
+        dist, coeffs = fem.projection_distances(basis.vectors, columns, system)
+        spanned = rb.snapshot_basis(snapshots, system)
+        got = spanned.vectors, spanned.coeffs, spanned.remainders, spanned.norms
+        for array, reference in zip(got, (basis.vectors, coeffs, dist[-1], dist[0])):
+            assert array.shape == reference.shape
+            assert array.tobytes() == reference.tobytes()
+        return spanned
+
+    def test_bitwise_the_per_column_extension(self, system16, snaps625):
+        spanned = self.assert_per_column_bits(snaps625, system16)
+        assert 64 <= spanned.extended < len(snaps625) / 4
+
+    def test_filter_margin_keeps_drop_decisions(self, system16, crafted):
+        """Columns at 0.75 and 1.5 times DROP_TOL_DEFAULT both pass the filter;
+        extend drops the first and takes the second."""
+        crafted, r = crafted
+        spanned = self.assert_per_column_bits(crafted, system16)
+        assert spanned.extended == 66
+        # Q's last vector is g, so the two columns' coordinates on it are
+        # their remainders against the first block's basis
+        assert spanned.vectors.shape[1] == r + 1
+        relative = np.abs(spanned.coeffs[r, -2:]) / spanned.norms[-2:] / rb.DROP_TOL_DEFAULT
+        assert 0.5 < relative[0] < 1 < relative[1]
+
+    def test_gram_products_per_block_and_survivor(self, system16, snaps625):
+        """The filter forms 3 products with M_X a block, an extension 1 a call
+        and 2 a column it takes, the distances 2 a block and 1 more: of order
+        blocks + survivors, not the 2 a column of extending every column."""
+        counting = CountingGram(system16.gram)
+        spanned = rb.snapshot_basis(snaps625, dataclasses.replace(system16, gram=counting))
+        blocks = len(spanned.columns.slices)
+        assert blocks == 10 and spanned.extended < len(snaps625) / 4
+        assert counting.products <= 6 * blocks + 3 * spanned.extended < len(snaps625)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_column_raises(self, system, snaps, bad):
-        poisoned = [s.coefficients for s in snaps]
-        poisoned[5] = poisoned[5].copy()
-        poisoned[5][3] = bad
-        with pytest.raises(NumericError, match="column 5"):
-            rb.snapshot_basis(poisoned, system)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_column_raises(self, system16, snaps625, bad):
+        """A non-finite entry, or a finite one whose X-norm overflows, raises
+        naming the first such column, in the first block or a filtered one."""
+        for poisoned in [[5], [70], [70, 100]]:
+            columns = list(snaps625)
+            for t in poisoned:
+                columns[t] = columns[t].copy()
+                columns[t][3] = bad
+            with pytest.raises(NumericError, match=f"column {poisoned[0]}$"):
+                rb.snapshot_basis(columns, system16)
 
 
 class CountingGram:
@@ -536,6 +612,16 @@ class TestArtifact:
             array[-1] = np.nan
         rewrite(path, **{key: array})
         with pytest.raises(ConfigurationError, match=f"non-finite entries in {key}$"):
+            rb.load_artifact(path, system=system)
+
+    def test_non_positive_weights_rejected(self, system, greedy_model, tmp_path):
+        """Provenance weights are parameters, so each entry must be positive."""
+        path = save_online(system, greedy_model, tmp_path)
+        weights = read_arrays(path)["weights"]
+        weights[0, 0] = 0
+        rewrite(path, weights=weights)
+        message = f"artifact {path} holds non-positive entries in weights"
+        with pytest.raises(ConfigurationError, match=re.escape(message) + "$"):
             rb.load_artifact(path, system=system)
 
     @pytest.mark.parametrize(
