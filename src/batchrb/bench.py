@@ -385,15 +385,15 @@ def run_experiment(config: ExperimentConfig):
     configured order.  `t_full` is the mean serial `fem.solve_fom` time over
     the first test points.  One worker pool serves the other reference
     solves and, in oracle mode, the training solves, each one task per
-    64-point column block of `fem.solve_fom_block`; the oracle keeps the
-    training snapshots as those blocks and spans them once by
-    `rb.snapshot_basis` for the strong run (whose sigma is its trace's
-    maxima) and the POD width; no result depends on the worker count.  The
-    test references are plain arrays in test-set order, the serial solutions
-    first, each with one X-norm, and every size's test errors come from them
-    without a further solve.  The wall time of each harness phase is logged
-    at INFO, and the bulk solves also log their count, their blocks and the
-    time per solve.
+    64-point column block of `fem.solve_fom_block`; the oracle spans the
+    training snapshots once by `rb.snapshot_basis` and drops them after the
+    strong run (whose sigma is its trace's maxima), so the POD width and
+    each weak run's `true_sigma` read the snapshot basis alone; no result
+    depends on the worker count.  The test references are plain arrays in
+    test-set order, the serial solutions first, each with one X-norm, and
+    every size's test errors come from them without a further solve.  The
+    wall time of each harness phase is logged at INFO, and the bulk solves
+    also log their count, their blocks and the time per solve.
     """
     logger.info("BLAS threads: %s", BLAS_THREADS)
     logger.info(
@@ -420,8 +420,6 @@ def run_experiment(config: ExperimentConfig):
     t_full = (time.perf_counter() - start) / len(timing_set)
     logger.info("t_full = %.4g s (mean over %d solves)", t_full, len(timing_set))
 
-    snapshots = None
-    width = None
     report_runs = []
     summaries = []
     with WorkerPool(config.worker_count) as pool:
@@ -439,13 +437,14 @@ def run_experiment(config: ExperimentConfig):
             spanned = rb.snapshot_basis(snapshots, system, pool)
             logger.info("snapshot basis: %.3f s (r=%d, %d of %d columns extended)",
                         time.perf_counter() - start, spanned.vectors.shape[1],
-                        spanned.extended, spanned.columns.count)
+                        spanned.extended, len(training))
             strong_config = greedy.GreedyConfig(
                 training_set=training, batch_size=1, tolerance=config.tolerance,
                 max_basis_size=config.max_basis_size,
             )
             with _logged_phase("strong run"):
-                _, strong_trace = greedy.run_strong_greedy(system, strong_config, spanned)
+                _, strong_trace = greedy.run_strong_greedy(system, strong_config, spanned, snapshots)
+            del snapshots  # the snapshot basis is now the training set's only form
             # b = 1 sweeps every basis size, so its maxima are its sigma.
             strong_sigma = np.array([rec.max_estimate for rec in strong_trace.iterations])
             with _logged_phase("width"):
@@ -516,7 +515,7 @@ def run_experiment(config: ExperimentConfig):
 
             if config.oracle:
                 with _logged_phase("b=%d: true sigma", b):
-                    sigma = greedy.true_sigma(basis, snapshots, system, pool)
+                    sigma = greedy.true_sigma(basis, spanned, system)
                 report_runs.append(_oracle_run("weak", trace, sigma, width.d_up))
 
     if config.oracle:

@@ -78,7 +78,6 @@ __all__ = [
     "assemble",
     "solve_fom",
     "solve_fom_block",
-    "x_inner",
     "x_norm",
     "projection_distances",
 ]
@@ -100,10 +99,10 @@ FACTOR_BLOCK_BYTES = 2 << 20
 #: whatever `FACTOR_BLOCK_BYTES` allows.
 INTERFACE_MAX_BYTES = 256 << 20
 
-#: Largest orthonormality defect max|V^T M_X V - I| that
-#: `projection_distances` accepts.  Its distances are exact for an
-#: orthonormal V and move by O(defect * ||f||_X) otherwise, so this keeps
-#: them within 1e-10 of the snapshot norm.
+#: Largest orthonormality defect max|V^T M_X V - I| that `projection_distances`
+#: and `greedy.true_sigma` accept.  Distances are exact for an orthonormal V
+#: and move by O(defect * ||f||_X) otherwise, so this keeps them within 1e-10
+#: of the snapshot norm.
 ORTHONORMALITY_TOL = 1e-10
 
 
@@ -140,10 +139,6 @@ class ParameterPoint:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
-
-    def scaled(self, factor: float) -> "ParameterPoint":
-        """The point with every weight multiplied by `factor`."""
-        return ParameterPoint(tuple(factor * w for w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -707,21 +702,12 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
     return Snapshot(coefficients=solve_fom_block(system, [mu.weights])[:, 0], parameter=mu)
 
 
-def x_inner(u: np.ndarray, v: np.ndarray, system: AffineSystem) -> float:
-    """X-inner product u^T M_X v (H^1_0 seminorm metric)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != (system.dof_count,) or v.shape != (system.dof_count,):
-        raise DimensionError(
-            f"vectors must have shape ({system.dof_count},), "
-            f"got {u.shape} and {v.shape}"
-        )
-    return float(u @ (system.gram @ v))
-
-
 def x_norm(u: np.ndarray, system: AffineSystem) -> float:
-    """X-norm sqrt(<u, u>_X); round-off negatives are clamped to zero."""
-    return float(np.sqrt(max(x_inner(u, u, system), 0.0)))
+    """X-norm sqrt(u^T M_X u) (H^1_0 seminorm); round-off negatives are clamped to zero."""
+    u = np.asarray(u)
+    if u.shape != (system.dof_count,):
+        raise DimensionError(f"vector must have shape ({system.dof_count},), got {u.shape}")
+    return float(np.sqrt(max(float(u @ (system.gram @ u)), 0.0)))
 
 
 class ColumnBlocks:
@@ -769,6 +755,27 @@ class ColumnBlocks:
         return self._blocks[k][:, j].copy()
 
 
+def _x_orthonormal(vectors, gram) -> np.ndarray:
+    """M_X V; NumericError when max|V^T M_X V - I| exceeds ORTHONORMALITY_TOL."""
+    weighted = gram @ vectors
+    defect = np.abs(vectors.T @ weighted - np.eye(vectors.shape[1])).max(initial=0.0)
+    if not defect <= ORTHONORMALITY_TOL:
+        raise NumericError(
+            f"vectors are not X-orthonormal: max|V^T M_X V - I| = {defect:.2e} "
+            f"exceeds {ORTHONORMALITY_TOL:.0e}"
+        )
+    return weighted
+
+
+def _tail_squares(floor, coeffs) -> np.ndarray:
+    """``squares[n] = floor + sum_{j >= n} coeffs[j]**2`` for n = 0..len(coeffs),
+    a sum of nonnegative terms accumulated from the last row back."""
+    squares = np.empty((len(coeffs) + 1, coeffs.shape[1]))
+    squares[0] = floor
+    squares[1:] = coeffs[::-1] ** 2
+    return np.cumsum(squares, axis=0)[::-1]
+
+
 def projection_distances(vectors, columns, system: AffineSystem, pool=None):
     """X-distance of every column to every prefix span of X-orthonormal vectors.
 
@@ -792,14 +799,7 @@ def projection_distances(vectors, columns, system: AffineSystem, pool=None):
     """
     gram = system.gram
     size = vectors.shape[1]
-    if size:
-        defect = np.abs(vectors.T @ (gram @ vectors) - np.eye(size)).max()
-        if not defect <= ORTHONORMALITY_TOL:
-            raise NumericError(
-                f"vectors are not X-orthonormal: max|V^T M_X V - I| = {defect:.2e} "
-                f"exceeds {ORTHONORMALITY_TOL:.0e}"
-            )
-
+    _x_orthonormal(vectors, gram)
     if not isinstance(columns, ColumnBlocks):
         columns = ColumnBlocks(columns)
     dist, coeffs = np.empty((size + 1, columns.count)), np.empty((size, columns.count))
@@ -812,10 +812,7 @@ def projection_distances(vectors, columns, system: AffineSystem, pool=None):
         a = coeffs[:, cols] = vectors.T @ mf
         del mf
         f -= vectors @ a  # the remainder R, in place
-        squares = np.empty((size + 1, f.shape[1]))
-        squares[0] = np.einsum("ij,ij->j", f, gram @ f)
-        squares[1:] = a[::-1] ** 2
-        squares = np.cumsum(squares, axis=0)[::-1]
+        squares = _tail_squares(np.einsum("ij,ij->j", f, gram @ f), a)
         squares[0] = direct
         dist[:, cols] = np.sqrt(np.clip(squares, 0.0, None))
 

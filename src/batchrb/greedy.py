@@ -41,13 +41,8 @@ from . import rb
 # `estimator.estimate_sweep` counts one full sweep per iteration, not these too.
 from .estimator import estimate_sweep as _provisional_sweep
 from .errors import ConfigurationError, DimensionError, DomainError, GreedyError
-from .fem import (
-    AffineSystem,
-    ParameterPoint,
-    Snapshot,
-    projection_distances,
-    solve_fom,
-)
+from .fem import (AffineSystem, ColumnBlocks, ParameterPoint, Snapshot, _tail_squares,
+                  _x_orthonormal, solve_fom)
 from .pool import WorkerPool
 
 __all__ = [
@@ -451,42 +446,51 @@ def run_batch_greedy(
 
 
 def run_strong_greedy(
-    system: AffineSystem, config: GreedyConfig, snapshots: rb.SnapshotBasis
+    system: AffineSystem, config: GreedyConfig, spanned: rb.SnapshotBasis, snapshots
 ) -> tuple[rb.ReducedBasis, GreedyTrace]:
     """Batch greedy steered by true projection errors over precomputed snapshots.
 
-    `snapshots` is the :class:`rb.SnapshotBasis` of the training snapshots,
-    in training-set order.  The error source is the residual table in the
-    basis's coordinates, so the run never depends on the worker count.
-    Phase timings: solve covers the snapshot lookups, evaluate the sweeps,
-    reduce the peels.
+    `snapshots`, in any form `fem.ColumnBlocks` takes, and their
+    :class:`rb.SnapshotBasis` `spanned` are in training-set order.  The error
+    source is the residual table in the basis's coordinates, so the run never
+    depends on the worker count; `snapshots` is read for the selected columns
+    only and not kept.  Phase timings: solve covers the snapshot lookups,
+    evaluate the sweeps, reduce the peels.
     """
-    training = config.training_set
-    columns = snapshots.columns
-    if columns.count != len(training):
-        raise ConfigurationError(
-            f"{columns.count} snapshots for {len(training)} training points"
-        )
+    training, columns = config.training_set, ColumnBlocks(snapshots)
+    if not columns.count == spanned.coeffs.shape[1] == len(training):
+        raise ConfigurationError(f"{columns.count} snapshots for {len(training)} training points "
+                                 f"(spanned: {spanned.coeffs.shape[1]})")
     index = {mu: t for t, mu in enumerate(training)}
-    return _run_greedy(
-        system,
-        config,
-        _ResidualTable(system, snapshots),
-        lambda mus: [Snapshot(columns.column(index[mu]), mu) for mu in mus],
-    )
+    return _run_greedy(system, config, _ResidualTable(system, spanned),
+                       lambda mus: [Snapshot(columns.column(index[mu]), mu) for mu in mus])
 
 
-def true_sigma(
-    basis: rb.ReducedBasis, snapshots, system: AffineSystem, pool=None
-) -> np.ndarray:
+def true_sigma(basis: rb.ReducedBasis, snapshots, system: AffineSystem, pool=None) -> np.ndarray:
     """Worst X-norm projection error onto each basis prefix.
 
-    sigma[n] = max over snapshots of || f - P_{V_n} f ||_X, n = 0..basis.size:
-    the column maxima of :func:`fem.projection_distances` over `snapshots`,
-    in any form `fem.ColumnBlocks` takes, with its column blocks on `pool`,
-    so sigma is bitwise independent of the worker count.
+    sigma[n] = max_t ||f_t - P_{V_n} f_t||_X, n = 0..basis.size, in the
+    coordinates f_t = Q a_t + r_t of `snapshots`' :class:`rb.SnapshotBasis`
+    (any other `fem.ColumnBlocks` form is spanned here on `pool`).  With
+    B = Q^T M_X V and C = B^T A, sigma_n(t)**2 = rho_t**2 + ||a_t - B c_t||**2
+    + sum_{j >= n} C_{jt}**2, accumulated from the last vector back, and
+    sigma[0] is the largest direct norm.  Exact up to O(rho) for a V built
+    from snapshots of the same set, which lies in span(Q) up to such
+    remainders; max|B^T B - I| is logged at INFO.  O(r N dof + r N T), no
+    dof x T array; NumericError when max|V^T M_X V - I| exceeds
+    `fem.ORTHONORMALITY_TOL`.
     """
-    return projection_distances(basis.vectors, snapshots, system, pool)[0].max(axis=1)
+    spanned = rb.snapshot_basis(snapshots, system, pool)
+    b = spanned.vectors.T @ _x_orthonormal(basis.vectors, system.gram)
+    c = b.T @ spanned.coeffs
+    outside = b @ c
+    outside -= spanned.coeffs  # -(a_t - B c_t), one r x T table
+    floor = spanned.remainders**2 + np.einsum("ij,ij->j", outside, outside)
+    sigma = np.sqrt(_tail_squares(floor, c).max(axis=1))
+    sigma[0] = spanned.norms.max()
+    logger.info("true sigma: n=%d in r=%d snapshot coordinates, max|B^T B - I| = %.1e",
+                basis.size, len(b), np.abs(b.T @ b - np.eye(basis.size)).max(initial=0.0))
+    return sigma
 
 
 def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.ndarray:

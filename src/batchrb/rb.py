@@ -6,9 +6,9 @@ records the expansion coefficients of every incoming snapshot with respect to
 the updated basis; these rows form the lower-triangular matrix consumed by the
 convergence-theory checks.  The one Galerkin projection, :func:`extend_model`,
 projects only the vectors a basis gained; :func:`reduce` grows the empty model.
-:func:`snapshot_basis` spans a whole snapshot set by the same extension, for
-the oracle's width and strong run, after two block passes drop the columns the
-extension would drop: O(r dof) per column block plus O(r dof) per column left.
+:func:`snapshot_basis` spans a whole snapshot set by the same extension for the
+oracle, after two block passes drop the columns the extension would drop:
+O(r dof) per column block plus O(r dof) per column left.
 """
 
 from __future__ import annotations
@@ -197,13 +197,14 @@ def extend(
 
 @dataclass(frozen=True)
 class SnapshotBasis:
-    """An X-orthonormal basis Q, (dof_count, r), of the snapshots f_t in `columns`,
-    with ``coeffs`` A = Q^T M_X F, the ``remainders`` rho_t = ||f_t - Q a_t||_X
-    and the direct ``norms`` ||f_t||_X.  The drop rule of :func:`extend` gives
-    rho_t <= DROP_TOL_DEFAULT ||f_t||_X, up to round-off.  ``extended`` counts
-    the columns that passed the block filter to :func:`extend`."""
+    """Snapshots f_0..f_{T-1} in the coordinates of one X-orthonormal basis Q,
+    (dof_count, r): ``coeffs`` A = Q^T M_X F, (r, T), ``remainders``
+    rho_t = ||f_t - Q a_t||_X <= DROP_TOL_DEFAULT ||f_t||_X (up to round-off,
+    by the drop rule of :func:`extend`) and the direct ``norms`` ||f_t||_X;
+    ``extended`` counts the columns that passed the block filter to extend.
+    O(r (dof + T)) numbers in place of the dof x T snapshots, for the strong
+    run, the POD width and the weak runs' sigma."""
 
-    columns: ColumnBlocks
     vectors: np.ndarray
     coeffs: np.ndarray
     remainders: np.ndarray
@@ -212,23 +213,25 @@ class SnapshotBasis:
 
 
 def snapshot_basis(snapshots, system: AffineSystem, pool=None) -> SnapshotBasis:
-    """Span snapshots, in any form `fem.ColumnBlocks` takes, by :func:`extend`.
-
-    Each fixed column block, in column order, first takes two block passes
-    ``F -= V ((M_X V)^T F)`` against the current basis V.  A column whose
-    remainder is at most half of ``DROP_TOL_DEFAULT`` times its incoming X-norm
-    is dropped: :func:`extend` would drop it too, as its remainder only shrinks
-    against the larger basis extend sees, and the half covers round-off.  One
-    extension per block then takes the rest, so Q is bitwise what extending
-    every column gives; its bits depend on the fixed split and never on the
-    worker count.  One :func:`fem.projection_distances` call on `pool` gives
-    A, the remainders and the norms.  O(r dof) per block plus O(r dof) per
-    column extended; a column with a non-finite entry or X-norm raises
-    NumericError naming it.
+    """Span snapshots, in any form `fem.ColumnBlocks` takes, by :func:`extend`;
+    a given SnapshotBasis is returned as it is.  Each fixed column block, in
+    column order, first takes two block passes ``F -= V ((M_X V)^T F)``
+    against the current basis V, whose M_X V is formed again only after a
+    block that grew it.  A column whose remainder is at most half of
+    ``DROP_TOL_DEFAULT`` times its incoming X-norm is dropped: :func:`extend`
+    would drop it too, as its remainder only shrinks against the larger basis
+    extend sees, and the half covers round-off.  One extension per block then
+    takes the rest, so Q is bitwise what extending every column gives; its
+    bits depend on the fixed split and never on the worker count.  One
+    :func:`fem.projection_distances` call on `pool` gives A, the remainders
+    and the norms.  O(r dof) per block plus O(r dof) per column extended; a
+    column with a non-finite entry or X-norm raises NumericError naming it.
     """
-    columns = ColumnBlocks(snapshots)
-    gram = system.gram
+    if isinstance(snapshots, SnapshotBasis):
+        return snapshots
+    columns, gram = ColumnBlocks(snapshots), system.gram
     basis, extended = ReducedBasis.empty(system.dof_count), 0
+    mv = basis.vectors  # M_X V of the empty basis
     for k, cols in enumerate(columns.slices):
         f = columns.block(k)
         # M_X has a positive diagonal, so a non-finite entry gives a non-finite norm.
@@ -239,7 +242,7 @@ def snapshot_basis(snapshots, system: AffineSystem, pool=None) -> SnapshotBasis:
         kept = range(columns.count)[cols]
         v = basis.vectors
         if v.shape[1]:
-            mv = gram @ v
+            mv = mv if mv.shape[1] == v.shape[1] else gram @ v
             for _ in range(2):
                 f -= v @ (mv.T @ f)
             remainder = np.sqrt(np.clip(np.einsum("ij,ij->j", f, gram @ f), 0.0, None))
@@ -248,7 +251,7 @@ def snapshot_basis(snapshots, system: AffineSystem, pool=None) -> SnapshotBasis:
             basis, _ = extend(basis, [Snapshot(columns.column(t), None) for t in kept], system)
             extended += len(kept)
     dist, coeffs = projection_distances(basis.vectors, columns, system, pool)
-    return SnapshotBasis(columns, basis.vectors, coeffs, dist[-1], dist[0], extended)
+    return SnapshotBasis(basis.vectors, coeffs, dist[-1], dist[0], extended)
 
 
 def reduce(basis: ReducedBasis, system: AffineSystem) -> ReducedModel:

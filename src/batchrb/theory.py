@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, InsufficientDataError
-from .rb import SnapshotBasis, snapshot_basis
+from .fem import _tail_squares
+from .rb import snapshot_basis
 
 #: Additive slack for the coefficient-matrix properties, applied after
 #: normalizing by sigma_0 so the tolerance is scale-free.
@@ -117,15 +118,10 @@ def pod_width_upper_bound(all_snapshots, system) -> WidthSurrogate:
     mode back: the worst X-distance of a snapshot to the leading n modes, up
     to O(eps ||f||_X).  ``d_up[0]`` is the largest direct X-norm.
     """
-    basis = all_snapshots
-    if not isinstance(basis, SnapshotBasis):
-        basis = snapshot_basis(basis, system)
+    basis = snapshot_basis(all_snapshots, system)
     rank, count = basis.coeffs.shape
     _, singular, wt = np.linalg.svd(basis.coeffs, full_matrices=False)
-    squares = np.empty((rank + 1, count))
-    squares[0] = basis.remainders**2
-    squares[1:] = (singular[::-1, None] * wt[::-1]) ** 2
-    squares = np.cumsum(squares, axis=0)[::-1]
+    squares = _tail_squares(basis.remainders**2, singular[:, None] * wt)
     d_up = np.empty(count + 1)
     d_up[: rank + 1] = np.sqrt(squares.max(axis=1))
     d_up[0] = basis.norms.max()

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -606,6 +607,44 @@ class TestDeterminism:
         _, rows_a = read_csv(Path(config_a.out) / "trace_b2.csv")
         _, rows_b = read_csv(Path(config_b.out) / "trace_b2.csv")
         assert [r[:5] for r in rows_a] == [r[:5] for r in rows_b]
+
+
+class TestOracleStore:
+    """The oracle holds its training snapshots, dof x T doubles, only until
+    the strong run returns; the width and the weak runs' sigma read the
+    snapshot basis, whose B defect each weak run logs."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_training_blocks_released_before_the_weak_runs(
+        self, tmp_path, monkeypatch, caplog, workers
+    ):
+        refs, alive = [], []
+        solve_on_pool, run_batch_greedy = bench._solve_on_pool, greedy.run_batch_greedy
+
+        def tracked(pool, system, points, name):
+            blocks = solve_on_pool(pool, system, points, name)
+            if name == "training solves":
+                refs.extend(weakref.ref(block) for block in blocks)
+            return blocks
+
+        def checked(*args, **kwargs):
+            if not alive:  # bytes of training blocks still held at the first weak run
+                alive.append(sum(ref().nbytes for ref in refs if ref() is not None))
+            return run_batch_greedy(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_solve_on_pool", tracked)
+        monkeypatch.setattr(greedy, "run_batch_greedy", checked)
+        config = bench.ExperimentConfig(
+            px=2, py=2, nx=8, train_per_dim=3, test_count=5, seed=7, batch_sizes=(1, 2),
+            tolerance=1e-3, worker_count=workers, oracle=True, out=str(tmp_path),
+        )
+        with caplog.at_level("INFO", logger="batchrb"):
+            bench.run_experiment(config)
+        assert len(refs) == 2 and alive == [0]
+        defects = re.findall(r"true sigma: n=\d+ in r=\d+ snapshot coordinates, "
+                             r"max\|B\^T B - I\| = (\S+)", caplog.text)
+        assert len(defects) == len(config.batch_sizes)
+        assert all(0 <= float(defect) < 1e-3 for defect in defects)
 
 
 class TestOracleWorkerInvariance:

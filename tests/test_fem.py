@@ -110,10 +110,9 @@ class TestParameterPoint:
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
 
-    def test_uniform_and_scaled(self):
+    def test_uniform(self):
         mu = fem.ParameterPoint.uniform(3, 0.5)
         assert mu.weights == (0.5, 0.5, 0.5)
-        assert mu.scaled(2.0).weights == (1.0, 1.0, 1.0)
 
 
 class TestAssembly:
@@ -246,13 +245,14 @@ class TestSolve:
         system = _SCALING_SYSTEM
         mu = fem.ParameterPoint(tuple(weights))
         u = fem.solve_fom(system, mu).coefficients
-        u_scaled = fem.solve_fom(system, mu.scaled(factor)).coefficients
+        scaled = fem.ParameterPoint(tuple(factor * w for w in mu.weights))
+        u_scaled = fem.solve_fom(system, scaled).coefficients
         assert np.allclose(u_scaled, u / factor, rtol=1e-10, atol=1e-13)
 
     def test_scaling_law_c2(self, small_system):
         mu = fem.ParameterPoint((0.25, 0.5, 0.75, 1.0))
         u = fem.solve_fom(small_system, mu).coefficients
-        u2 = fem.solve_fom(small_system, mu.scaled(2.0)).coefficients
+        u2 = fem.solve_fom(small_system, fem.ParameterPoint((0.5, 1.0, 1.5, 2.0))).coefficients
         assert np.allclose(u2, u / 2.0, rtol=1e-12, atol=1e-15)
 
 
@@ -478,23 +478,28 @@ class TestColumnBlocks:
 
 class TestInnerProduct:
     def test_bilinear_symmetric_positive(self, small_system):
+        """x_norm is the norm of a symmetric positive definite bilinear form:
+        u^T M_X u, which satisfies the parallelogram law."""
         rng = np.random.default_rng(5)
         u = rng.standard_normal(small_system.dof_count)
         v = rng.standard_normal(small_system.dof_count)
-        w = rng.standard_normal(small_system.dof_count)
-        assert fem.x_inner(u, v, small_system) == pytest.approx(
-            fem.x_inner(v, u, small_system), rel=1e-14
+
+        def norm(x):
+            return fem.x_norm(x, small_system)
+
+        assert norm(u) ** 2 == pytest.approx(u @ (small_system.gram @ u), rel=1e-14)
+        assert norm(u + v) ** 2 + norm(u - v) ** 2 == pytest.approx(
+            2 * norm(u) ** 2 + 2 * norm(v) ** 2, rel=1e-12
         )
-        assert fem.x_inner(u + 2 * w, v, small_system) == pytest.approx(
-            fem.x_inner(u, v, small_system) + 2 * fem.x_inner(w, v, small_system),
-            rel=1e-12,
-        )
-        assert fem.x_inner(u, u, small_system) > 0
-        assert fem.x_norm(np.zeros(small_system.dof_count), small_system) == 0.0
+        assert norm(-2 * u) == pytest.approx(2 * norm(u), rel=1e-14)
+        assert norm(u) > 0
+        assert norm(np.zeros(small_system.dof_count)) == 0.0
 
     def test_dimension_checked(self, small_system):
         with pytest.raises(DimensionError):
-            fem.x_inner(np.ones(3), np.ones(small_system.dof_count), small_system)
+            fem.x_norm(np.ones(3), small_system)
+        with pytest.raises(DimensionError):
+            fem.x_norm(np.ones((small_system.dof_count, 1)), small_system)
 
 
 class TestRefinement:

@@ -52,7 +52,7 @@ def run_driver(driver, system, config):
         basis, _, trace = greedy.run_batch_greedy(system, config)
         return basis, trace
     snapshots = [fem.solve_fom(system, mu) for mu in config.training_set]
-    return greedy.run_strong_greedy(system, config, rb.snapshot_basis(snapshots, system))
+    return greedy.run_strong_greedy(system, config, rb.snapshot_basis(snapshots, system), snapshots)
 
 
 def count_calls(monkeypatch, names):
@@ -606,7 +606,7 @@ def spanned(system, snapshots):
 class TestStrongGreedy:
     def test_run_and_sigma_consistency(self, system, training, snapshots, spanned):
         config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
-        basis, trace = greedy.run_strong_greedy(system, config, spanned)
+        basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
         assert trace.stop_reason == "tolerance"
         sigma = greedy.true_sigma(basis, snapshots, system)
         sizes = [rec.basis_size for rec in trace.iterations]
@@ -616,9 +616,10 @@ class TestStrongGreedy:
 
     def test_single_snapshot_terminates_immediately(self, system):
         mu = fem.ParameterPoint((0.3, 0.6, 0.9, 0.2))
-        spanned = rb.snapshot_basis([fem.solve_fom(system, mu)], system)
+        snapshots = [fem.solve_fom(system, mu)]
+        spanned = rb.snapshot_basis(snapshots, system)
         config = greedy.GreedyConfig(training_set=[mu], batch_size=1, tolerance=1e-5)
-        basis, trace = greedy.run_strong_greedy(system, config, spanned)
+        basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
         assert basis.size == 1
         assert trace.iterations[-1].max_estimate <= 1e-10
 
@@ -633,7 +634,7 @@ class TestStrongGreedy:
 
     def test_true_sigma_against_dense_least_squares(self, system, training, snapshots, spanned):
         config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=1e-3)
-        basis, _ = greedy.run_strong_greedy(system, config, spanned)
+        basis, _ = greedy.run_strong_greedy(system, config, spanned, snapshots)
         sigma = greedy.true_sigma(basis, snapshots, system)
         gram_dense = system.gram.toarray()
         for n in range(basis.size + 1):
@@ -675,8 +676,8 @@ def unsplit_distances(monkeypatch, basis, snapshot_list, system):
 class TestResidualTableReference:
     """The strong run's residual table lives in the snapshot basis's
     coordinates; its values are the full-space residual norms of the run's
-    own basis up to round-off.  true_sigma is the column maxima of the
-    projection distances."""
+    own basis up to round-off.  true_sigma, in the same coordinates, is the
+    column maxima of the projection distances up to 1e-13 sigma_0."""
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_strong_trace_matches_naive_peel(
@@ -685,7 +686,7 @@ class TestResidualTableReference:
         config = greedy.GreedyConfig(
             training_set=training, batch_size=batch_size, tolerance=1e-6
         )
-        basis, trace = greedy.run_strong_greedy(system, config, spanned)
+        basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
         norms = naive_peel_norms(basis, [snapshots[mu] for mu in training], system)
         sigma0 = norms[0].max()
         for rec in trace.iterations:
@@ -695,8 +696,9 @@ class TestResidualTableReference:
                 assert abs(sel.estimate - value) <= 1e-13 * sigma0
 
     def test_true_sigma_bitwise(self, monkeypatch, system, training, snapshots):
-        """Bitwise from given blocks and from stacked vectors; within round-off
-        of the unsplit matrix, whose bits depend on the BLAS's tiles."""
+        """Bitwise from given blocks, from stacked vectors and from their
+        snapshot basis; within 1e-13 sigma_0 of the distances of the unsplit
+        matrix."""
         config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-6)
         basis, _, _ = greedy.run_batch_greedy(system, config)
         sigma = greedy.true_sigma(basis, snapshots, system)
@@ -704,15 +706,17 @@ class TestResidualTableReference:
         splits = pool_mod.column_blocks(len(training))
         blocks = [fem.solve_fom_block(system, weights[cols]) for cols in splits]
         assert greedy.true_sigma(basis, blocks, system).tobytes() == sigma.tobytes()
+        spanned = rb.snapshot_basis(blocks, system)
+        assert greedy.true_sigma(basis, spanned, system).tobytes() == sigma.tobytes()
         dist = unsplit_distances(monkeypatch, basis, list(snapshots.values()), system)
-        assert np.abs(sigma - dist.max(axis=1)).max() <= 1e-15 * sigma[0]
+        assert np.abs(sigma - dist.max(axis=1)).max() <= 1e-13 * sigma[0]
 
 
 class TestTrueSigmaColumnBlocks:
-    """true_sigma runs over fixed-width column blocks, one pool task each;
-    the result is bitwise the same at every worker count, and within
-    round-off of the unsplit matrix (a product's bits depend on the BLAS's
-    tiles, so another split may round differently)."""
+    """true_sigma spans given snapshots over fixed-width column blocks, one
+    pool task each; the result is bitwise the same at every worker count,
+    and within 1e-13 sigma_0 of the distances of the unsplit matrix and of
+    the sigma of another split (whose snapshot basis rounds differently)."""
 
     @pytest.fixture(scope="class")
     def basis(self, system, training):
@@ -734,14 +738,15 @@ class TestTrueSigmaColumnBlocks:
             unblocked = greedy.true_sigma(basis, snapshot_list, system)
         assert blocked.shape == (basis.size + 1,)
         assert blocked.tobytes() == inline.tobytes()
-        tol = 1e-15 * blocked[0]
+        tol = 1e-13 * blocked[0]
         assert np.abs(blocked - naive).max() <= tol
         assert np.abs(blocked - unblocked).max() <= tol
 
 
 class TestProjectionDistances:
-    """fem.projection_distances, behind true_sigma, the POD width and the
-    test errors, agrees with the explicit peel and with per-point X-norms."""
+    """fem.projection_distances, behind the snapshot basis (so the strong
+    run, the POD width and true_sigma) and the test errors, agrees with the
+    explicit peel and with per-point X-norms."""
 
     @pytest.fixture(scope="class")
     def system16(self):
@@ -815,25 +820,55 @@ class TestProjectionDistances:
             greedy.true_sigma(rb.ReducedBasis(skewed, basis.provenance), snapshots, system16)
 
     def test_memory_bounded_by_column_blocks(self, system16, run16):
+        """The distances hold column blocks; true_sigma, given the snapshot
+        basis, holds r x T and N x T tables.  Neither holds a dof x T stack."""
         _, basis, _ = run16
         snapshots = [fem.solve_fom(system16, mu) for mu in grid_params(5)]
-        assert len(snapshots) >= 3 * pool_mod.COLUMN_BLOCK
+        spanned = rb.snapshot_basis(snapshots, system16)
+        count, rank = len(snapshots), spanned.vectors.shape[1]
+        assert count >= 3 * pool_mod.COLUMN_BLOCK
         block_bytes = system16.dof_count * pool_mod.COLUMN_BLOCK * 8
-        output_bytes = (2 * basis.size + 1) * len(snapshots) * 8  # distances, coefficients
-        bound = 3 * block_bytes + output_bytes
-        assert system16.dof_count * len(snapshots) * 8 > bound  # a stack would not fit
+        output_bytes = (2 * basis.size + 1) * count * 8  # distances, coefficients
+        bounds = [3 * block_bytes + output_bytes, 4 * (basis.size + rank + 1) * count * 8]
+        assert system16.dof_count * count * 8 > max(bounds)  # a stack would not fit
+        calls = [
+            lambda: fem.projection_distances(basis.vectors, snapshots, system16),
+            lambda: greedy.true_sigma(basis, spanned, system16),
+        ]
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            greedy.true_sigma(basis, snapshots, system16)
-            _, peak = tracemalloc.get_traced_memory()
+            for call, bound in zip(calls, bounds):
+                tracemalloc.reset_peak()
+                base, _ = tracemalloc.get_traced_memory()
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - base <= bound
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak - base <= bound
+
+
+class TestCoordinateSigma:
+    """true_sigma reads the weak basis V in the coordinates of the snapshot
+    basis Q.  V lies in span(Q) only up to the snapshots' remainders, so
+    B = Q^T M_X V is not exactly orthonormal; sigma still agrees with the
+    full-space distances of the raw snapshots."""
+
+    def test_matches_raw_distances_where_b_is_not_orthonormal(self):
+        system = fem.assemble(fem.build_mesh(32, 32, 2, 2))
+        training = bench.build_training_set(2, 2, 8)
+        blocks = bench._solve_on_pool(None, system, training, "training solves")
+        config = greedy.GreedyConfig(training_set=training, batch_size=8, tolerance=1e-5)
+        basis, _, _ = greedy.run_batch_greedy(system, config)
+        spanned = rb.snapshot_basis(blocks, system)
+        b = spanned.vectors.T @ (system.gram @ basis.vectors)
+        assert np.abs(b.T @ b - np.eye(basis.size)).max() >= 1e-6
+        sigma = greedy.true_sigma(basis, spanned, system)
+        dist = fem.projection_distances(basis.vectors, blocks, system)[0]
+        assert sigma[0] == dist[0].max()
+        assert np.abs(sigma - dist.max(axis=1)).max() <= 1e-13 * sigma[0]
 
 
 class TestStrongPeelColumnBlocks:
@@ -852,10 +887,10 @@ class TestStrongPeelColumnBlocks:
         assert len(training) > 2 * pool_mod.COLUMN_BLOCK
         config = greedy.GreedyConfig(training_set=training, batch_size=b, tolerance=1e-9)
         inline = rb.snapshot_basis(snapshots625, system)
-        ref_basis, ref = greedy.run_strong_greedy(system, config, inline)
+        ref_basis, ref = greedy.run_strong_greedy(system, config, inline, snapshots625)
         with pool_mod.WorkerPool(workers) as pool:
             spanned = rb.snapshot_basis(snapshots625, system, pool)
-        basis, trace = greedy.run_strong_greedy(system, config, spanned)
+        basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots625)
         assert basis.size == ref_basis.size > 10
         assert basis.vectors.tobytes() == ref_basis.vectors.tobytes()
         assert len(trace.iterations) == len(ref.iterations)
@@ -875,7 +910,7 @@ class TestStrongPeelColumnBlocks:
         for workers in (1, 2):
             with pool_mod.WorkerPool(workers) as pool:
                 spanned = rb.snapshot_basis(snapshots, system, pool)
-            runs.append(greedy.run_strong_greedy(system, config, spanned))
+            runs.append(greedy.run_strong_greedy(system, config, spanned, snapshots))
         (one_basis, one), (two_basis, two) = runs
         assert one_basis.vectors.tobytes() == two_basis.vectors.tobytes()
         assert len(one.iterations) == len(two.iterations) > 2
@@ -905,7 +940,7 @@ class TestStrongRunMemory:
         try:
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            basis, _ = greedy.run_strong_greedy(system16, config, spanned)
+            basis, _ = greedy.run_strong_greedy(system16, config, spanned, snaps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not tracing:
@@ -936,7 +971,7 @@ class TestSolvedColumnBlocks:
             assert len(blocks) > 1
             for snapshots in (blocks, mapping):
                 spanned = rb.snapshot_basis(snapshots, system, task_pool)
-                basis, trace = greedy.run_strong_greedy(system, config, spanned)
+                basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
                 width = theory.pod_width_upper_bound(spanned, system)
                 sigma = greedy.true_sigma(basis, snapshots, system, task_pool)
                 results.append((basis, trace, width, sigma))
@@ -959,7 +994,7 @@ class TestSolvedColumnBlocks:
         blocks = [fem.solve_fom_block(system, np.array([mu.weights for mu in training625[:64]]))]
         config = greedy.GreedyConfig(training_set=training625, batch_size=1)
         with pytest.raises(ConfigurationError, match="64 snapshots for 625 training points"):
-            greedy.run_strong_greedy(system, config, rb.snapshot_basis(blocks, system))
+            greedy.run_strong_greedy(system, config, rb.snapshot_basis(blocks, system), blocks)
 
 
 class TestCallTimeLookups:
@@ -994,10 +1029,10 @@ class TestCallTimeLookups:
         assert any(rec.evaluated < 625 for rec in trace.iterations)
         assert counts["estimator.estimate_sweep"] == len(trace.iterations)
 
-    def test_strong_driver(self, monkeypatch, system, training, spanned):
+    def test_strong_driver(self, monkeypatch, system, training, snapshots, spanned):
         counts = count_calls(monkeypatch, ["greedy.select_batch", "rb.extend"])
         config = greedy.GreedyConfig(training_set=training, batch_size=2, tolerance=1e-2)
-        greedy.run_strong_greedy(system, config, spanned)
+        greedy.run_strong_greedy(system, config, spanned, snapshots)
         assert all(counts.values()), counts
 
 

@@ -221,15 +221,25 @@ class TestSnapshotBasis:
         relative = np.abs(spanned.coeffs[r, -2:]) / spanned.norms[-2:] / rb.DROP_TOL_DEFAULT
         assert 0.5 < relative[0] < 1 < relative[1]
 
-    def test_gram_products_per_block_and_survivor(self, system16, snaps625):
-        """The filter forms 3 products with M_X a block, an extension 1 a call
-        and 2 a column it takes, the distances 2 a block and 1 more: of order
-        blocks + survivors, not the 2 a column of extending every column."""
+    def test_gram_products_per_block_and_survivor(self, monkeypatch, system16, snaps625):
+        """The filter forms 2 products with M_X a block and M_X V once after
+        each extension, an extension 1 a call and 2 a column it takes, the
+        distances 2 a block and 1 more: of order blocks + survivors, not the
+        2 a column of extending every column, and M_X V is not formed again
+        for a block that left the basis as it was."""
+        calls, extend = [], rb.extend
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(rb, "extend", counted)
         counting = CountingGram(system16.gram)
         spanned = rb.snapshot_basis(snaps625, dataclasses.replace(system16, gram=counting))
-        blocks = len(spanned.columns.slices)
-        assert blocks == 10 and spanned.extended < len(snaps625) / 4
-        assert counting.products <= 6 * blocks + 3 * spanned.extended < len(snaps625)
+        blocks = len(pool_mod.column_blocks(len(snaps625)))
+        assert blocks == 10 and len(calls) < blocks - 1 and spanned.extended < len(snaps625) / 4
+        bound = 4 * blocks + 2 * len(calls) + 2 * spanned.extended
+        assert counting.products <= bound < len(snaps625)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])

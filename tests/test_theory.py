@@ -51,7 +51,7 @@ def width(spanned, system):
 @pytest.fixture(scope="module")
 def strong_b1(system, training, snapshots, spanned):
     config = greedy.GreedyConfig(training_set=training, batch_size=1, tolerance=1e-6)
-    basis, trace = greedy.run_strong_greedy(system, config, spanned)
+    basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
     sigma = greedy.true_sigma(basis, snapshots, system)
     return basis, trace, sigma
 
