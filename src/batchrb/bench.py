@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import estimator, fem, greedy, rb, theory
-from .errors import ConfigurationError, NumericError
-from .pool import BLAS_THREADS, WorkerPool, map_column_blocks
+from .errors import ConfigurationError, NumericError, _integer
+from .pool import BLAS_THREADS, WorkerPool, column_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -34,13 +34,6 @@ TRAINING_CAP_DEFAULT = 1_000_000
 
 #: Number of full-order solves averaged for the t_full measurement.
 FULL_SOLVE_SAMPLES = 10
-
-def _integer(value) -> Optional[int]:
-    """`value` as an int if it equals one (3.0 gives 3), else None."""
-    try:
-        return int(value) if int(value) == value else None
-    except (TypeError, ValueError, OverflowError):
-        return None
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,6 @@ class RunSummary:
     t_other: float
     t_offline: float
     t_online: float
-    t_full: float
     k_star: Optional[int]  # None without a break-even or a basis
     err_final: float
     stop_reason: str
@@ -347,9 +339,8 @@ def _solve_on_pool(pool, system, points, name):
     """
     start = time.perf_counter()
     weights = np.array([mu.weights for mu in points])
-    blocks = map_column_blocks(
-        pool, lambda cols: fem.solve_fom_block(system, weights[cols]), len(points)
-    )
+    blocks = pool.map(lambda cols: fem.solve_fom_block(system, weights[cols]),
+                      column_blocks(len(points)))
     elapsed = time.perf_counter() - start
     logger.info(
         "%s: %.3f s (%d in %d blocks, %.2f ms each)",
@@ -382,8 +373,8 @@ def run_experiment(config: ExperimentConfig):
     """Run the configured experiment and write all result files.
 
     Returns the list of RunSummary objects, one per batch size, in the
-    configured order.  `t_full` is the mean serial `fem.solve_fom` time over
-    the first test points.  One worker pool serves the other reference
+    configured order.  `k_star` compares against the mean serial `fem.solve_fom`
+    time over the first test points.  One worker pool serves the other reference
     solves and, in oracle mode, the training solves, each one task per
     64-point column block of `fem.solve_fom_block`; the oracle spans the
     training snapshots once by `rb.snapshot_basis` and drops them after the
@@ -492,7 +483,6 @@ def run_experiment(config: ExperimentConfig):
                 t_other=t_other,
                 t_offline=t_offline,
                 t_online=t_online,
-                t_full=t_full,
                 k_star=break_even(t_offline, t_full, t_online) if trace.extension_count else None,
                 err_final=err_final,
                 stop_reason=trace.stop_reason,

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the configs' integer check."""
 
 
 class ConfigurationError(ValueError):
@@ -28,3 +28,11 @@ class GreedyError(RuntimeError):
 
 class InsufficientDataError(ValueError):
     """Not enough data points for a requested fit or check."""
+
+
+def _integer(value):
+    """`value` as an int if it equals one (3.0 gives 3), else None (2.5, NaN, inf)."""
+    try:
+        return int(value) if int(value) == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None

@@ -14,8 +14,10 @@ Ohlberger & Rave 2014; Casenave, Ern & Lelievre 2014), so online
 
     ||r||_{X'} = || R [1, -mu_p c_j] ||_2,
 
-a Euclidean norm of a vector of size 1 + P n.  A sweep over a training set
-runs in row blocks within `SWEEP_BLOCK_BYTES`, one worker-pool task each, in
+a Euclidean norm of a vector of size 1 + P n.  One query's `estimate` takes c
+from rb.solve_rom, so the bound certifies the reduced solution the caller
+gets, in O(n^3 + (P n)^2).  A sweep over a training set runs in row blocks
+within `SWEEP_BLOCK_BYTES`, one worker-pool task each, in
 O(T (n^3 + (P n)^2)) time and O(workers SWEEP_BLOCK_BYTES + T) memory
 independent of the full-order dimension, and its accuracy floor is machine
 epsilon relative to ||f||_{X'}, not the square root of it that a squared
@@ -37,7 +39,8 @@ from scipy.linalg.lapack import dtrtri
 from .errors import ConfigurationError, DimensionError, DomainError, NumericError
 from .fem import AffineSystem, ParameterPoint, solve_fom_block
 from .pool import WorkerPool
-from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel
+# solve_rom bound at import: a tracer wrapping `rb.solve_rom` sees direct solves only.
+from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel, solve_rom
 
 __all__ = [
     "EstimatorData",
@@ -225,9 +228,9 @@ def _rom_coefficients_batch(model: ReducedModel, weights: np.ndarray) -> np.ndar
     try:
         return np.linalg.solve(model.matrix(weights), model.load)
     except np.linalg.LinAlgError as exc:
-        where = "at" if len(weights) == 1 else f"in the {len(weights)}-row block from"
         raise NumericError(
-            f"singular reduced operator {where} mu={tuple(weights[0].tolist())}"
+            f"singular reduced operator in the {len(weights)}-row block "
+            f"from mu={tuple(weights[0].tolist())}"
         ) from exc
 
 
@@ -353,16 +356,16 @@ def estimate_sweep(
 
 
 def estimate(data: EstimatorData, model: ReducedModel, mu: ParameterPoint) -> float:
-    """Error estimate Delta_n(mu): the sweep's kernels (LU: rb.solve_rom's Cholesky
-    moves estimates near the floor by up to 1e-5 relative) on one row, bitwise
-    ``estimate_sweep(data, model, mu.as_array()[None, :])[0]``.  A row of a
-    larger sweep agrees to round-off only (a few machine epsilons times
-    ||f||_{X'} / alpha), since a residual product's bits depend on its shape."""
+    """Error estimate Delta_n(mu) of the reduced solution c = rb.solve_rom(model, mu)
+    a caller gets: bitwise ||R [1, -mu_p c_j]||_2 / min_p mu_p by the sweep's kernel.
+    A row of `estimate_sweep`, whose LU rounds c differently, agrees to round-off
+    (a few machine epsilons times ||f||_{X'} / alpha).  An indefinite or non-finite
+    reduced operator raises rb.solve_rom's NumericError naming mu."""
     _check_sizes(data, model, mu.size)
     norm = data.load_dual_norm
     if model.basis_size > 0:
         weights = mu.as_array()[None, :]
-        coeffs = _rom_coefficients_batch(model, weights)
+        coeffs = solve_rom(model, mu)[None, :]
         norm = float(_dual_norms(data, _residual_weights(weights, coeffs))[0])
     value = norm / min(mu.weights)
     if not math.isfinite(value):

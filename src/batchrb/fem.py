@@ -250,15 +250,6 @@ class Condensation:
     load: np.ndarray
     interiors: tuple[BlockInterior, ...]
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the condensed operator, load and interior data."""
-        arrays = [self.interface, self.positions, self.load]
-        arrays += [self.schur.data, self.schur.indices, self.schur.indptr]
-        for blk in self.interiors:
-            arrays += [blk.dofs, blk.interface, blk.load, blk.coupling]
-        return sum(a.nbytes for a in arrays)
-
     def cholesky(self, weights: np.ndarray) -> np.ndarray:
         """Lower Cholesky factors of S(mu) for the k rows mu of `weights`, (k, m, m).
 

@@ -40,7 +40,7 @@ from . import rb
 # The lazy sweep's provisional values, bound at import: a tracer that wraps
 # `estimator.estimate_sweep` counts one full sweep per iteration, not these too.
 from .estimator import estimate_sweep as _provisional_sweep
-from .errors import ConfigurationError, DimensionError, DomainError, GreedyError
+from .errors import ConfigurationError, DimensionError, DomainError, GreedyError, _integer
 from .fem import (AffineSystem, ColumnBlocks, ParameterPoint, Snapshot, _tail_squares,
                   _x_orthonormal, solve_fom)
 from .pool import WorkerPool
@@ -78,18 +78,13 @@ class GreedyConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        if int(self.batch_size) != self.batch_size or self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "max_basis_size", "worker_count"):
+            value = getattr(self, name)
+            if _integer(value) is None or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, _integer(value))
         if not self.tolerance > 0:
             raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_basis_size < 1:
-            raise ConfigurationError(
-                f"max_basis_size must be >= 1, got {self.max_basis_size}"
-            )
-        if int(self.worker_count) != self.worker_count or self.worker_count < 1:
-            raise ConfigurationError(
-                f"worker_count must be >= 1, got {self.worker_count}"
-            )
         if not self.training_set:
             raise ConfigurationError("training_set must not be empty")
         sizes = {mu.size for mu in self.training_set}
@@ -466,12 +461,12 @@ def run_strong_greedy(
                        lambda mus: [Snapshot(columns.column(index[mu]), mu) for mu in mus])
 
 
-def true_sigma(basis: rb.ReducedBasis, snapshots, system: AffineSystem, pool=None) -> np.ndarray:
+def true_sigma(basis: rb.ReducedBasis, snapshots, system: AffineSystem) -> np.ndarray:
     """Worst X-norm projection error onto each basis prefix.
 
     sigma[n] = max_t ||f_t - P_{V_n} f_t||_X, n = 0..basis.size, in the
     coordinates f_t = Q a_t + r_t of `snapshots`' :class:`rb.SnapshotBasis`
-    (any other `fem.ColumnBlocks` form is spanned here on `pool`).  With
+    (any other `fem.ColumnBlocks` form is spanned here, inline).  With
     B = Q^T M_X V and C = B^T A, sigma_n(t)**2 = rho_t**2 + ||a_t - B c_t||**2
     + sum_{j >= n} C_{jt}**2, accumulated from the last vector back, and
     sigma[0] is the largest direct norm.  Exact up to O(rho) for a V built
@@ -480,7 +475,7 @@ def true_sigma(basis: rb.ReducedBasis, snapshots, system: AffineSystem, pool=Non
     dof x T array; NumericError when max|V^T M_X V - I| exceeds
     `fem.ORTHONORMALITY_TOL`.
     """
-    spanned = rb.snapshot_basis(snapshots, system, pool)
+    spanned = rb.snapshot_basis(snapshots, system)
     b = spanned.vectors.T @ _x_orthonormal(basis.vectors, system.gram)
     c = b.T @ spanned.coeffs
     outside = b @ c

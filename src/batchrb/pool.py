@@ -102,8 +102,3 @@ class WorkerPool:
 def column_blocks(count: int) -> list:
     """The COLUMN_BLOCK-wide slices covering `count` columns, in order."""
     return [slice(s, s + COLUMN_BLOCK) for s in range(0, count, COLUMN_BLOCK)]
-
-
-def map_column_blocks(pool, fn, count: int) -> list:
-    """fn of each column block, in order; inline without a pool."""
-    return (pool or WorkerPool()).map(fn, column_blocks(count))

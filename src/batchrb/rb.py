@@ -153,9 +153,10 @@ def extend(
     accepted vector, so a snapshot costs two sparse products with M_X.
     Members whose remainder norm falls below ``DROP_TOL_DEFAULT`` times their
     incoming X-norm are discarded and reported with ``accepted=False``; a
-    snapshot with a non-finite X-norm raises ``NumericError``.  Returns the
+    snapshot with a non-finite X-norm raises ``NumericError`` naming its batch
+    rank (its position in `snapshots`) and any parameter it has.  Returns the
     extended basis, whose provenance records `iteration` and each snapshot's
-    position in `snapshots` (its batch rank), and one record per snapshot.
+    batch rank, and one record per snapshot.
     """
     gram = system.gram
     n = basis.size
@@ -175,7 +176,8 @@ def extend(
             )
         incoming = math.sqrt(max(float(u @ (gram @ u)), 0.0))
         if not math.isfinite(incoming):
-            raise NumericError(f"non-finite snapshot at mu={snap.parameter.weights}")
+            at = "" if snap.parameter is None else f", mu={snap.parameter.weights}"
+            raise NumericError(f"non-finite snapshot at batch rank {rank}{at}")
         w, coeffs = u, np.zeros(n)
         for _ in range(2):
             c = mv[:, :n].T @ w

@@ -91,7 +91,6 @@ class CheckReport:
     status: str  # "pass" | "fail" | "insufficient-data"
     worst_margin: float
     context: dict = field(default_factory=dict)
-    details: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -341,13 +340,12 @@ def _log_linear_fit(log_values: np.ndarray, powers: np.ndarray):
     return coefficients[0], coefficients[1], rms
 
 
-def fit_exponential(values, alpha=None, ns=None) -> DecayFit:
+def fit_exponential(values, ns=None) -> DecayFit:
     """Fit ``values[k] ~ C * exp(-c * ns[k]**alpha)`` in log space.
 
-    With ``alpha`` given, the fit is linear least squares in ``(log C, c)``.
-    With ``alpha=None`` the exponent is found by a bounded scalar search over
-    ``ALPHA_RANGE`` minimizing the residual.  ``ns`` defaults to
-    ``0, 1, ..., len(values)-1``.
+    The exponent is found by a bounded scalar search over ``ALPHA_RANGE``
+    minimizing the residual of the linear least-squares fit in
+    ``(log C, c)``.  ``ns`` defaults to ``0, 1, ..., len(values)-1``.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
@@ -368,22 +366,16 @@ def fit_exponential(values, alpha=None, ns=None) -> DecayFit:
             )
     log_values = np.log(vals)
 
-    if alpha is not None:
-        if alpha <= 0:
-            raise DomainError(f"alpha={alpha} must be positive")
-        log_c, rate, rms = _log_linear_fit(log_values, points**alpha)
-        exponent = float(alpha)
-    else:
-        from scipy.optimize import minimize_scalar
+    from scipy.optimize import minimize_scalar
 
-        result = minimize_scalar(
-            lambda a: _log_linear_fit(log_values, points**a)[2],
-            bounds=ALPHA_RANGE,
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        exponent = float(result.x)
-        log_c, rate, rms = _log_linear_fit(log_values, points**exponent)
+    result = minimize_scalar(
+        lambda a: _log_linear_fit(log_values, points**a)[2],
+        bounds=ALPHA_RANGE,
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    exponent = float(result.x)
+    log_c, rate, rms = _log_linear_fit(log_values, points**exponent)
     return DecayFit(
         C=float(np.exp(log_c)),
         c=float(rate),
@@ -436,7 +428,7 @@ def check_rate_bounds(sigma, d_up, b, gamma) -> CheckReport:
     ns_fit = ns_all[keep]
     d_fit = d_tail[keep]
 
-    exp_fit = fit_exponential(d_fit, alpha=None, ns=ns_fit)
+    exp_fit = fit_exponential(d_fit, ns=ns_fit)
     C1_exp = math.sqrt(2.0 * exp_fit.C) / gamma
     exp_mult = 1.0 + 3.0 * exp_fit.residual
     C0_poly, alpha_poly, rms_poly = _fit_polynomial(d_fit, ns_fit)
@@ -446,7 +438,6 @@ def check_rate_bounds(sigma, d_up, b, gamma) -> CheckReport:
     worst = math.inf
     worst_n = None
     first_violation = None
-    details = []
     for n in range(1, sig.size):
         poly_bound = (
             constant_C1_polynomial(n, b, alpha_poly, gamma, C0_poly)
@@ -460,7 +451,6 @@ def check_rate_bounds(sigma, d_up, b, gamma) -> CheckReport:
                 exp_bound = C1_exp * math.exp(-c1 * float(n) ** exp_fit.alpha)
                 margins.append(exp_bound * exp_mult - sig[n])
         margin = min(margins)
-        details.append((n, float(margin)))
         if margin < worst:
             worst, worst_n = margin, n
         if margin < 0.0 and first_violation is None:
@@ -488,7 +478,7 @@ def check_rate_bounds(sigma, d_up, b, gamma) -> CheckReport:
     }
     if first_violation is not None:
         context["first_violation"] = first_violation
-    return CheckReport("rate-bounds", status, float(worst), context, tuple(details))
+    return CheckReport("rate-bounds", status, float(worst), context)
 
 
 def _aggregate(name: str, reports: Sequence[CheckReport], extra=None) -> CheckReport:

@@ -423,13 +423,21 @@ class TestRunExperiment:
             assert s.num_iter == math.ceil(s.num_ext / s.batch_size)
 
     def test_break_even_consistent_with_times(self, experiment):
+        """Every row's k_star is break_even against one full-order time t:
+        k = ceil(t_offline / (t - t_online)) puts t in [t_online +
+        t_offline / k, t_online + t_offline / (k - 1)), a row without k_star
+        but with a basis puts it at or below t_online, and all rows agree."""
         _, summaries = experiment
+        low, high = 0.0, math.inf
         for s in summaries:
-            if s.t_full > s.t_online:
-                assert s.k_star == bench.break_even(s.t_offline, s.t_full, s.t_online)
-                assert s.k_star >= 0
-            else:
-                assert s.k_star is None
+            if s.k_star is not None:
+                assert s.k_star >= 1
+                low = max(low, s.t_online + s.t_offline / s.k_star)
+                if s.k_star > 1:
+                    high = min(high, s.t_online + s.t_offline / (s.k_star - 1))
+            elif s.num_ext:
+                high = min(high, s.t_online)
+        assert low <= high * (1 + 1e-12)
 
     def test_error_decay_rows(self, experiment):
         config, summaries = experiment

@@ -201,7 +201,9 @@ class TestEstimate:
 
         The representers z_f = z_(0,0) of this crafted factor have Gram
         entries g_ff = g_fc = g_cc = 1, where a squared expansion rounds to
-        either sign; the Euclidean form computes |1 - y| exactly.
+        either sign; the Euclidean form computes |1 - y| exactly.  The sweep's
+        LU gives c = 1/mu with y = mu c = 1 exactly; the Cholesky solve of
+        `estimate` may round y by an ulp, a few eps of Delta_0 = 1/mu.
         """
         model = rb.ReducedModel(
             components=np.ones((1, 1, 1)), load=np.array([1.0])
@@ -209,10 +211,11 @@ class TestEstimate:
         data = estimator.EstimatorData(
             Q=None, R=np.array([[1.0, 1.0], [0.0, 0.0]]), block_count=1
         )
-        # c = 1/mu, y = mu*c = 1
+        eps = np.finfo(float).eps
         for mu in (0.1, 0.3, 0.7, 1.0):
+            assert estimator.estimate_sweep(data, model, np.array([[mu]]))[0] == 0.0
             value = estimator.estimate(data, model, fem.ParameterPoint((mu,)))
-            assert value == 0.0
+            assert 0.0 <= value <= 4 * eps / mu
         half = rb.ReducedModel(components=2.0 * np.ones((1, 1, 1)), load=np.array([1.0]))
         value = estimator.estimate(data, half, fem.ParameterPoint((0.5,)))
         assert value == 0.5 / 0.5  # y = 1/2: ||R [1, -1/2]|| = 1/2
@@ -228,21 +231,48 @@ class TestEstimate:
 
 
 class TestSinglePointPath:
-    """estimate runs the sweep's kernels on one row, bitwise equal to the sweep."""
+    """estimate certifies rb.solve_rom's coefficients by the sweep's residual
+    kernel, within round-off of the sweep's own LU-solved row."""
 
     def points(self):
         rng = np.random.default_rng(23)
         return TRAIN + [fem.ParameterPoint(tuple(w)) for w in rng.uniform(0.1, 1.0, (8, 4))]
 
-    def test_bitwise_equal_to_sweep_row_at_every_prefix(self, setup):
+    def test_bitwise_dual_norm_of_solve_rom_residual_at_every_prefix(self, setup):
+        """Delta_n(mu) is bitwise ||R [1, -mu_p c_j]||_2 / min mu for
+        c = rb.solve_rom(model, mu), and within 1e-15 ||f||_{X'} / alpha of a
+        one-row sweep."""
         system, basis, model, data = setup
         for n in range(basis.size + 1):
             sub_model, sub_data = rb.prefix_model(model, n), estimator.prefix_data(data, n)
             for mu in self.points():
+                weights, alpha = mu.as_array()[None, :], min(mu.weights)
                 value = estimator.estimate(sub_data, sub_model, mu)
-                row = estimator.estimate_sweep(sub_data, sub_model, mu.as_array()[None, :])
                 assert type(value) is float
-                assert np.float64(value).tobytes() == row[0].tobytes(), (n, mu)
+                y = estimator._residual_weights(weights, rb.solve_rom(sub_model, mu)[None, :])
+                direct = estimator._dual_norms(sub_data, y)[0] / alpha
+                assert np.float64(value).tobytes() == direct.tobytes(), (n, mu)
+                floor = 1e-15 * data.load_dual_norm / alpha
+                explicit = np.linalg.norm(sub_data.R @ np.concatenate([[1.0], -y[0]]))
+                assert abs(value - explicit / alpha) <= floor, (n, mu)
+                row = estimator.estimate_sweep(sub_data, sub_model, weights)[0]
+                assert abs(value - row) <= floor, (n, mu)
+
+    def test_within_round_off_of_sweep_row_on_greedy_model(self, sweep_run):
+        """At every prefix of a greedy model, within 1e-15 ||f||_{X'} / alpha
+        of a one-row sweep."""
+        _, config, (basis, model, _) = sweep_run
+        data = model.estimator_data
+        rng = np.random.default_rng(29)
+        points = config.training_set[::17] + [
+            fem.ParameterPoint(tuple(w)) for w in rng.uniform(0.1, 1.0, (8, 4))
+        ]
+        for n in range(basis.size + 1):
+            sub_model, sub_data = rb.prefix_model(model, n), estimator.prefix_data(data, n)
+            for mu in points:
+                value = estimator.estimate(sub_data, sub_model, mu)
+                row = estimator.estimate_sweep(sub_data, sub_model, mu.as_array()[None, :])[0]
+                assert abs(value - row) <= 1e-15 * data.load_dual_norm / min(mu.weights), (n, mu)
 
     def test_empty_basis(self, setup):
         system, basis, model, data = setup
@@ -261,18 +291,22 @@ class TestSinglePointPath:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
     @pytest.mark.parametrize(
-        "part, value", [("components", np.nan), ("load", np.nan), ("load", np.inf)]
+        "part, value",
+        [("components", np.nan), ("components", np.inf), ("load", np.nan), ("load", np.inf)],
     )
     def test_non_finite_model_raises_numeric_error(self, setup, part, value):
-        """An infinite matrix entry can leave the LU solve finite, as in the
-        sweep (rb.solve_rom rejects it); NaN and an infinite load cannot."""
+        """rb.solve_rom's error, naming mu: an infinite matrix entry fails
+        the Cholesky factor, NaN and an infinite load its finiteness check."""
         system, basis, model, data = setup
         broken = rb.prefix_model(model, model.basis_size)
         if part == "load":
             broken.load[1] = value
         else:
             broken.components[:, 1, 2] = broken.components[:, 2, 1] = value
-        with pytest.raises(NumericError, match=r"non-finite error estimate at mu=\(0\.3"):
+        failure = "non-finite reduced operator or solution"
+        if part == "components" and value == np.inf:
+            failure = "reduced operator not positive definite"
+        with pytest.raises(NumericError, match=failure + r" at mu=\(0\.3"):
             estimator.estimate(data, broken, TRAIN[3])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
@@ -639,7 +673,7 @@ class TestArtifactWithEstimator:
         online = loaded.estimator_data
         with pytest.raises(NumericError, match=r"not positive definite at mu=\(0\.3"):
             rb.solve_rom(loaded, TRAIN[3])
-        with pytest.raises(NumericError, match=r"singular reduced operator at mu=\(0\.3"):
+        with pytest.raises(NumericError, match=r"not positive definite at mu=\(0\.3"):
             estimator.estimate(online, loaded, TRAIN[3])
         weights = np.array([mu.weights for mu in TRAIN])
         with pytest.raises(

@@ -587,6 +587,20 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             greedy.GreedyConfig(training_set=mixed)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+    @pytest.mark.parametrize("name", ["batch_size", "worker_count", "max_basis_size"])
+    def test_integer_fields_reject_non_integers(self, training, name, value):
+        """Each raises ConfigurationError; a NaN cap must not disable the cap."""
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            greedy.GreedyConfig(training_set=training, **{name: value})
+
+    def test_integer_fields_normalized(self, training):
+        config = greedy.GreedyConfig(
+            training_set=training, batch_size=2.0, worker_count=np.int64(1), max_basis_size=5.0
+        )
+        for value in (config.batch_size, config.worker_count, config.max_basis_size):
+            assert type(value) is int
+
     def test_parameter_size_mismatch(self, system):
         config = greedy.GreedyConfig(training_set=[fem.ParameterPoint((0.5, 0.5))])
         with pytest.raises(DimensionError):
@@ -713,10 +727,11 @@ class TestResidualTableReference:
 
 
 class TestTrueSigmaColumnBlocks:
-    """true_sigma spans given snapshots over fixed-width column blocks, one
-    pool task each; the result is bitwise the same at every worker count,
-    and within 1e-13 sigma_0 of the distances of the unsplit matrix and of
-    the sigma of another split (whose snapshot basis rounds differently)."""
+    """true_sigma of a snapshot basis spanned over fixed-width column blocks,
+    the distances one pool task each, is bitwise the same at every worker
+    count and as spanning inline, and within 1e-13 sigma_0 of the distances
+    of the unsplit matrix and of the sigma of another split (whose snapshot
+    basis rounds differently)."""
 
     @pytest.fixture(scope="class")
     def basis(self, system, training):
@@ -731,7 +746,8 @@ class TestTrueSigmaColumnBlocks:
         snapshot_list = [snapshots[mu] for mu in training[:count]]
         naive = unsplit_distances(monkeypatch, basis, snapshot_list, system).max(axis=1)
         with pool_mod.WorkerPool(workers) as pool:
-            blocked = greedy.true_sigma(basis, snapshot_list, system, pool)
+            spanned = rb.snapshot_basis(snapshot_list, system, pool)
+        blocked = greedy.true_sigma(basis, spanned, system)
         inline = greedy.true_sigma(basis, snapshot_list, system)
         with monkeypatch.context() as patch:
             patch.setattr(pool_mod, "COLUMN_BLOCK", len(training))
@@ -859,7 +875,7 @@ class TestCoordinateSigma:
     def test_matches_raw_distances_where_b_is_not_orthonormal(self):
         system = fem.assemble(fem.build_mesh(32, 32, 2, 2))
         training = bench.build_training_set(2, 2, 8)
-        blocks = bench._solve_on_pool(None, system, training, "training solves")
+        blocks = bench._solve_on_pool(pool_mod.WorkerPool(), system, training, "training solves")
         config = greedy.GreedyConfig(training_set=training, batch_size=8, tolerance=1e-5)
         basis, _, _ = greedy.run_batch_greedy(system, config)
         spanned = rb.snapshot_basis(blocks, system)
@@ -973,7 +989,7 @@ class TestSolvedColumnBlocks:
                 spanned = rb.snapshot_basis(snapshots, system, task_pool)
                 basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
                 width = theory.pod_width_upper_bound(spanned, system)
-                sigma = greedy.true_sigma(basis, snapshots, system, task_pool)
+                sigma = greedy.true_sigma(basis, spanned, system)
                 results.append((basis, trace, width, sigma))
         (basis, trace, width, sigma), (ref_basis, ref, ref_width, ref_sigma) = results
         assert basis.size == ref_basis.size > 10

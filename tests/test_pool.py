@@ -8,7 +8,7 @@ import pytest
 
 from batchrb import pool as pool_mod
 from batchrb.errors import ConfigurationError
-from batchrb.pool import COLUMN_BLOCK, WorkerPool, map_column_blocks
+from batchrb.pool import COLUMN_BLOCK, WorkerPool, column_blocks
 
 
 class TestWorkerPool:
@@ -36,14 +36,14 @@ class TestColumnBlocks:
     @pytest.mark.parametrize("count", [1, 17, COLUMN_BLOCK, 81, 2 * COLUMN_BLOCK])
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_fixed_width_blocks_cover_columns_in_order(self, count, workers):
+        """The split depends on the count alone; a pool of any size (the
+        default one without `workers`) maps it in order."""
         columns = list(range(count))
-        pool = None if workers is None else WorkerPool(workers)
-        blocks = map_column_blocks(pool, lambda block: columns[block], count)
+        with WorkerPool() if workers is None else WorkerPool(workers) as pool:
+            blocks = pool.map(lambda block: columns[block], column_blocks(count))
         assert [len(block) for block in blocks[:-1]] == [COLUMN_BLOCK] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= COLUMN_BLOCK
         assert sum(blocks, []) == columns
-        if pool is not None:
-            pool.shutdown()
 
 
 def loaded_openblas_threads():

@@ -137,6 +137,19 @@ def test_non_finite_snapshot_rejected(system, bad):
         rb.extend(rb.ReducedBasis.empty(system.dof_count), batch, system)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_non_finite_snapshot_without_parameter_names_batch_rank(system, bad):
+    """Snapshots of a bare vector set, as rb.snapshot_basis passes them, carry
+    no parameter; the error names the batch rank."""
+    snaps = [fem.solve_fom(system, mu).coefficients for mu in MUS[:3]]
+    snaps[2] = snaps[2].copy()
+    snaps[2][3] = bad
+    batch = [fem.Snapshot(u, None) for u in snaps]
+    with pytest.raises(NumericError, match=r"non-finite snapshot at batch rank 2$"):
+        rb.extend(rb.ReducedBasis.empty(system.dof_count), batch, system)
+
+
 class TestSnapshotBasis:
     """rb.snapshot_basis: one X-orthonormal basis Q of a snapshot set with
     its coordinates A = Q^T M_X F and remainders rho."""

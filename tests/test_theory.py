@@ -388,12 +388,13 @@ class TestRateConstants:
 
 
 class TestFitExponential:
-    def test_exact_recovery_fixed_alpha(self):
+    def test_exact_recovery_unit_exponent(self):
         ns = np.arange(12, dtype=float)
-        fit = theory.fit_exponential(2.0 * np.exp(-0.5 * ns), alpha=1.0)
-        assert fit.C == pytest.approx(2.0, rel=1e-10)
-        assert fit.c == pytest.approx(0.5, rel=1e-10)
-        assert fit.residual <= 1e-10
+        fit = theory.fit_exponential(2.0 * np.exp(-0.5 * ns))
+        assert fit.alpha == pytest.approx(1.0, abs=1e-7)
+        assert fit.C == pytest.approx(2.0, rel=1e-7)
+        assert fit.c == pytest.approx(0.5, rel=1e-7)
+        assert fit.residual <= 1e-8
         assert fit.is_decaying
 
     def test_free_alpha_recovery(self):
@@ -408,7 +409,7 @@ class TestFitExponential:
         rng = np.random.default_rng(7)
         ns = np.arange(20, dtype=float)
         noise = 1.0 + rng.uniform(-0.01, 0.01, ns.size)
-        fit = theory.fit_exponential(1.5 * np.exp(-0.4 * ns) * noise, alpha=1.0)
+        fit = theory.fit_exponential(1.5 * np.exp(-0.4 * ns) * noise)
         assert fit.c == pytest.approx(0.4, rel=0.05)
 
     def test_constant_values_flagged(self):
@@ -423,8 +424,6 @@ class TestFitExponential:
             theory.fit_exponential([1.0, 0.5, 0.25])
         with pytest.raises(DimensionError):
             theory.fit_exponential([1.0, 0.5, 0.25, 0.1], ns=[0.0, 1.0])
-        with pytest.raises(DomainError):
-            theory.fit_exponential([1.0, 0.5, 0.25, 0.1], alpha=-1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -434,7 +433,7 @@ class TestFitExponential:
     def test_round_trip_property(self, logC, c):
         ns = np.arange(10, dtype=float)
         values = np.exp(logC - c * ns)
-        fit = theory.fit_exponential(values, alpha=1.0)
+        fit = theory.fit_exponential(values)
         assert fit.c == pytest.approx(c, rel=1e-6, abs=1e-9)
         assert math.log(fit.C) == pytest.approx(logC, abs=1e-6)
 
@@ -448,14 +447,18 @@ class TestRateBounds:
         assert report.worst_margin > 0.0
 
     def test_planted_violation_fails_with_first_n(self):
+        """sigma follows the width's exp(-n) up to `first` and stops decaying
+        there; the report names that n as the first violation."""
         ns = np.arange(15, dtype=float)
-        sigma = np.ones(15)  # does not decay at all
-        report = theory.check_rate_bounds(sigma, np.exp(-ns), b=1, gamma=1.0)
-        assert report.status == "fail"
-        first = report.context["first_violation"]
-        assert report.details[first - 1] == (first, pytest.approx(report.details[first - 1][1]))
-        assert all(margin >= 0.0 for n, margin in report.details if n < first)
-        assert report.details[first - 1][1] < 0.0
+        for first in (5, 9):
+            sigma = np.exp(-ns)
+            sigma[first:] = 1.0
+            report = theory.check_rate_bounds(sigma, np.exp(-ns), b=1, gamma=1.0)
+            assert report.status == "fail"
+            assert report.context["first_violation"] == first
+            assert report.context["n"] >= first
+            assert report.worst_margin < 0.0
+            assert report.as_dict()["context"]["first_violation"] == first
 
     def test_thermal_block_runs_pass(self, strong_b1, weak_b4, width):
         _, trace1, sigma1 = strong_b1
