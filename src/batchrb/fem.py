@@ -51,6 +51,7 @@ factor of S(1, ..., 1), one dense m x m matrix per greedy run.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -70,6 +71,7 @@ from .pool import WorkerPool, column_blocks
 
 __all__ = [
     "ParameterPoint",
+    "ParameterSet",
     "Mesh",
     "AffineSystem",
     "Snapshot",
@@ -139,6 +141,49 @@ class ParameterPoint:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
+
+
+class ParameterSet(Sequence):
+    """A read-only sequence of parameter points held as one (T, P) weight array.
+
+    `weights` is a read-only float64 view of the array given, checked once as
+    a whole (2-D, finite, positive).  A :class:`ParameterPoint` is built only
+    when a point is indexed or iterated; a slice is a ParameterSet over a view
+    of the array, and ``+`` gives a list.  O(T P) memory: 29.6 MB at the 31^4
+    points the default training cap admits, against 332-338 MB as a list.
+    """
+
+    def __init__(self, weights):
+        array = np.asarray(weights, dtype=float).view()
+        if array.ndim != 2 or not array.shape[1]:
+            raise DimensionError(f"expected a (T, P) weight array, P >= 1, got shape {array.shape}")
+        # min and max propagate NaN and make no temporary array.
+        if not (array.min(initial=np.inf) > 0.0 and array.max(initial=1.0) < np.inf):
+            bad = np.flatnonzero(~(np.isfinite(array) & (array > 0.0)).all(axis=1))[0]
+            raise DomainError(
+                f"weights must be finite and positive, got {tuple(array[bad].tolist())} "
+                f"at point {bad}"
+            )
+        array.flags.writeable = False
+        self.weights = array
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ParameterSet(self.weights[index])
+        return ParameterPoint(self.weights[index].tolist())
+
+    def __iter__(self):
+        for row in self.weights:
+            yield ParameterPoint(row.tolist())
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+    def __radd__(self, other) -> list:
+        return [*other, *self]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy  # noqa: F401  (loads numpy's OpenBLAS)
 import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 
 #: Columns per task of a column-independent computation.  Fixed, so the split
 #: and with it every result never depends on the worker count.
@@ -75,9 +75,10 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int = 1):
-        if int(workers) != workers or workers < 1:
+        count = _integer(workers)
+        if count is None or count < 1:
             raise ConfigurationError(f"workers must be a positive integer, got {workers}")
-        self.workers = min(int(workers), _available_cpus())
+        self.workers = min(count, _available_cpus())
         self._executor = (
             ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -138,6 +139,55 @@ class TestTrainingSet:
         with pytest.raises(ConfigurationError):
             bench.build_training_set(1, 1, 1)
 
+    @pytest.mark.parametrize("name, args", [
+        ("train_per_dim", (2, 2, 2.5)),
+        ("px", (2.5, 2, 3)),
+        ("py", (2, "2", 3)),
+        ("cap", (2, 2, 3, math.nan)),
+        ("cap", (2, 2, 3, math.inf)),
+        ("train_per_dim", (2, 2, None)),
+    ])
+    def test_rejects_non_integer_arguments(self, name, args):
+        """A NaN cap must not turn the memory guard off."""
+        with pytest.raises(ConfigurationError, match=f"^{name}=.* must be an integer"):
+            bench.build_training_set(*args)
+
+    def test_integer_valued_arguments_accepted(self):
+        points = bench.build_training_set(2.0, np.int64(2), 3.0, cap=81.0)
+        assert points.weights.tobytes() == bench.build_training_set(2, 2, 3).weights.tobytes()
+
+    @pytest.mark.parametrize("px, py, per_dim", [(1, 1, 2), (2, 2, 3), (3, 1, 4)])
+    def test_same_points_as_a_list_of_the_grid(self, px, py, per_dim):
+        values = np.linspace(0.1, 1.0, per_dim)
+        grids = np.meshgrid(*([values] * (px * py)), indexing="ij")
+        grid = np.stack([g.ravel() for g in grids], axis=1)
+        expected = [fem.ParameterPoint(row) for row in grid]
+        points = bench.build_training_set(px, py, per_dim)
+        assert isinstance(points, fem.ParameterSet) and len(points) == len(expected)
+        weights = [mu.weights for mu in expected]
+        assert [mu.weights for mu in points] == weights
+        for i in (0, 1, len(expected) - 1, -1, -2, -len(expected)):
+            assert points[i].weights == weights[i]
+        for part in (slice(1, None, 2), slice(-3, None), slice(None, None, -1), slice(2, 2)):
+            assert [mu.weights for mu in points[part]] == weights[part]
+        joined = points + expected[:2]
+        assert type(joined) is list and [mu.weights for mu in joined] == weights + weights[:2]
+        joined = expected[:2] + points[1:]
+        assert type(joined) is list and [mu.weights for mu in joined] == weights[:2] + weights[1:]
+
+    def test_config_holds_about_the_array(self):
+        """65,536 points: the (T, P) array is 2 MiB; a list of points held ~16 MB."""
+        tracemalloc.start()
+        try:
+            config = greedy.GreedyConfig(training_set=bench.build_training_set(2, 2, 16))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array = config.training_set.weights.nbytes
+        assert array == 2 << 20
+        assert held <= 2 * array
+        assert peak <= 2 * array
+
 
 class TestTestSet:
     def test_reproducible_by_seed(self):
@@ -159,6 +209,16 @@ class TestTestSet:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             bench.build_test_set(1, 1, 0, seed=0)
+
+    @pytest.mark.parametrize("name, args", [
+        ("count", (2, 2, 2.5, 0)),
+        ("seed", (2, 2, 3, 1.5)),
+        ("seed", (2, 2, 3, -1)),
+        ("px", (2.5, 2, 3, 0)),
+    ])
+    def test_rejects_non_integer_arguments(self, name, args):
+        with pytest.raises(ConfigurationError, match=f"^{name}=.* must be an integer"):
+            bench.build_test_set(*args)
 
 
 class TestEvaluateTestError:

@@ -115,6 +115,39 @@ class TestParameterPoint:
         assert mu.weights == (0.5, 0.5, 0.5)
 
 
+class TestParameterSet:
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])
+    def test_weights_checked_as_a_whole(self, bad):
+        weights = np.full((5, 3), 0.5)
+        weights[3, 1] = bad
+        with pytest.raises(DomainError, match=r"finite and positive.* at point 3"):
+            fem.ParameterSet(weights)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 0), (2, 2, 2)])
+    def test_two_dimensional_with_weights(self, shape):
+        with pytest.raises(DimensionError):
+            fem.ParameterSet(np.full(shape, 0.5))
+
+    def test_read_only_view_and_slices_share_it(self):
+        weights = np.linspace(0.1, 1.0, 12).reshape(6, 2)
+        points = fem.ParameterSet(weights)
+        assert np.shares_memory(points.weights, weights)
+        with pytest.raises(ValueError, match="read-only"):
+            points.weights[0, 0] = 0.7
+        tail = points[2::2]
+        assert isinstance(tail, fem.ParameterSet) and len(tail) == 2
+        assert np.shares_memory(tail.weights, weights)
+        assert len(points[6:]) == 0
+        with pytest.raises(IndexError):
+            points[6]
+
+    def test_points_built_on_access(self):
+        points = fem.ParameterSet([[0.1, 0.2], [0.3, 0.4]])
+        assert points[1] == fem.ParameterPoint((0.3, 0.4))
+        assert points.index(points[1]) == 1 and points[0] in points
+        assert list(reversed(points)) == [points[1], points[0]]
+
+
 class TestAssembly:
     def test_single_interior_node_stencil(self):
         """2x2 grid with 2x2 blocks: one DOF, hand-assembled values.

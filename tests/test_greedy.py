@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -586,6 +587,45 @@ class TestErrors:
         mixed = [fem.ParameterPoint((0.5, 0.5)), fem.ParameterPoint((0.5, 0.5, 0.5))]
         with pytest.raises(ConfigurationError):
             greedy.GreedyConfig(training_set=mixed)
+
+    @pytest.mark.parametrize("form", ["list", "set"])
+    def test_first_duplicate_in_training_order_reported(self, form):
+        weights = np.linspace(0.1, 1.0, 40).reshape(10, 4)
+        # Rows 7 and 9 repeat rows 2 and 4; row 7 comes first.
+        weights = np.vstack([weights[:7], weights[2], weights[8], weights[4]])
+        points = fem.ParameterSet(weights)
+        training = [fem.ParameterPoint(row) for row in weights] if form == "list" else points
+        with pytest.raises(ConfigurationError, match=re.escape(
+            f"duplicate training point {points[2].weights}"
+        )):
+            greedy.GreedyConfig(training_set=training)
+
+    def test_rows_differing_in_one_weight_are_distinct(self):
+        """Rows equal but in one weight never share a hash word."""
+        assert greedy._first_duplicate(bench.build_training_set(2, 2, 7).weights) is None
+        weights = np.full((100, 3), 0.5)
+        weights[:, 1] = np.nextafter(0.5, 1.0, dtype=float) * np.arange(1, 101)
+        assert greedy._first_duplicate(weights) is None
+        weights[63] = weights[17]
+        weights[80] = weights[17]
+        assert greedy._first_duplicate(weights) == 63
+
+    @pytest.mark.parametrize("form", ["list", "set"])
+    def test_mixed_sizes_rejected(self, form):
+        small, large = bench.build_training_set(1, 2, 3), bench.build_training_set(1, 3, 3)
+        if form == "list":
+            with pytest.raises(ConfigurationError, match="mixed parameter sizes"):
+                greedy.GreedyConfig(training_set=small[:4] + large[:4])
+        else:  # one array holds one size: a ragged stack is refused before a config exists
+            with pytest.raises(ValueError):
+                fem.ParameterSet([small[0].weights, large[0].weights])
+
+    def test_set_kept_and_list_stacked(self, training):
+        points = bench.build_training_set(2, 2, 3)
+        assert greedy.GreedyConfig(training_set=points).training_set is points
+        stacked = greedy.GreedyConfig(training_set=training).training_set
+        assert isinstance(stacked, fem.ParameterSet)
+        assert list(stacked) == training
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
     @pytest.mark.parametrize("name", ["batch_size", "worker_count", "max_basis_size"])

@@ -1,6 +1,7 @@
 """Tests for the worker pool and its fixed-width column blocks."""
 
 import ctypes
+import math
 import os
 from pathlib import Path
 
@@ -26,7 +27,7 @@ class TestWorkerPool:
             with WorkerPool(requested) as pool:
                 assert pool.map(lambda x: x * x, items) == [x * x for x in items]
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, math.nan, math.inf])
     def test_rejects_bad_worker_counts(self, workers):
         with pytest.raises(ConfigurationError):
             WorkerPool(workers)
