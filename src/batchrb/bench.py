@@ -17,14 +17,13 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from numbers import Real
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import estimator, fem, greedy, rb, theory
-from .errors import ConfigurationError, NumericError, _integer
+from .errors import ConfigurationError, NumericError, _check_positive_real, _checked_int, _integer
 from .pool import BLAS_THREADS, WorkerPool, column_blocks
 
 logger = logging.getLogger(__name__)
@@ -56,38 +55,19 @@ class ExperimentConfig:
     training_cap: int = TRAINING_CAP_DEFAULT
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" or (f.type == "Optional[int]" and value is not None):
-                if _integer(value) is None:
-                    raise ConfigurationError(f"{f.name}={value!r} must be an integer")
-                object.__setattr__(self, f.name, _integer(value))
-            elif f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ConfigurationError(f"{f.name}={value!r} must be a real number")
-            elif f.type == "bool" and not isinstance(value, bool):
-                raise ConfigurationError(f"{f.name}={value!r} must be true or false")
-        if self.train_per_dim < 2:
-            raise ConfigurationError(
-                f"train_per_dim={self.train_per_dim} must be at least 2"
-            )
-        if self.test_count < 1:
-            raise ConfigurationError(f"test_count={self.test_count} must be positive")
+        # Each integer field's least value; ny may also be None.
+        least = {"px": 1, "py": 1, "nx": 1, "ny": 1, "train_per_dim": 2, "test_count": 1,
+                 "seed": 0, "worker_count": 1, "max_basis_size": 1, "training_cap": 1}
+        for name, low in least.items():
+            if name != "ny" or self.ny is not None:
+                object.__setattr__(self, name, _checked_int(name, getattr(self, name), low))
         sizes = tuple(_integer(b) for b in self.batch_sizes)
         if not sizes or None in sizes or min(sizes) < 1:
             raise ConfigurationError(f"invalid batch sizes {self.batch_sizes!r}")
         object.__setattr__(self, "batch_sizes", sizes)
-        if not self.tolerance > 0:
-            raise ConfigurationError(f"tolerance={self.tolerance} must be positive")
-        if self.worker_count < 1:
-            raise ConfigurationError(
-                f"worker_count={self.worker_count} must be positive"
-            )
-        if self.max_basis_size < 1:
-            raise ConfigurationError(
-                f"max_basis_size={self.max_basis_size} must be positive"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed={self.seed} must be nonnegative")
+        _check_positive_real("tolerance", self.tolerance)
+        if not isinstance(self.oracle, bool):
+            raise ConfigurationError(f"oracle={self.oracle!r} must be true or false")
 
     @property
     def resolved_ny(self) -> int:
@@ -118,26 +98,15 @@ class RunSummary:
     num_rejected: int  # selections whose snapshot the extension dropped
 
 
-def _checked_int(name, value, least):
-    """`value` as an int (3.0 gives 3); ConfigurationError naming `name` if it
-    is not an integer of at least `least`."""
-    number = _integer(value)
-    if number is None or number < least:
-        raise ConfigurationError(f"{name}={value!r} must be an integer >= {least}")
-    return number
-
-
 def build_training_set(px, py, train_per_dim, cap=TRAINING_CAP_DEFAULT) -> fem.ParameterSet:
     """Full tensor grid of equidistant weights in [0.1, 1] per block.
 
     Points are ordered lexicographically with the last dimension varying
     fastest; the first point is all-0.1.  One (T, P) array, filled in place
     column by column, in a :class:`fem.ParameterSet` that builds each point
-    on access: 8 T P bytes and no other transient.  At 31^4 (923,521 points,
-    the largest 2x2 grid the default `cap` admits) it takes 0.02 s and holds
-    29.6 MB, where a list of points took 4.0-6.2 s and 332-338 MB.  Every
-    argument must be an integer (ConfigurationError naming it); a grid of
-    more than `cap` points is refused before it is built.
+    on access: 8 T P bytes and no other transient.  Every argument goes
+    through `errors._checked_int`; a grid of more than `cap` points is
+    refused before it is built.
     """
     px, py = _checked_int("px", px, 1), _checked_int("py", py, 1)
     train_per_dim = _checked_int("train_per_dim", train_per_dim, 2)
@@ -349,8 +318,8 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _solve_on_pool(pool, system, points, name):
-    """Full-order solutions of `points` on `pool`, one task per column block.
+def _solve_on_pool(pool, system, weights, name):
+    """Solutions at the rows of the (k, P) array `weights` on `pool`, a task per column block.
 
     Returns the C-ordered (dof, width) blocks of `fem.solve_fom_block` over
     the slices of `pool.column_blocks`, in order; the first point whose
@@ -358,17 +327,12 @@ def _solve_on_pool(pool, system, points, name):
     time at INFO as "<name>: <t> s (<count> in <blocks> blocks, <t> ms each)".
     """
     start = time.perf_counter()
-    # A ParameterSet's own array; any other sequence of points is stacked.
-    if isinstance(points, fem.ParameterSet):
-        weights = points.weights
-    else:
-        weights = np.array([mu.weights for mu in points])
     blocks = pool.map(lambda cols: fem.solve_fom_block(system, weights[cols]),
-                      column_blocks(len(points)))
+                      column_blocks(len(weights)))
     elapsed = time.perf_counter() - start
     logger.info(
         "%s: %.3f s (%d in %d blocks, %.2f ms each)",
-        name, elapsed, len(points), len(blocks), 1e3 * elapsed / max(len(points), 1),
+        name, elapsed, len(weights), len(blocks), 1e3 * elapsed / max(len(weights), 1),
     )
     return blocks
 
@@ -437,7 +401,7 @@ def run_experiment(config: ExperimentConfig):
     report_runs = []
     summaries = []
     with WorkerPool(config.worker_count) as pool:
-        rest = test_set[len(timing_set) :]
+        rest = test_weights[len(timing_set) :]
         blocks = _solve_on_pool(pool, system, rest, "reference solves")
         # A copy of each column, not a row of one array: BLAS dot products
         # round differently at other alignments, and these feed the norms.
@@ -446,7 +410,7 @@ def run_experiment(config: ExperimentConfig):
         norms = np.array([fem.x_norm(u, system) for u in references])
         if config.oracle:
             logger.info("oracle mode: solving all %d training snapshots", len(training))
-            snapshots = _solve_on_pool(pool, system, training, "training solves")
+            snapshots = _solve_on_pool(pool, system, training.weights, "training solves")
             start = time.perf_counter()
             spanned = rb.snapshot_basis(snapshots, system, pool)
             logger.info("snapshot basis: %.3f s (r=%d, %d of %d columns extended)",

@@ -36,8 +36,8 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg.lapack import dtrtri
 
-from .errors import ConfigurationError, DimensionError, DomainError, NumericError
-from .fem import AffineSystem, ParameterPoint, solve_fom_block
+from .errors import ConfigurationError, DimensionError, NumericError
+from .fem import AffineSystem, ParameterPoint, ParameterSet, solve_fom_block
 from .pool import WorkerPool
 # solve_rom bound at import: a tracer wrapping `rb.solve_rom` sees direct solves only.
 from .rb import DROP_TOL_DEFAULT, ReducedBasis, ReducedModel, solve_rom
@@ -315,7 +315,7 @@ def estimate_sweep(
     rows: Optional[np.ndarray] = None,
     pool=None,
 ) -> np.ndarray:
-    """Vectorized error estimates for a (T, P) array of parameter weights.
+    """Vectorized error estimates for a (T, P) weight array, checked by fem.ParameterSet.
 
     Rows run in the fewest near-equal blocks within `SWEEP_BLOCK_BYTES` (set by
     T, n, P and the budget only), one `pool` task each (inline without a
@@ -331,11 +331,9 @@ def estimate_sweep(
     full shape, with zero weights in the other rows, so each masked row is
     bitwise the value of the unmasked sweep.
     """
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    weights = ParameterSet(np.atleast_2d(weights)).weights
     t_count, p_count = weights.shape
     _check_sizes(data, model, p_count)
-    if np.any(weights <= 0):
-        raise DomainError("all parameter weights must be positive")
     rows = np.ones(t_count, dtype=bool) if rows is None else np.asarray(rows)
     if rows.shape != (t_count,) or rows.dtype != bool:
         raise DimensionError(f"rows must be a boolean mask of {t_count} entries")

@@ -66,6 +66,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NumericError,
+    _checked_int,
 )
 from .pool import WorkerPool, column_blocks
 
@@ -147,10 +148,10 @@ class ParameterSet(Sequence):
     """A read-only sequence of parameter points held as one (T, P) weight array.
 
     `weights` is a read-only float64 view of the array given, checked once as
-    a whole (2-D, finite, positive).  A :class:`ParameterPoint` is built only
-    when a point is indexed or iterated; a slice is a ParameterSet over a view
-    of the array, and ``+`` gives a list.  O(T P) memory: 29.6 MB at the 31^4
-    points the default training cap admits, against 332-338 MB as a list.
+    a whole, by the package's one rule for weight arrays: 2-D with P >= 1
+    (DimensionError), finite and positive (DomainError naming the first bad
+    point).  A :class:`ParameterPoint` is built only when a point is indexed
+    or iterated; a slice is a ParameterSet over a view of the array.
     """
 
     def __init__(self, weights):
@@ -178,12 +179,6 @@ class ParameterSet(Sequence):
     def __iter__(self):
         for row in self.weights:
             yield ParameterPoint(row.tolist())
-
-    def __add__(self, other) -> list:
-        return [*self, *other]
-
-    def __radd__(self, other) -> list:
-        return [*other, *self]
 
 
 @dataclass(frozen=True)
@@ -396,12 +391,12 @@ def build_mesh(nx: int, ny: int, px: int, py: int) -> Mesh:
     Raises
     ------
     ConfigurationError
-        If a grid size is not positive or not divisible by its block count,
-        or if nx or ny is below 2.
+        If a count fails `errors._checked_int` (4.0 is taken as 4), if nx
+        or ny is below 2, or if a grid size is not divisible by its block
+        count.
     """
-    for name, value in (("nx", nx), ("ny", ny), ("px", px), ("py", py)):
-        if int(value) != value or value < 1:
-            raise ConfigurationError(f"{name} must be a positive integer, got {value}")
+    nx, ny, px, py = (_checked_int(name, value, 1) for name, value in
+                      (("nx", nx), ("ny", ny), ("px", px), ("py", py)))
     if min(nx, ny) < 2:
         raise ConfigurationError(
             f"the {nx}x{ny} grid has no interior DOF; nx and ny must be at least 2"

@@ -40,7 +40,8 @@ from . import rb
 # The lazy sweep's provisional values, bound at import: a tracer that wraps
 # `estimator.estimate_sweep` counts one full sweep per iteration, not these too.
 from .estimator import estimate_sweep as _provisional_sweep
-from .errors import ConfigurationError, DimensionError, DomainError, GreedyError, _integer
+from .errors import (ConfigurationError, DimensionError, GreedyError, _check_positive_real,
+                     _checked_int)
 from .fem import (AffineSystem, ColumnBlocks, ParameterPoint, ParameterSet, Snapshot,
                   _tail_squares, _x_orthonormal, solve_fom)
 from .pool import WorkerPool
@@ -71,14 +72,14 @@ STOP_STAGNATED = "stagnated"
 class GreedyConfig:
     """Configuration of a greedy run.
 
-    `training_set`, any nonempty sequence of distinct points of one size, is
-    stored as a :class:`fem.ParameterSet` (one given is kept, a list stacked
-    once), so a run reads its (T, P) array and builds only the selected
-    points.  The duplicate check holds O(T) memory beyond the array: at the
-    31^4 grid it takes 0.04 s and peaks at 44 MB with the 29.6 MB array.
+    `training_set` must be a nonempty :class:`fem.ParameterSet` of distinct
+    points (ConfigurationError otherwise), so a run reads its (T, P) array
+    and builds only the selected points; the duplicate check holds O(T)
+    memory beyond the array.  The counts go through `errors._checked_int`
+    and `tolerance` through `errors._check_positive_real`.
     """
 
-    training_set: Sequence[ParameterPoint]
+    training_set: ParameterSet
     batch_size: int = 1
     tolerance: float = 1e-5
     max_basis_size: int = 150
@@ -86,19 +87,11 @@ class GreedyConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "max_basis_size", "worker_count"):
-            value = getattr(self, name)
-            if _integer(value) is None or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
-            setattr(self, name, _integer(value))
-        if not self.tolerance > 0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.training_set:
-            raise ConfigurationError("training_set must not be empty")
-        if not isinstance(self.training_set, ParameterSet):
-            sizes = {mu.size for mu in self.training_set}
-            if len(sizes) != 1:
-                raise ConfigurationError(f"mixed parameter sizes in training set: {sizes}")
-            self.training_set = ParameterSet([mu.weights for mu in self.training_set])
+            setattr(self, name, _checked_int(name, getattr(self, name), 1))
+        _check_positive_real("tolerance", self.tolerance)
+        if not isinstance(self.training_set, ParameterSet) or not self.training_set:
+            raise ConfigurationError("training_set must be a nonempty fem.ParameterSet, "
+                                     f"got {type(self.training_set).__name__}")
         duplicate = _first_duplicate(self.training_set.weights)
         if duplicate is not None:
             raise ConfigurationError(
@@ -537,16 +530,14 @@ def sigma_proxy(model: rb.ReducedModel, weights: np.ndarray, trace=None) -> np.n
     the trace holds every size (b = 1), nothing is factored.
 
     `model` must carry estimator data (as left behind by the greedy loop);
-    `weights` is a (T, P) array of positive training weights.
+    `weights` is a (T, P) training weight array, checked by fem.ParameterSet.
     """
     data = model.estimator_data
     if data is None:
         raise ConfigurationError("model carries no estimator data")
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    weights = ParameterSet(np.atleast_2d(weights)).weights
     p_count = weights.shape[1]
     est_mod._check_sizes(data, model, p_count)
-    if np.any(weights <= 0):
-        raise DomainError("all parameter weights must be positive")
     alpha, size = weights.min(axis=1), model.basis_size
     proxy = np.zeros(size + 1)
     proxy[0] = (data.load_dual_norm / alpha).max()

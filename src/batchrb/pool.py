@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy  # noqa: F401  (loads numpy's OpenBLAS)
 import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
-from .errors import ConfigurationError, _integer
+from .errors import _checked_int
 
 #: Columns per task of a column-independent computation.  Fixed, so the split
 #: and with it every result never depends on the worker count.
@@ -71,14 +71,13 @@ class WorkerPool:
     more concurrent solves only contend for the CPUs; with one thread tasks
     run inline.  Results never depend on the worker count: tasks are
     independent, and the ordered collection makes the merge order fixed.
-    Use as a context manager to release threads promptly.
+    `workers` goes through the package's one count check,
+    `errors._checked_int`.  Use as a context manager to release threads
+    promptly.
     """
 
     def __init__(self, workers: int = 1):
-        count = _integer(workers)
-        if count is None or count < 1:
-            raise ConfigurationError(f"workers must be a positive integer, got {workers}")
-        self.workers = min(count, _available_cpus())
+        self.workers = min(_checked_int("workers", workers, 1), _available_cpus())
         self._executor = (
             ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )

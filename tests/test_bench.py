@@ -11,7 +11,6 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,10 +169,6 @@ class TestTrainingSet:
             assert points[i].weights == weights[i]
         for part in (slice(1, None, 2), slice(-3, None), slice(None, None, -1), slice(2, 2)):
             assert [mu.weights for mu in points[part]] == weights[part]
-        joined = points + expected[:2]
-        assert type(joined) is list and [mu.weights for mu in joined] == weights + weights[:2]
-        joined = expected[:2] + points[1:]
-        assert type(joined) is list and [mu.weights for mu in joined] == weights[:2] + weights[1:]
 
     def test_config_holds_about_the_array(self):
         """65,536 points: the (T, P) array is 2 MiB; a list of points held ~16 MB."""
@@ -317,7 +312,7 @@ class TestConfig:
             "worker_count", "max_basis_size", "training_cap",
         ],
     )
-    @pytest.mark.parametrize("value", [2.5, "3", float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [2.5, "3", float("nan"), float("inf"), True])
     def test_non_integer_fields_rejected(self, name, value):
         """Each integer field names itself in a ConfigurationError, as batch
         sizes do, instead of failing later with an untyped TypeError."""
@@ -597,7 +592,7 @@ class TestBulkSolves:
     def test_blocks_equal_per_point_solves(self, system, workers):
         points = bench.build_training_set(2, 2, 3)  # 81: a full and a tail block
         with WorkerPool(workers) as pool:
-            blocks = bench._solve_on_pool(pool, system, points, "training solves")
+            blocks = bench._solve_on_pool(pool, system, points.weights, "training solves")
         assert [block.shape[1] for block in blocks] == [64, 17]
         columns = np.concatenate(blocks, axis=1).T
         for mu, column in zip(points, columns):
@@ -609,12 +604,13 @@ class TestBulkSolves:
     def test_first_failing_point_in_order_raised(self, system, workers):
         # Point 100 (second block) fails its residual and point 130 (third
         # block) its factorization; the pool raises the first in order.
-        points = bench.build_training_set(2, 2, 3) + bench.build_training_set(2, 2, 4)[:70]
-        points[100] = SimpleNamespace(weights=(0.5, 0.0, 0.5, 0.5))
-        points[130] = SimpleNamespace(weights=(-0.5, -0.5, -0.5, -0.5))
+        weights = np.vstack([bench.build_training_set(2, 2, 3).weights,
+                             bench.build_training_set(2, 2, 4).weights[:70]])
+        weights[100] = (0.5, 0.0, 0.5, 0.5)
+        weights[130] = (-0.5, -0.5, -0.5, -0.5)
         with WorkerPool(workers) as pool:
             with pytest.raises(NumericError, match="relative residual") as error:
-                bench._solve_on_pool(pool, system, points, "training solves")
+                bench._solve_on_pool(pool, system, weights, "training solves")
         assert str((0.5, 0.0, 0.5, 0.5)) in str(error.value)
 
     def test_phase_lines_give_count_blocks_and_time_per_solve(self, tmp_path, caplog):

@@ -224,6 +224,9 @@ class TestEstimate:
         system, basis, model, data = setup
         with pytest.raises(DomainError):
             estimator.estimate_sweep(data, model, np.array([[0.5, -0.1, 0.2, 0.3]]))
+        for bad in (np.nan, np.inf):  # neither compares <= 0
+            with pytest.raises(DomainError, match=r"finite and positive.* at point 1"):
+                estimator.estimate_sweep(data, model, np.array([[0.5] * 4, [0.5, bad, 0.2, 0.3]]))
         with pytest.raises(DimensionError):
             estimator.estimate_sweep(data, model, np.ones((2, 3)))
         with pytest.raises(DimensionError):
@@ -264,9 +267,9 @@ class TestSinglePointPath:
         _, config, (basis, model, _) = sweep_run
         data = model.estimator_data
         rng = np.random.default_rng(29)
-        points = config.training_set[::17] + [
-            fem.ParameterPoint(tuple(w)) for w in rng.uniform(0.1, 1.0, (8, 4))
-        ]
+        points = fem.ParameterSet(
+            np.vstack([config.training_set.weights[::17], rng.uniform(0.1, 1.0, (8, 4))])
+        )
         for n in range(basis.size + 1):
             sub_model, sub_data = rb.prefix_model(model, n), estimator.prefix_data(data, n)
             for mu in points:

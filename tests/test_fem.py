@@ -60,6 +60,13 @@ class TestMesh:
     def test_positive_sizes_required(self):
         with pytest.raises(ConfigurationError):
             fem.build_mesh(0, 4, 1, 1)
+        for name, args in [("nx", (np.nan, 8, 2, 2)), ("nx", (np.inf, 8, 2, 2)),
+                           ("ny", (8, 2.5, 2, 2)), ("px", (8, 8, True, 2)), ("py", (8, 8, 2, "2"))]:
+            with pytest.raises(ConfigurationError, match=f"^{name}=.* must be an integer >= 1"):
+                fem.build_mesh(*args)
+        mesh = fem.build_mesh(4.0, 8, 2, 2)
+        assert type(mesh.nx) is int
+        assert mesh.vertices.tobytes() == fem.build_mesh(4, 8, 2, 2).vertices.tobytes()
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (4, 1)])
     def test_grid_without_interior_dof_rejected(self, nx, ny):

@@ -28,10 +28,7 @@ from oracles import classical_weak_greedy, projection_error_dense
 
 def grid_params(per_dim, count=4, lo=0.1, hi=1.0):
     values = np.linspace(lo, hi, per_dim)
-    return [
-        fem.ParameterPoint(combo)
-        for combo in itertools.product(values, repeat=count)
-    ]
+    return fem.ParameterSet(list(itertools.product(values, repeat=count)))
 
 
 @pytest.fixture(scope="module")
@@ -280,13 +277,13 @@ class TestSigmaProxy:
             reference = estimator.estimate_sweep(sub_data, sub_model, weights).max()
             assert abs(dense[n] - reference) <= 1e-14 * dense[0]
 
-    @pytest.mark.parametrize("value", [0.0, -0.5])
+    @pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf])
     def test_non_positive_weights_rejected(self, run_b3, training, value):
         _, model, trace = run_b3
         weights = np.array([mu.weights for mu in training])
         weights[5, 2] = value
         for run_trace in (None, trace):
-            with pytest.raises(DomainError, match="positive"):
+            with pytest.raises(DomainError, match=r"finite and positive.* at point 5"):
                 greedy.sigma_proxy(model, weights, run_trace)
 
     def test_memory_below_one_prefix_table(self):
@@ -370,7 +367,7 @@ class TestWorkerInvariance:
 
 class TestDegenerateTrainingSets:
     def test_collinear_snapshots_discarded(self, system):
-        diagonal = [fem.ParameterPoint.uniform(4, c) for c in np.linspace(0.1, 1, 9)]
+        diagonal = fem.ParameterSet(np.repeat(np.linspace(0.1, 1, 9)[:, None], 4, axis=1))
         config = greedy.GreedyConfig(
             training_set=diagonal, batch_size=4, tolerance=1e-5
         )
@@ -382,10 +379,7 @@ class TestDegenerateTrainingSets:
         assert trace.iterations[-1].rel_estimate <= 1e-6
 
     def test_exhaustion(self, system):
-        few = [
-            fem.ParameterPoint(w)
-            for w in [(0.1, 1, 1, 1), (1, 0.1, 1, 1), (1, 1, 0.1, 1), (1, 1, 1, 0.1)]
-        ]
+        few = fem.ParameterSet([(0.1, 1, 1, 1), (1, 0.1, 1, 1), (1, 1, 0.1, 1), (1, 1, 1, 0.1)])
         config = greedy.GreedyConfig(
             training_set=few, batch_size=2, tolerance=1e-30
         )
@@ -407,7 +401,7 @@ class TestDegenerateTrainingSets:
 class TestStagnation:
     def test_rejected_batch_stops_both_drivers(self, system):
         """Collinear snapshots: after the first, every pick is rejected."""
-        diagonal = [fem.ParameterPoint.uniform(4, c) for c in np.linspace(0.1, 1, 9)]
+        diagonal = fem.ParameterSet(np.repeat(np.linspace(0.1, 1, 9)[:, None], 4, axis=1))
         config = greedy.GreedyConfig(
             training_set=diagonal, batch_size=2, tolerance=1e-30
         )
@@ -576,29 +570,31 @@ class TestErrors:
             assert info.value.trace.stop_reason == "error"
 
     def test_config_validation(self, training):
-        with pytest.raises(ConfigurationError):
-            greedy.GreedyConfig(training_set=[])
+        for points in ([], fem.ParameterSet(np.empty((0, 4))), list(training)):
+            with pytest.raises(ConfigurationError, match="nonempty fem.ParameterSet"):
+                greedy.GreedyConfig(training_set=points)
         with pytest.raises(ConfigurationError):
             greedy.GreedyConfig(training_set=training, batch_size=0)
+        for tolerance in (0.0, math.nan, "1e-3", None, True):
+            with pytest.raises(ConfigurationError, match="^tolerance=.* must be a real number > 0"):
+                greedy.GreedyConfig(training_set=training, tolerance=tolerance)
+        assert greedy.GreedyConfig(training_set=training, tolerance=math.inf).tolerance == math.inf
         with pytest.raises(ConfigurationError):
-            greedy.GreedyConfig(training_set=training, tolerance=0.0)
-        with pytest.raises(ConfigurationError):
-            greedy.GreedyConfig(training_set=training + [training[0]])
-        mixed = [fem.ParameterPoint((0.5, 0.5)), fem.ParameterPoint((0.5, 0.5, 0.5))]
-        with pytest.raises(ConfigurationError):
-            greedy.GreedyConfig(training_set=mixed)
+            greedy.GreedyConfig(training_set=fem.ParameterSet(
+                np.vstack([training.weights, training.weights[:1]])))
 
-    @pytest.mark.parametrize("form", ["list", "set"])
+    @pytest.mark.parametrize("form", ["set", "view"])
     def test_first_duplicate_in_training_order_reported(self, form):
         weights = np.linspace(0.1, 1.0, 40).reshape(10, 4)
         # Rows 7 and 9 repeat rows 2 and 4; row 7 comes first.
         weights = np.vstack([weights[:7], weights[2], weights[8], weights[4]])
         points = fem.ParameterSet(weights)
-        training = [fem.ParameterPoint(row) for row in weights] if form == "list" else points
+        if form == "view":  # every other row of a set twice as long, slicing a view
+            points = fem.ParameterSet(np.repeat(weights, 2, axis=0))[::2]
         with pytest.raises(ConfigurationError, match=re.escape(
             f"duplicate training point {points[2].weights}"
         )):
-            greedy.GreedyConfig(training_set=training)
+            greedy.GreedyConfig(training_set=points)
 
     def test_rows_differing_in_one_weight_are_distinct(self):
         """Rows equal but in one weight never share a hash word."""
@@ -610,28 +606,28 @@ class TestErrors:
         weights[80] = weights[17]
         assert greedy._first_duplicate(weights) == 63
 
-    @pytest.mark.parametrize("form", ["list", "set"])
+    @pytest.mark.parametrize("form", ["set", "stack"])
     def test_mixed_sizes_rejected(self, form):
+        """One array holds one size: mixed sizes are refused before a config exists."""
         small, large = bench.build_training_set(1, 2, 3), bench.build_training_set(1, 3, 3)
-        if form == "list":
-            with pytest.raises(ConfigurationError, match="mixed parameter sizes"):
-                greedy.GreedyConfig(training_set=small[:4] + large[:4])
-        else:  # one array holds one size: a ragged stack is refused before a config exists
-            with pytest.raises(ValueError):
+        with pytest.raises(ValueError):
+            if form == "set":
                 fem.ParameterSet([small[0].weights, large[0].weights])
+            else:
+                fem.ParameterSet(np.vstack([small.weights[:4], large.weights[:4]]))
 
-    def test_set_kept_and_list_stacked(self, training):
+    def test_set_kept_and_list_refused(self):
         points = bench.build_training_set(2, 2, 3)
         assert greedy.GreedyConfig(training_set=points).training_set is points
-        stacked = greedy.GreedyConfig(training_set=training).training_set
-        assert isinstance(stacked, fem.ParameterSet)
-        assert list(stacked) == training
+        with pytest.raises(ConfigurationError, match="nonempty fem.ParameterSet"):
+            greedy.GreedyConfig(training_set=list(points))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True,
+                                       pytest.param(np.True_, id="np.True_")])
     @pytest.mark.parametrize("name", ["batch_size", "worker_count", "max_basis_size"])
     def test_integer_fields_reject_non_integers(self, training, name, value):
         """Each raises ConfigurationError; a NaN cap must not disable the cap."""
-        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+        with pytest.raises(ConfigurationError, match=f"^{name}=.* must be an integer >= 1"):
             greedy.GreedyConfig(training_set=training, **{name: value})
 
     def test_integer_fields_normalized(self, training):
@@ -642,7 +638,7 @@ class TestErrors:
             assert type(value) is int
 
     def test_parameter_size_mismatch(self, system):
-        config = greedy.GreedyConfig(training_set=[fem.ParameterPoint((0.5, 0.5))])
+        config = greedy.GreedyConfig(training_set=fem.ParameterSet([(0.5, 0.5)]))
         with pytest.raises(DimensionError):
             greedy.run_batch_greedy(system, config)
 
@@ -672,7 +668,8 @@ class TestStrongGreedy:
         mu = fem.ParameterPoint((0.3, 0.6, 0.9, 0.2))
         snapshots = [fem.solve_fom(system, mu)]
         spanned = rb.snapshot_basis(snapshots, system)
-        config = greedy.GreedyConfig(training_set=[mu], batch_size=1, tolerance=1e-5)
+        config = greedy.GreedyConfig(training_set=fem.ParameterSet([mu.weights]), batch_size=1,
+                                     tolerance=1e-5)
         basis, trace = greedy.run_strong_greedy(system, config, spanned, snapshots)
         assert basis.size == 1
         assert trace.iterations[-1].max_estimate <= 1e-10
@@ -915,7 +912,8 @@ class TestCoordinateSigma:
     def test_matches_raw_distances_where_b_is_not_orthonormal(self):
         system = fem.assemble(fem.build_mesh(32, 32, 2, 2))
         training = bench.build_training_set(2, 2, 8)
-        blocks = bench._solve_on_pool(pool_mod.WorkerPool(), system, training, "training solves")
+        blocks = bench._solve_on_pool(pool_mod.WorkerPool(), system, training.weights,
+                                      "training solves")
         config = greedy.GreedyConfig(training_set=training, batch_size=8, tolerance=1e-5)
         basis, _, _ = greedy.run_batch_greedy(system, config)
         spanned = rb.snapshot_basis(blocks, system)
@@ -939,7 +937,7 @@ class TestStrongPeelColumnBlocks:
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bytes_equal_to_inline_run(self, system, snapshots625, b, workers):
-        training = list(snapshots625)
+        training = grid_params(5)  # the snapshots' keys, in order
         assert len(training) > 2 * pool_mod.COLUMN_BLOCK
         config = greedy.GreedyConfig(training_set=training, batch_size=b, tolerance=1e-9)
         inline = rb.snapshot_basis(snapshots625, system)
@@ -1023,7 +1021,7 @@ class TestSolvedColumnBlocks:
         results = []
         with pool_mod.WorkerPool(workers or 1) as pool:
             task_pool = pool if workers else None
-            blocks = bench._solve_on_pool(pool, system, training625, "training solves")
+            blocks = bench._solve_on_pool(pool, system, training625.weights, "training solves")
             assert len(blocks) > 1
             for snapshots in (blocks, mapping):
                 spanned = rb.snapshot_basis(snapshots, system, task_pool)

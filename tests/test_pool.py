@@ -15,9 +15,9 @@ from batchrb.pool import COLUMN_BLOCK, WorkerPool, column_blocks
 class TestWorkerPool:
     def test_threads_capped_at_affinity(self):
         cpus = len(os.sched_getaffinity(0))
-        for requested in (1, 2, cpus, cpus + 1, 4 * cpus):
+        for requested in (1, 2, cpus, float(cpus), cpus + 1, 4 * cpus):
             with WorkerPool(requested) as pool:
-                assert pool.workers == min(requested, cpus)
+                assert pool.workers == min(requested, cpus) and type(pool.workers) is int
                 if pool._executor is not None:
                     assert pool._executor._max_workers == pool.workers
 
@@ -27,9 +27,9 @@ class TestWorkerPool:
             with WorkerPool(requested) as pool:
                 assert pool.map(lambda x: x * x, items) == [x * x for x in items]
 
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, math.nan, math.inf, True, "2", None])
     def test_rejects_bad_worker_counts(self, workers):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^workers=.* must be an integer >= 1"):
             WorkerPool(workers)
 
 

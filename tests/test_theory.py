@@ -17,10 +17,7 @@ from oracles import pod_errors_dense, projection_error_dense
 
 def grid_params(per_dim, count=4, lo=0.1, hi=1.0):
     values = np.linspace(lo, hi, per_dim)
-    return [
-        fem.ParameterPoint(combo)
-        for combo in itertools.product(values, repeat=count)
-    ]
+    return fem.ParameterSet(list(itertools.product(values, repeat=count)))
 
 
 @pytest.fixture(scope="module")
