@@ -113,28 +113,17 @@ ORTHONORMALITY_TOL = 1e-10
 class ParameterPoint:
     """A point of the parameter space: one positive weight per sub-block.
 
-    Weights are stored as a tuple so points are hashable and usable as
-    dictionary keys (snapshot tables).  Positivity and finiteness are
-    enforced here; membership in a concrete admissible box is checked where
-    parameter sets are constructed.
+    Weights are stored as a tuple of floats so points are hashable and usable
+    as dictionary keys (snapshot tables).  They are checked as the one row of
+    a :class:`ParameterSet`, by its rule: DimensionError unless a flat
+    nonempty sequence, DomainError unless finite and positive.  Membership in
+    a concrete admissible box is checked where parameter sets are constructed.
     """
 
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if len(w) == 0:
-            raise DomainError("a parameter point needs at least one weight")
-        if not all(np.isfinite(w)):
-            raise DomainError(f"non-finite weight in {w}")
-        if min(w) <= 0.0:
-            raise DomainError(f"weights must be positive, got {w}")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, count: int, value: float = 1.0) -> "ParameterPoint":
-        """The point (value, ..., value) with `count` entries."""
-        return cls((value,) * count)
+        object.__setattr__(self, "weights", tuple(ParameterSet([self.weights]).weights[0].tolist()))
 
     @property
     def size(self) -> int:
@@ -678,12 +667,15 @@ def solve_fom_block(system: AffineSystem, weights) -> np.ndarray:
     ------
     DimensionError
         If `weights` is not a (k, P) array for the system's P blocks.
+    DomainError
+        Naming the first row, by `ParameterSet`'s rule, with a weight that
+        is not finite and positive; nothing is factored then.
     NumericError
         Naming the first mu, in row order, whose S(mu) is not positive
         definite or whose relative residual exceeds 1e-10.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != system.block_count:
+    weights = ParameterSet(weights).weights
+    if weights.shape[1] != system.block_count:
         raise DimensionError(
             f"expected a (k, {system.block_count}) weight array, got shape {weights.shape}"
         )
@@ -720,16 +712,12 @@ def solve_fom(system: AffineSystem, mu: ParameterPoint) -> Snapshot:
     Raises
     ------
     DimensionError
-        If the parameter size does not match the system's block count
-        (non-positive weights are already rejected by `ParameterPoint`).
+        From `solve_fom_block`, if the parameter size does not match the
+        system's block count.
     NumericError
         If S(mu) is not positive definite or the relative residual exceeds
         1e-10.
     """
-    if mu.size != system.block_count:
-        raise DimensionError(
-            f"parameter has {mu.size} weights, system has {system.block_count} blocks"
-        )
     return Snapshot(coefficients=solve_fom_block(system, [mu.weights])[:, 0], parameter=mu)
 
 

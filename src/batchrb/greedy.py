@@ -40,8 +40,7 @@ from . import rb
 # The lazy sweep's provisional values, bound at import: a tracer that wraps
 # `estimator.estimate_sweep` counts one full sweep per iteration, not these too.
 from .estimator import estimate_sweep as _provisional_sweep
-from .errors import (ConfigurationError, DimensionError, GreedyError, _check_positive_real,
-                     _checked_int)
+from .errors import ConfigurationError, GreedyError, _check_positive_real, _checked_int
 from .fem import (AffineSystem, ColumnBlocks, ParameterPoint, ParameterSet, Snapshot,
                   _tail_squares, _x_orthonormal, solve_fom)
 from .pool import WorkerPool
@@ -199,9 +198,9 @@ def select_batch(
     smaller training-set index.  Returns fewer than batch_size indices when
     candidates run out; an empty list signals termination.  Costs O(T) plus
     a sort of the values that reach the (batch_size + |excluded|)-th largest.
+    `batch_size` goes through the one count check, `errors._checked_int`.
     """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = _checked_int("batch_size", batch_size, 1)
     keys = -np.asarray(estimates, dtype=float)
     excluded = set(excluded)
     count = min(batch_size + len(excluded), len(keys))
@@ -441,16 +440,11 @@ def run_batch_greedy(
     The error source is the residual estimator; its sweeps' row blocks and
     the b full-order solves of a batch run on the worker pool.  Raises
     :class:`GreedyError` carrying the offending parameter and the partial
-    trace if a full-order solve fails.
+    trace if a full-order solve fails, and the first sweep's DimensionError,
+    before any full-order solve, if the training set's P is not the system's.
     """
     if solver is None:
         solver = solve_fom
-    p_size = config.training_set.weights.shape[1]
-    if p_size != system.block_count:
-        raise DimensionError(
-            f"training parameters have {p_size} weights, "
-            f"system has {system.block_count} blocks"
-        )
 
     def solve_one(mu: ParameterPoint) -> Snapshot:
         try:

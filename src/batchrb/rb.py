@@ -312,14 +312,13 @@ def prefix_model(model: ReducedModel, n: int) -> ReducedModel:
 def solve_rom(model: ReducedModel, mu: ParameterPoint) -> np.ndarray:
     """Solve the reduced Galerkin system by dense Cholesky factorization: LAPACK's
     potrf/potrs, called as ``scipy.linalg.cho_factor``/``cho_solve`` call them
-    (bitwise equal), without the wrappers' validation overhead."""
-    if mu.size != model.block_count:
-        raise DimensionError(
-            f"parameter has {mu.size} weights, model has {model.block_count} blocks"
-        )
+    (bitwise equal), without the wrappers' validation overhead.  The matrix is
+    formed first, even for an empty basis, so `ReducedModel.matrix` raises
+    the DimensionError for a parameter of the wrong size."""
+    matrix = model.matrix(mu.as_array())
     if model.basis_size == 0:
         return np.zeros(0)
-    factor, info = dpotrf(model.matrix(mu.as_array()), lower=0, clean=0)
+    factor, info = dpotrf(matrix, lower=0, clean=0)
     if info > 0:
         raise NumericError(f"reduced operator not positive definite at mu={mu.weights}")
     x, _ = dpotrs(factor, model.load, lower=0)

@@ -598,20 +598,26 @@ class TestBulkSolves:
         for mu, column in zip(points, columns):
             assert fem.solve_fom(system, mu).coefficients.tobytes() == column.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_failing_point_in_order_raised(self, system, workers):
-        # Point 100 (second block) fails its residual and point 130 (third
-        # block) its factorization; the pool raises the first in order.
+    def test_first_failing_point_in_order_raised(self, monkeypatch, system, workers):
+        # Point 100 (second block) fails its residual check, and point 130
+        # (third block) the weight rule before anything is factored; the
+        # pool raises the first in order.
         weights = np.vstack([bench.build_training_set(2, 2, 3).weights,
                              bench.build_training_set(2, 2, 4).weights[:70]])
-        weights[100] = (0.5, 0.0, 0.5, 0.5)
+        weights[100] = (0.5, 0.25, 0.5, 0.5)
         weights[130] = (-0.5, -0.5, -0.5, -0.5)
+        check = fem._check_residuals
+
+        def failing(system, chunk, rows):
+            rows[(chunk == weights[100]).all(axis=1)] = np.nan
+            check(system, chunk, rows)
+
+        monkeypatch.setattr(fem, "_check_residuals", failing)
         with WorkerPool(workers) as pool:
             with pytest.raises(NumericError, match="relative residual") as error:
                 bench._solve_on_pool(pool, system, weights, "training solves")
-        assert str((0.5, 0.0, 0.5, 0.5)) in str(error.value)
+        assert str((0.5, 0.25, 0.5, 0.5)) in str(error.value)
 
     def test_phase_lines_give_count_blocks_and_time_per_solve(self, tmp_path, caplog):
         config = bench.ExperimentConfig(

@@ -629,7 +629,7 @@ class TestRieszSolver:
     def test_incremental_build_matches_scratch(self, layout):
         system, solver = layout
         rng = np.random.default_rng(8)
-        mu = fem.ParameterPoint.uniform(system.block_count)
+        mu = fem.ParameterPoint((1.0,) * system.block_count)
         snapshots = [fem.Snapshot(rng.standard_normal(system.dof_count), mu) for _ in range(3)]
         basis, _ = rb.extend(rb.ReducedBasis.empty(system.dof_count), snapshots, system)
         scratch = estimator.build_estimator(

@@ -1,6 +1,7 @@
 """Tests for the thermal-block full-order model."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,12 +105,13 @@ class TestMesh:
 
 class TestParameterPoint:
     def test_positive_weights_required(self):
-        with pytest.raises(DomainError):
-            fem.ParameterPoint((0.5, -0.1))
-        with pytest.raises(DomainError):
-            fem.ParameterPoint((0.0,))
-        with pytest.raises(DomainError):
-            fem.ParameterPoint((np.inf, 1.0))
+        """A point is checked as one row of a ParameterSet, by its rule."""
+        for weights in [(0.5, -0.1), (0.0,), (np.inf, 1.0), (np.nan, 1.0), (1.0, -np.inf)]:
+            with pytest.raises(DomainError, match="finite and positive"):
+                fem.ParameterPoint(weights)
+        for weights in [(), 0.5, ((0.5, 0.5),)]:
+            with pytest.raises(DimensionError):
+                fem.ParameterPoint(weights)
 
     def test_hashable_and_equal_by_value(self):
         a = fem.ParameterPoint((0.1, 0.2))
@@ -117,9 +119,13 @@ class TestParameterPoint:
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
 
-    def test_uniform(self):
-        mu = fem.ParameterPoint.uniform(3, 0.5)
-        assert mu.weights == (0.5, 0.5, 0.5)
+    @pytest.mark.parametrize("weights", [
+        (1, 3), (np.float32(0.1), np.float32(0.7)), (np.float64(0.1), 0.3), (True, 0.5),
+    ])
+    def test_weights_held_as_floats(self, weights):
+        mu = fem.ParameterPoint(weights)
+        assert mu.weights == tuple(float(x) for x in weights)
+        assert all(type(x) is float for x in mu.weights)
 
 
 class TestParameterSet:
@@ -167,7 +173,7 @@ class TestAssembly:
         mesh = fem.build_mesh(2, 2, 2, 2)
         system = fem.assemble(mesh)
         assert system.dof_count == 1
-        total = affine_matrix(system, fem.ParameterPoint.uniform(4)).toarray()
+        total = affine_matrix(system, fem.ParameterPoint((1.0, 1.0, 1.0, 1.0))).toarray()
         assert np.allclose(total, [[4.0]], rtol=0, atol=1e-14)
         assert system.load == pytest.approx([0.25], abs=1e-15)
         for comp in system.components:
@@ -450,34 +456,52 @@ class TestBlockSolve:
     def system8(self):
         return fem.assemble(fem.build_mesh(8, 8, 2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf, -0.5])
+    def test_bad_weight_rejected_before_factoring(self, monkeypatch, system8, bad):
+        weights = np.random.default_rng(2).uniform(0.1, 1.0, size=(5, 4))
+        weights[3, 1] = bad
+        monkeypatch.setattr(fem.Condensation, "cholesky", None)  # never reached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite and positive.* at point 3"):
+                fem.solve_fom_block(system8, weights)
+
+    @staticmethod
+    def failing_at(bad):
+        """`fem._check_residuals` with the solution of the point `bad` set to NaN."""
+        check = fem._check_residuals
+
+        def failing(system, weights, rows):
+            rows[(weights == bad).all(axis=1)] = np.nan
+            check(system, weights, rows)
+
+        return failing
+
     @pytest.mark.parametrize("budget", [None, 1 << 40])
     def test_indefinite_point_named_not_the_first(self, monkeypatch, system8, budget):
-        # A stacked factorization does not say which matrix failed.
+        # A stacked factorization does not say which matrix failed.  Negative
+        # weights fail the weight rule first, so the kernel is called directly.
         if budget is not None:
             monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", budget)
         weights = np.random.default_rng(2).uniform(0.1, 1.0, size=(5, 4))
         weights[2] = (-0.3, -0.7, -1.0, -0.45)
         with pytest.raises(NumericError, match="not positive definite") as error:
-            fem.solve_fom_block(system8, weights)
+            system8._condensation.solve(
+                weights, lambda chunk, rows: fem._check_residuals(system8, chunk, rows)
+            )
         assert str(tuple(weights[2].tolist())) in str(error.value)
         assert str(tuple(weights[0].tolist())) not in str(error.value)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("budget", [None, 1 << 40])
     def test_residual_failure_named(self, monkeypatch, system8, budget):
-        # A zero weight keeps S(mu) positive definite on 2x2 blocks, but
-        # its block's interior divides by zero and the residual is NaN.
         if budget is not None:
             monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", budget)
         weights = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 4))
-        weights[2, 1] = 0.0
+        monkeypatch.setattr(fem, "_check_residuals", self.failing_at(weights[2]))
         with pytest.raises(NumericError, match="relative residual") as error:
             fem.solve_fom_block(system8, weights)
         assert str(tuple(weights[2].tolist())) in str(error.value)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_earlier_residual_failure_wins_over_later_factorization(
         self, monkeypatch, system8
     ):
@@ -485,10 +509,10 @@ class TestBlockSolve:
         # is reported, whichever check catches it.
         monkeypatch.setattr(fem, "FACTOR_BLOCK_BYTES", 1 << 40)
         weights = np.random.default_rng(4).uniform(0.1, 1.0, size=(5, 4))
-        weights[1, 0] = 0.0
         weights[3] = -weights[3]
+        check = self.failing_at(weights[1])
         with pytest.raises(NumericError, match="relative residual") as error:
-            fem.solve_fom_block(system8, weights)
+            system8._condensation.solve(weights, lambda chunk, rows: check(system8, chunk, rows))
         assert str(tuple(weights[1].tolist())) in str(error.value)
 
 

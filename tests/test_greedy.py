@@ -77,6 +77,14 @@ class TestSelectBatch:
         assert greedy.select_batch(estimates, 10, excluded={1}) == [2, 0, 3]
         assert greedy.select_batch(estimates, 2, excluded={0, 1, 2, 3}) == []
 
+    @pytest.mark.parametrize("b", [0, 2.5, True, "2"])
+    def test_batch_size_by_the_count_rule(self, b):
+        with pytest.raises(ConfigurationError, match="^batch_size=.* must be an integer >= 1"):
+            greedy.select_batch(np.array([0.2, 0.9, 0.5]), b)
+
+    def test_integral_float_batch_size_accepted(self):
+        assert greedy.select_batch(np.array([0.2, 0.9, 0.5]), 2.0) == [1, 2]
+
     @pytest.mark.parametrize("b", [1, 2, 4, 8])
     def test_matches_full_lexsort_with_ties(self, b):
         """The partitioned selection equals the full sort it replaces, ties
@@ -638,9 +646,12 @@ class TestErrors:
             assert type(value) is int
 
     def test_parameter_size_mismatch(self, system):
+        """The first sweep raises, before any full-order solve."""
         config = greedy.GreedyConfig(training_set=fem.ParameterSet([(0.5, 0.5)]))
+        calls = []
         with pytest.raises(DimensionError):
-            greedy.run_batch_greedy(system, config)
+            greedy.run_batch_greedy(system, config, solver=lambda *args: calls.append(args))
+        assert calls == []
 
 
 @pytest.fixture(scope="module")

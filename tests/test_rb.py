@@ -283,7 +283,7 @@ def test_extension_forms_constant_gram_products(system):
     """One snapshot costs O(1) products with M_X whatever the basis size n."""
     rng = np.random.default_rng(3)
     fakes = [
-        fem.Snapshot(rng.standard_normal(system.dof_count), fem.ParameterPoint.uniform(4))
+        fem.Snapshot(rng.standard_normal(system.dof_count), fem.ParameterPoint((1.0,) * 4))
         for _ in range(20)
     ]
     snap = fem.solve_fom(system, MUS[0])
@@ -347,7 +347,7 @@ def test_full_basis_reproduces_fom(system):
     rng = np.random.default_rng(5)
     n = system.dof_count
     fakes = [
-        fem.Snapshot(rng.standard_normal(n), fem.ParameterPoint.uniform(4))
+        fem.Snapshot(rng.standard_normal(n), fem.ParameterPoint((1.0,) * 4))
         for _ in range(n)
     ]
     basis, records = rb.extend(rb.ReducedBasis.empty(n), fakes, system)
@@ -459,7 +459,7 @@ class TestLeanSolve:
         empty = rb.prefix_model(greedy_model, 0)
         x = rb.solve_rom(empty, MUS[0])
         assert x.shape == (0,) and x.dtype == float
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="expected 4 weights per row"):  # model.matrix's
             rb.solve_rom(empty, fem.ParameterPoint((1.0, 1.0)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 on the way

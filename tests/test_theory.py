@@ -111,7 +111,7 @@ class TestWidthSurrogate:
     def test_rank_one_family(self, system):
         family = {
             mu: fem.solve_fom(system, mu)
-            for mu in (fem.ParameterPoint.uniform(4, c) for c in np.linspace(0.1, 1, 7))
+            for mu in (fem.ParameterPoint((c, c, c, c)) for c in np.linspace(0.1, 1, 7))
         }
         surrogate = theory.pod_width_upper_bound(family, system)
         assert surrogate.rank == 1
