@@ -62,7 +62,7 @@ class ExperimentConfig:
             if name != "ny" or self.ny is not None:
                 object.__setattr__(self, name, _checked_int(name, getattr(self, name), low))
         sizes = tuple(_integer(b) for b in self.batch_sizes)
-        if not sizes or None in sizes or min(sizes) < 1:
+        if not sizes or None in sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
             raise ConfigurationError(f"invalid batch sizes {self.batch_sizes!r}")
         object.__setattr__(self, "batch_sizes", sizes)
         _check_positive_real("tolerance", self.tolerance)
@@ -295,7 +295,8 @@ def write_lock(config: ExperimentConfig, path) -> Path:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat key=value config file into an ExperimentConfig."""
+    """Parse a flat key=value config file into an ExperimentConfig; a key
+    given twice is a ConfigurationError naming its second line."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -304,7 +305,10 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: {key} given twice")
+        values[key] = value.strip()
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     unknown = set(values) - set(types)
     if unknown:

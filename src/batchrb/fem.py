@@ -51,6 +51,7 @@ factor of S(1, ..., 1), one dense m x m matrix per greedy run.
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -125,6 +126,13 @@ class ParameterPoint:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(ParameterSet([self.weights]).weights[0].tolist()))
 
+    @classmethod
+    def _from_checked(cls, row: np.ndarray) -> "ParameterPoint":
+        """The point of a row that a ParameterSet has already checked, not checked again."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "weights", tuple(row.tolist()))
+        return point
+
     @property
     def size(self) -> int:
         return len(self.weights)
@@ -140,7 +148,8 @@ class ParameterSet(Sequence):
     a whole, by the package's one rule for weight arrays: 2-D with P >= 1
     (DimensionError), finite and positive (DomainError naming the first bad
     point).  A :class:`ParameterPoint` is built only when a point is indexed
-    or iterated; a slice is a ParameterSet over a view of the array.
+    or iterated, from its checked row without a second check; a slice is a
+    ParameterSet over a view of the array.
     """
 
     def __init__(self, weights):
@@ -163,11 +172,11 @@ class ParameterSet(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return ParameterSet(self.weights[index])
-        return ParameterPoint(self.weights[index].tolist())
+        return ParameterPoint._from_checked(self.weights[operator.index(index)])
 
     def __iter__(self):
         for row in self.weights:
-            yield ParameterPoint(row.tolist())
+            yield ParameterPoint._from_checked(row)
 
 
 @dataclass(frozen=True)

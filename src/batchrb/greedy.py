@@ -337,9 +337,9 @@ def _run_greedy(
     exactly; `update(basis)` after an extension); `fetch` returns the snapshots of the
     selections.  Stopping uses the relative criterion
     max_mu err_n(mu) <= tolerance * max_mu err_0(mu), checked before
-    selection; the run also stops when the basis reaches its cap, when no
-    candidate is left, or when every member of a batch is rejected
-    ("stagnated").
+    selection; the run also stops when the basis reaches its cap (a batch
+    selects at most the room left under it), when no candidate is left, or
+    when every member of a batch is rejected ("stagnated").
     """
     trace = GreedyTrace(batch_size=config.batch_size)
     basis = rb.ReducedBasis.empty(system.dof_count)
@@ -361,7 +361,9 @@ def _run_greedy(
         elif basis.size >= config.max_basis_size:
             stop = STOP_MAX_BASIS
         else:
-            chosen = select_batch(errors, config.batch_size, np.flatnonzero(excluded))
+            # At most the room left under the cap, at least one member.
+            room = min(config.batch_size, config.max_basis_size - basis.size)
+            chosen = select_batch(errors, room, np.flatnonzero(excluded))
             if not chosen:
                 stop = STOP_EXHAUSTED
         if stop is not None:
@@ -430,9 +432,7 @@ def _run_greedy(
 
 
 def run_batch_greedy(
-    system: AffineSystem,
-    config: GreedyConfig,
-    solver: Optional[Callable[[AffineSystem, ParameterPoint], Snapshot]] = None,
+    system: AffineSystem, config: GreedyConfig
 ) -> tuple[rb.ReducedBasis, rb.ReducedModel, GreedyTrace]:
     """Run the weak batch greedy until tolerance, basis cap, exhaustion or
     stagnation.
@@ -443,12 +443,10 @@ def run_batch_greedy(
     trace if a full-order solve fails, and the first sweep's DimensionError,
     before any full-order solve, if the training set's P is not the system's.
     """
-    if solver is None:
-        solver = solve_fom
-
     def solve_one(mu: ParameterPoint) -> Snapshot:
         try:
-            return solver(system, mu)
+            # Looked up per call, so a rebinding of `greedy.solve_fom` is seen.
+            return solve_fom(system, mu)
         except Exception as exc:
             # The pool re-raises the first failure in batch order, so the
             # parameter reported does not depend on the worker count.

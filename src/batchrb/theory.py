@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -225,74 +224,70 @@ def check_P2(trace, sigma) -> CheckReport:
     return CheckReport("P2", status, worst, context)
 
 
-def bound_theorem_product(N, K, m, b, gamma, sigma, d_up) -> CheckReport:
-    """Check the product bound for one index combination.
+def check_product_bound(sigma, d_up, b, gamma) -> CheckReport:
+    """Verify the product bound for every admissible ``(K, N, m)``.
 
     Evaluates ``prod_{i=1}^{K} sigma_{N+b-1+i}**2`` against
     ``gamma**(-2K) * (K/m)**m * (K/(K-m))**(K-m) * sigma_{N+1}**(2m)
-    * d_up[m]**(2(K-m))``.  Both sides scale identically, so no
-    normalization is needed; the right side gets a relative slack of
-    ``BOUND_SLACK``.
+    * d_up[m]**(2(K-m))`` for ``2 <= K <= PRODUCT_MAX_K``, every ``N >= 0``
+    with ``N + b - 1 + K`` inside sigma and ``1 <= m < K`` inside d_up.  Both
+    sides scale identically, so no normalization is needed; the right side
+    gets a relative slack of ``BOUND_SLACK``.  The context is the first
+    instance, in ``(K, N, m)`` order, with the smallest margin.
     """
-    if N < 0 or K < 1 or b < 1 or not 1 <= m < K:
-        raise IndexError(f"invalid index combination N={N}, K={K}, m={m}, b={b}")
     sig = np.asarray(sigma, dtype=float)
     d = np.asarray(d_up, dtype=float)
-    if N + b - 1 + K >= sig.size or N + 1 >= sig.size:
-        raise IndexError(
-            f"sigma has {sig.size} entries; need index {N + b - 1 + K}"
-        )
-    if m >= d.size:
-        raise IndexError(f"d_up has {d.size} entries; need index {m}")
-    lhs = float(np.prod(sig[N + b : N + b + K] ** 2))
-    rhs = (
-        gamma ** (-2 * K)
-        * (K / m) ** m
-        * (K / (K - m)) ** (K - m)
-        * sig[N + 1] ** (2 * m)
-        * d[m] ** (2 * (K - m))
-    )
-    margin = rhs * (1.0 + BOUND_SLACK) - lhs
-    status = "pass" if margin >= 0.0 else "fail"
-    context = {
-        "N": int(N),
-        "K": int(K),
-        "m": int(m),
-        "b": int(b),
-        "gamma": float(gamma),
-        "alpha": None,
-    }
-    return CheckReport("product-bound", status, float(margin), context)
+    worst, context, passed = None, {"gamma": float(gamma)}, True
+    for K in range(2, PRODUCT_MAX_K + 1):
+        for N in range(0, sig.size - b - K + 1):
+            lhs = float(np.prod(sig[N + b : N + b + K] ** 2))
+            for m in range(1, min(K, d.size)):
+                rhs = (gamma ** (-2 * K) * (K / m) ** m * (K / (K - m)) ** (K - m)
+                       * sig[N + 1] ** (2 * m) * d[m] ** (2 * (K - m)))
+                margin = float(rhs * (1.0 + BOUND_SLACK) - lhs)
+                passed = passed and margin >= 0.0
+                if worst is None or margin < worst:
+                    worst = margin
+                    context = {"N": N, "K": K, "m": m, "b": int(b),
+                               "gamma": float(gamma), "alpha": None}
+    if worst is None:
+        return CheckReport("product-bound", "insufficient-data", math.nan, context)
+    return CheckReport("product-bound", "pass" if passed else "fail", worst, context)
 
 
-def bound_sqrt_width(n, b, gamma, sigma, d_up) -> CheckReport:
-    """Check the square-root width bound at one index ``n``.
+def check_sqrt_width(sigma, d_up, b, gamma) -> CheckReport:
+    """Verify the square-root width bound at every admissible ``n >= 1``.
 
-    Verifies ``sigma_{2n+b-1} <= sqrt(2)/gamma * sqrt(d_up[n])`` and, for
+    Checks ``sigma_{2n+b-1} <= sqrt(2)/gamma * sqrt(d_up[n])`` and, for
     ``n >= 2``, the general form ``sigma_{n+b-1} <= sqrt(2)/gamma *
-    min_{1<=m<n} d_up[m]**((n-m)/n)``.  Both require the normalization
-    ``sigma_0 <= 1``, so sigma and d_up are rescaled by ``sigma_0`` first.
+    min_{1<=m<n} d_up[m]**((n-m)/n)``, for every ``n < d_up.size`` with
+    ``2n + b - 1`` inside sigma.  Both require the normalization
+    ``sigma_0 <= 1``, so sigma and d_up are rescaled by ``sigma_0`` first; a
+    sigma that does not start positive yields an insufficient-data report.
+    The context is the first ``n`` with the smallest margin.
     """
-    if n < 1 or b < 1:
-        raise IndexError(f"invalid indices n={n}, b={b}")
-    sig = _normalized(sigma)
-    raw = np.asarray(sigma, dtype=float)
-    d = np.asarray(d_up, dtype=float) / raw[0]
-    if 2 * n + b - 1 >= sig.size:
-        raise IndexError(f"sigma has {sig.size} entries; need index {2 * n + b - 1}")
-    if n >= d.size:
-        raise IndexError(f"d_up has {d.size} entries; need index {n}")
+    context = {"gamma": float(gamma)}
+    try:
+        sig = _normalized(sigma)
+    except InsufficientDataError:
+        return CheckReport("sqrt-width-bound", "insufficient-data", math.nan, context)
+    d = np.asarray(d_up, dtype=float) / np.asarray(sigma, dtype=float)[0]
     factor = math.sqrt(2.0) / gamma
-    particular = factor * math.sqrt(d[n]) * (1.0 + BOUND_SLACK) - sig[2 * n + b - 1]
-    worst = particular
-    if n >= 2:
-        ms = np.arange(1, n)
-        general_bound = factor * float(np.min(d[ms] ** ((n - ms) / n)))
-        general = general_bound * (1.0 + BOUND_SLACK) - sig[n + b - 1]
-        worst = min(worst, general)
-    status = "pass" if worst >= 0.0 else "fail"
-    context = {"n": int(n), "b": int(b), "gamma": float(gamma), "alpha": None}
-    return CheckReport("sqrt-width-bound", status, float(worst), context)
+    worst, passed = None, True
+    for n in range(1, min((sig.size - b) // 2 + 1, d.size)):
+        margin = factor * math.sqrt(d[n]) * (1.0 + BOUND_SLACK) - sig[2 * n + b - 1]
+        if n >= 2:
+            ms = np.arange(1, n)
+            general_bound = factor * float(np.min(d[ms] ** ((n - ms) / n)))
+            margin = min(margin, general_bound * (1.0 + BOUND_SLACK) - sig[n + b - 1])
+        margin = float(margin)
+        passed = passed and margin >= 0.0
+        if worst is None or margin < worst:
+            worst = margin
+            context = {"n": n, "b": int(b), "gamma": float(gamma), "alpha": None}
+    if worst is None:
+        return CheckReport("sqrt-width-bound", "insufficient-data", math.nan, context)
+    return CheckReport("sqrt-width-bound", "pass" if passed else "fail", worst, context)
 
 
 def constant_C1_polynomial(n, b, alpha, gamma, C0) -> float:
@@ -481,46 +476,19 @@ def check_rate_bounds(sigma, d_up, b, gamma) -> CheckReport:
     return CheckReport("rate-bounds", status, float(worst), context)
 
 
-def _aggregate(name: str, reports: Sequence[CheckReport], extra=None) -> CheckReport:
-    if not reports:
-        return CheckReport(name, "insufficient-data", math.nan, dict(extra or {}))
-    worst = min(reports, key=lambda rep: rep.worst_margin)
-    status = "pass" if all(rep.passed for rep in reports) else "fail"
-    context = dict(worst.context)
-    context.update(extra or {})
-    return CheckReport(name, status, worst.worst_margin, context)
+def run_theory_checks(trace, sigma, d_up, gamma) -> list[CheckReport]:
+    """The five whole-run checks of one greedy run, one CheckReport each.
 
-
-def run_theory_checks(trace, sigma, d_up, gamma=None) -> list[CheckReport]:
-    """Run the full empirical check suite for one greedy run.
-
-    Covers (P1), (P2), the product bound over all admissible ``(N, K, m)``
-    with ``K <= PRODUCT_MAX_K``, the square-root width bound over all admissible
-    ``n``, and the fitted rate bounds.  ``gamma`` defaults to the empirical
-    weakness constant of the run.
+    In report order: (P1), (P2), the product bound over every ``(K, N, m)``
+    with ``K <= PRODUCT_MAX_K``, the square-root width bound over every
+    admissible ``n``, and the fitted rate bounds, all at the weakness
+    constant ``gamma`` (callers pass `empirical_gamma` of the run).
     """
     b = trace.batch_size
-    if gamma is None:
-        gamma = empirical_gamma(trace, sigma)
-    sig = np.asarray(sigma, dtype=float)
-    d = np.asarray(d_up, dtype=float)
-    last = sig.size - 1
-
-    reports = [check_P1(trace, sigma, gamma), check_P2(trace, sigma)]
-
-    product = []
-    for K in range(2, PRODUCT_MAX_K + 1):
-        for N in range(0, last - (b - 1) - K + 1):
-            for m in range(1, min(K, d.size)):
-                product.append(bound_theorem_product(N, K, m, b, gamma, sigma, d_up))
-    reports.append(_aggregate("product-bound", product, {"gamma": float(gamma)}))
-
-    width = []
-    n = 1
-    while 2 * n + b - 1 <= last and n < d.size:
-        width.append(bound_sqrt_width(n, b, gamma, sigma, d_up))
-        n += 1
-    reports.append(_aggregate("sqrt-width-bound", width, {"gamma": float(gamma)}))
-
-    reports.append(check_rate_bounds(sigma, d_up, b, gamma))
-    return reports
+    return [
+        check_P1(trace, sigma, gamma),
+        check_P2(trace, sigma),
+        check_product_bound(sigma, d_up, b, gamma),
+        check_sqrt_width(sigma, d_up, b, gamma),
+        check_rate_bounds(sigma, d_up, b, gamma),
+    ]

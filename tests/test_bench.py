@@ -325,6 +325,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="invalid batch sizes"):
             bench.ExperimentConfig(batch_sizes=sizes)
 
+    @pytest.mark.parametrize("sizes", [(2, 2), (1, 4, 1), (4.0, 4)])
+    def test_repeated_batch_sizes_rejected(self, sizes):
+        """A repeated size would run twice and overwrite its own output files."""
+        with pytest.raises(ConfigurationError, match="invalid batch sizes"):
+            bench.ExperimentConfig(batch_sizes=sizes)
+
     def test_lock_round_trip(self, tmp_path):
         config = bench.ExperimentConfig(
             px=3, py=1, nx=12, ny=20, train_per_dim=4, test_count=17, seed=9,
@@ -367,6 +373,12 @@ class TestConfig:
         path = tmp_path / "bad.lock"
         path.write_text(text)
         with pytest.raises(ConfigurationError):
+            bench.load_config(path)
+
+    def test_load_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "twice.lock"
+        path.write_text("# comment\nnx=8\nnx=16\n")
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}:3: nx given twice")):
             bench.load_config(path)
 
 

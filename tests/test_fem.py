@@ -159,6 +159,23 @@ class TestParameterSet:
         assert points[1] == fem.ParameterPoint((0.3, 0.4))
         assert points.index(points[1]) == 1 and points[0] in points
         assert list(reversed(points)) == [points[1], points[0]]
+        with pytest.raises(TypeError):
+            points[[0, 1]]
+
+    def test_points_not_checked_again(self, monkeypatch):
+        """Indexing and iterating build each point from the row the set has
+        checked, without a one-row ParameterSet per point."""
+        built = []
+        init = fem.ParameterSet.__init__
+        monkeypatch.setattr(fem.ParameterSet, "__init__",
+                            lambda self, weights: built.append(1) or init(self, weights))
+        points = fem.ParameterSet(np.linspace(0.1, 1.0, 4000).reshape(1000, 4))
+        listed, indexed = list(points), [points[t] for t in range(len(points))]
+        assert len(built) == 1
+        monkeypatch.undo()
+        expected = [fem.ParameterPoint(row) for row in points.weights.tolist()]
+        assert listed == expected and indexed == expected
+        assert all(type(x) is float for mu in listed for x in mu.weights)
 
 
 class TestAssembly:

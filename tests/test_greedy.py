@@ -397,13 +397,15 @@ class TestDegenerateTrainingSets:
             assert sorted(trace.selected_indices()) == [0, 1, 2, 3]
 
     def test_basis_cap(self, system, training):
-        config = greedy.GreedyConfig(
-            training_set=training, batch_size=1, tolerance=1e-30, max_basis_size=2
-        )
-        for driver in DRIVERS:
+        """A batch selects at most the room left under the cap."""
+        for b, driver in itertools.product((1, 4), DRIVERS):
+            config = greedy.GreedyConfig(
+                training_set=training, batch_size=b, tolerance=1e-30, max_basis_size=2
+            )
             basis, trace = run_driver(driver, system, config)
-            assert trace.stop_reason == "max_basis", driver
-            assert basis.size == 2
+            assert trace.stop_reason == "max_basis", (b, driver)
+            assert basis.size == 2, (b, driver)
+            assert len(trace.selected_indices()) == 2, (b, driver)
 
 
 class TestStagnation:
@@ -451,12 +453,15 @@ class TestLazySweep:
     for bit, evaluating exactly only the rows a certified bound keeps."""
 
     def assert_bitwise_equal_to_full_sweeps(self, monkeypatch, system, config, solver=None):
-        """Run lazily and with a source that sweeps every row; returns the lazy trace."""
-        basis, _, trace = greedy.run_batch_greedy(system, config, solver)
+        """Run lazily and with a source that sweeps every row, each with `solver`
+        (if given) in place of `greedy.solve_fom`; returns the lazy trace."""
+        if solver is not None:
+            monkeypatch.setattr(greedy, "solve_fom", solver)
+        basis, _, trace = greedy.run_batch_greedy(system, config)
         with monkeypatch.context() as patch:
             every = np.ones(len(config.training_set), dtype=bool)
             patch.setattr(greedy._EstimatorSweep, "_rows", lambda self, b, excluded: every)
-            full_basis, _, full = greedy.run_batch_greedy(system, config, solver)
+            full_basis, _, full = greedy.run_batch_greedy(system, config)
         assert basis.vectors.tobytes() == full_basis.vectors.tobytes()
         assert trace.amatrix.tobytes() == full.amatrix.tobytes()
         assert trace.stop_reason == full.stop_reason
@@ -507,6 +512,7 @@ class TestLazySweep:
         )
         trace = self.assert_bitwise_equal_to_full_sweeps(monkeypatch, system16, config, solver)
         assert trace.stop_reason == stop, case
+        assert trace.extension_count <= max_basis, case
 
     def test_fewer_candidates_than_a_batch_sweep_every_row(self, system16):
         training = bench.build_training_set(2, 2, 5)
@@ -555,7 +561,9 @@ class TestLazySweep:
 
 
 class TestErrors:
-    def test_solver_failure_carries_parameter_and_partial_trace(self, system, training):
+    def test_solver_failure_carries_parameter_and_partial_trace(
+        self, monkeypatch, system, training
+    ):
         for workers in (1, 2):
             config = greedy.GreedyConfig(
                 training_set=training, batch_size=2, worker_count=workers
@@ -570,8 +578,9 @@ class TestErrors:
                     raise RuntimeError("synthetic solver breakdown")
                 return fem.solve_fom(sys_, mu)
 
-            with pytest.raises(GreedyError) as info:
-                greedy.run_batch_greedy(system, config, solver=flaky)
+            with pytest.raises(GreedyError) as info, monkeypatch.context() as patch:
+                patch.setattr(greedy, "solve_fom", flaky)
+                greedy.run_batch_greedy(system, config)
             assert info.value.parameter == batch[0], workers
             assert info.value.trace is not None
             assert len(info.value.trace.iterations) == 1  # the completed first batch
@@ -645,12 +654,13 @@ class TestErrors:
         for value in (config.batch_size, config.worker_count, config.max_basis_size):
             assert type(value) is int
 
-    def test_parameter_size_mismatch(self, system):
+    def test_parameter_size_mismatch(self, monkeypatch, system):
         """The first sweep raises, before any full-order solve."""
         config = greedy.GreedyConfig(training_set=fem.ParameterSet([(0.5, 0.5)]))
         calls = []
+        monkeypatch.setattr(greedy, "solve_fom", lambda *args: calls.append(args))
         with pytest.raises(DimensionError):
-            greedy.run_batch_greedy(system, config, solver=lambda *args: calls.append(args))
+            greedy.run_batch_greedy(system, config)
         assert calls == []
 
 

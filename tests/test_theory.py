@@ -250,11 +250,63 @@ class TestPropertyChecks:
         assert (report.context["n"], report.context["m"]) == (0, 1)
 
 
+def product_margins(sigma, d_up, b, gamma):
+    """Every product-bound instance as (margin, context), in (K, N, m) order,
+    each evaluated on its own."""
+    sig, d = np.asarray(sigma, dtype=float), np.asarray(d_up, dtype=float)
+    out = []
+    for K in range(2, theory.PRODUCT_MAX_K + 1):
+        for N in range(0, len(sig) - 1 - (b - 1) - K + 1):
+            for m in range(1, min(K, len(d))):
+                lhs = float(np.prod(sig[N + b : N + b + K] ** 2))
+                rhs = (
+                    gamma ** (-2 * K)
+                    * (K / m) ** m
+                    * (K / (K - m)) ** (K - m)
+                    * sig[N + 1] ** (2 * m)
+                    * d[m] ** (2 * (K - m))
+                )
+                context = {"N": N, "K": K, "m": m, "b": b, "gamma": gamma, "alpha": None}
+                out.append((float(rhs * (1.0 + theory.BOUND_SLACK) - lhs), context))
+    return out
+
+
+def width_margins(sigma, d_up, b, gamma):
+    """Every square-root-width instance as (margin, context), in n order,
+    each evaluated on its own."""
+    raw = np.asarray(sigma, dtype=float)
+    sig, d = raw / raw[0], np.asarray(d_up, dtype=float) / raw[0]
+    factor = math.sqrt(2.0) / gamma
+    out = []
+    n = 1
+    while 2 * n + b - 1 <= len(raw) - 1 and n < len(d_up):
+        worst = factor * math.sqrt(d[n]) * (1.0 + theory.BOUND_SLACK) - sig[2 * n + b - 1]
+        if n >= 2:
+            ms = np.arange(1, n)
+            general_bound = factor * float(np.min(d[ms] ** ((n - ms) / n)))
+            worst = min(worst, general_bound * (1.0 + theory.BOUND_SLACK) - sig[n + b - 1])
+        out.append((float(worst), {"n": n, "b": b, "gamma": gamma, "alpha": None}))
+        n += 1
+    return out
+
+
+def assert_first_worst(report, instances):
+    """The report carries the first smallest margin, its context, and passes
+    only when every margin is nonnegative."""
+    margin, context = min(instances, key=lambda instance: instance[0])
+    assert report.worst_margin == margin
+    assert report.context == context
+    assert list(report.context) == list(context)
+    assert report.status == ("pass" if all(m >= 0.0 for m, _ in instances) else "fail")
+
+
 class TestProductBound:
     def test_direct_evaluation_small_case(self, strong_b1, width):
         _, trace, sigma = strong_b1
-        report = theory.bound_theorem_product(0, 2, 1, 1, 1.0, sigma, width.d_up)
+        # sigma_0..sigma_2 leave the single instance N=0, K=2, m=1.
+        report = theory.check_product_bound(sigma[:3], width.d_up, 1, 1.0)
         assert report.passed
+        assert report.context == {"N": 0, "K": 2, "m": 1, "b": 1, "gamma": 1.0, "alpha": None}
         lhs = sigma[1] ** 2 * sigma[2] ** 2
         rhs = 2.0 * 2.0 * sigma[1] ** 2 * width.d_up[1] ** 2
         assert report.worst_margin == pytest.approx(
@@ -264,77 +316,83 @@ class TestProductBound:
     def test_all_small_combinations_weak_batch(self, weak_b4, width):
         _, trace, sigma = weak_b4
         gamma = theory.empirical_gamma(trace, sigma)
-        last = len(sigma) - 1
-        checked = 0
-        for K in range(2, 7):
-            for N in range(0, last - 3 - K + 1):
-                for m in range(1, K):
-                    report = theory.bound_theorem_product(
-                        N, K, m, 4, gamma, sigma, width.d_up
-                    )
-                    assert report.passed, (N, K, m)
-                    checked += 1
-        assert checked > 0
+        instances = product_margins(sigma, width.d_up, 4, gamma)
+        assert len(instances) > 1
+        report = theory.check_product_bound(sigma, width.d_up, 4, gamma)
+        assert report.passed
+        assert_first_worst(report, instances)
 
     def test_degenerate_rank_one_passes(self):
         sigma = [1.0, 0.0, 0.0, 0.0, 0.0]
         d_up = [1.0, 0.0, 0.0]
-        report = theory.bound_theorem_product(0, 3, 1, 1, 1.0, sigma, d_up)
+        report = theory.check_product_bound(sigma, d_up, 1, 1.0)
         assert report.passed
 
-    def test_index_errors(self, strong_b1, width):
-        _, _, sigma = strong_b1
-        with pytest.raises(IndexError):
-            theory.bound_theorem_product(0, 2, 2, 1, 1.0, sigma, width.d_up)
-        with pytest.raises(IndexError):
-            theory.bound_theorem_product(0, 1, 1, 1, 1.0, sigma, width.d_up)
-        with pytest.raises(IndexError):
-            theory.bound_theorem_product(len(sigma), 2, 1, 1, 1.0, sigma, width.d_up)
-        with pytest.raises(IndexError):
-            theory.bound_theorem_product(0, 2, 1, 1, 1.0, sigma, width.d_up[:1])
+    def test_failure_and_no_instance(self):
+        # sigma_1 = sigma_2 = 1 against a zero width: the one instance fails.
+        report = theory.check_product_bound([1.0, 1.0, 1.0], [1.0, 0.0], 1, 1.0)
+        assert report.status == "fail" and report.worst_margin == -1.0
+        for sigma, d_up in (([1.0, 0.5], [1.0, 0.5]), ([1.0, 0.5, 0.2], [1.0])):
+            report = theory.check_product_bound(sigma, d_up, 1, 0.5)
+            assert report.status == "insufficient-data"
+            assert report.context == {"gamma": 0.5}
 
 
 class TestSqrtWidthBound:
     def test_strong_greedy_small_n(self, strong_b1, width):
         _, _, sigma = strong_b1
-        report = theory.bound_sqrt_width(2, 1, 1.0, sigma, width.d_up)
-        assert report.passed
         scale = sigma[0]
-        # n=2, b=1: particular bound at sigma_{2n+b-1} = sigma_4, general form
-        # at sigma_{n+b-1} = sigma_2 with the single choice m=1
+        # n=1, b=1: particular bound at sigma_{2n+b-1} = sigma_2 only
+        first = math.sqrt(2.0) * math.sqrt(width.d_up[1] / scale) * (
+            1 + theory.BOUND_SLACK
+        ) - sigma[2] / scale
+        report = theory.check_sqrt_width(sigma[:3], width.d_up, 1, 1.0)
+        assert report.passed
+        assert report.context == {"n": 1, "b": 1, "gamma": 1.0, "alpha": None}
+        assert report.worst_margin == pytest.approx(first, rel=1e-12)
+        # n=2, b=1: particular bound at sigma_4, general form at
+        # sigma_{n+b-1} = sigma_2 with the single choice m=1
         particular = math.sqrt(2.0) * math.sqrt(width.d_up[2] / scale) * (
             1 + theory.BOUND_SLACK
         ) - sigma[4] / scale
         general = math.sqrt(2.0) * (width.d_up[1] / scale) ** 0.5 * (
             1 + theory.BOUND_SLACK
         ) - sigma[2] / scale
-        assert report.worst_margin == pytest.approx(min(particular, general), rel=1e-12)
+        report = theory.check_sqrt_width(sigma[:5], width.d_up, 1, 1.0)
+        assert report.worst_margin == pytest.approx(
+            min(first, particular, general), rel=1e-12
+        )
 
     def test_weak_batch_all_valid_n(self, weak_b4, width):
         _, trace, sigma = weak_b4
         gamma = theory.empirical_gamma(trace, sigma)
-        last = len(sigma) - 1
-        n = 1
-        while 2 * n + 3 <= last and n < width.d_up.size:
-            report = theory.bound_sqrt_width(n, 4, gamma, sigma, width.d_up)
-            assert report.passed, n
-            n += 1
-        assert n > 1
+        instances = width_margins(sigma, width.d_up, 4, gamma)
+        assert len(instances) > 1
+        report = theory.check_sqrt_width(sigma, width.d_up, 4, gamma)
+        assert report.passed
+        assert_first_worst(report, instances)
 
     def test_rank_one_passes(self):
         sigma = [2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         d_up = [2.0, 0.0, 0.0, 0.0]
-        report = theory.bound_sqrt_width(2, 1, 1.0, sigma, d_up)
+        report = theory.check_sqrt_width(sigma, d_up, 1, 1.0)
         assert report.passed
 
-    def test_index_errors(self, strong_b1, width):
-        _, _, sigma = strong_b1
-        with pytest.raises(IndexError):
-            theory.bound_sqrt_width(0, 1, 1.0, sigma, width.d_up)
-        with pytest.raises(IndexError):
-            theory.bound_sqrt_width(len(sigma), 1, 1.0, sigma, width.d_up)
-        with pytest.raises(IndexError):
-            theory.bound_sqrt_width(2, 1, 1.0, sigma, width.d_up[:2])
+    @pytest.mark.parametrize("first", [0.0, -1.0])
+    def test_sigma_not_starting_positive_is_insufficient(self, weak_b4, width, first):
+        _, trace, sigma = weak_b4
+        sigma = np.concatenate([[first], sigma[1:]])
+        report = theory.check_sqrt_width(sigma, width.d_up, 4, 0.5)
+        assert report.status == "insufficient-data"
+        assert report.context == {"gamma": 0.5}
+        reports = theory.run_theory_checks(trace, sigma, width.d_up, 0.5)
+        assert reports[3] == report
+
+    def test_no_instance_is_insufficient(self):
+        for sigma, d_up in (([1.0, 0.5, 0.2], [1.0, 0.5]), ([1.0, 0.5, 0.2], [1.0])):
+            report = theory.check_sqrt_width(sigma, d_up, 2, 0.5)
+            assert report.status == "insufficient-data"
+            assert report.context == {"gamma": 0.5}
 
 
 class TestRateConstants:
@@ -475,7 +533,9 @@ class TestRateBounds:
 class TestDriverAndExport:
     def test_run_theory_checks_all_pass(self, weak_b4, width):
         _, trace, sigma = weak_b4
-        reports = theory.run_theory_checks(trace, sigma, width.d_up)
+        reports = theory.run_theory_checks(
+            trace, sigma, width.d_up, theory.empirical_gamma(trace, sigma)
+        )
         names = [report.name for report in reports]
         assert names == ["P1", "P2", "product-bound", "sqrt-width-bound", "rate-bounds"]
         assert all(report.passed for report in reports)
